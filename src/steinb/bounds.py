@@ -26,19 +26,12 @@ from .families import (
     DiscreteFamily,
     Family,
     Location,
-    ParamRole,
     Scale,
     TestFunction,
     expectation,
-    role_kind,
+    expectation_or_inf,
 )
-from .numerics import (
-    RealFn,
-    golden_section_minimize,
-    integrate_detecting_divergence,
-    scan_grid,
-    sum_series,
-)
+from .numerics import golden_section_minimize, scan_grid, sum_series
 from .operators import (
     BoundaryViolation,
     ScoreProfile,
@@ -100,18 +93,15 @@ class BoundReport:
 
 def lower_bound(
     fam: Family,
-    role: ParamRole | None = None,
-    h: TestFunction | None = None,
+    h: TestFunction,
     *,
     tol: float = 1e-12,
     profile: ScoreProfile | None = None,
 ) -> float:
     """(E[h' f-tilde])^2 / Fisher; returns 0 (vacuous) when Fisher diverges."""
-    if h is None:
-        raise TypeError("lower_bound requires a test function h")
     if isinstance(fam, DiscreteFamily):
         return discrete_lower_bound(fam, h, tol=tol, profile=profile)
-    prof = profile if profile is not None else score_profile(fam, role, tol=tol)
+    prof = profile if profile is not None else score_profile(fam, tol=tol)
     if math.isinf(prof.fisher):
         return 0.0
     pair = exchanging_pair(fam)
@@ -121,8 +111,7 @@ def lower_bound(
 
 def upper_bound(
     fam: ContinuousFamily,
-    role: ParamRole | None = None,
-    h: TestFunction | None = None,
+    h: TestFunction,
     *,
     tol: float = 1e-12,
     profile: ScoreProfile | None = None,
@@ -130,23 +119,18 @@ def upper_bound(
     """E[(h')^2 / (-phi') * f-tilde], or +inf when the score is not strictly
     monotone (witness available on the profile's certificate) or the
     integral itself diverges."""
-    if h is None:
-        raise TypeError("upper_bound requires a test function h")
     if isinstance(fam, DiscreteFamily):
         raise UnsupportedRole("no discrete upper bound is available")
-    prof = profile if profile is not None else score_profile(fam, role, tol=tol)
+    prof = profile if profile is not None else score_profile(fam, tol=tol)
     if not prof.monotonicity.strictly_monotone:
         return math.inf
     pair = exchanging_pair(fam)
 
-    def integrand(x: float) -> float:
-        w = fam.pdf(x)
-        if w == 0.0:
-            return 0.0
+    def weight(x: float) -> float:
         hp = h.h_prime(x)
-        return hp * hp / (-prof.phi_prime(x)) * pair.f_tilde(x) * w
+        return hp * hp / (-prof.phi_prime(x)) * pair.f_tilde(x)
 
-    return integrate_detecting_divergence(integrand, fam.support, tol)
+    return expectation_or_inf(fam, weight, tol)
 
 
 def discrete_lower_bound(
@@ -239,8 +223,8 @@ def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> li
     name, role = fam.name, fam.role
 
     if name == "gaussian" and isinstance(role, Location):
-        e_hp = _expect_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_hp2 = _expect_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
+        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+        e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
         return [
             Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2),
             Comparator("chernoff_upper", "upper", e_hp2),
@@ -248,16 +232,16 @@ def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> li
 
     if name == "exponential" and isinstance(role, Scale):
         lam = role.sigma0
-        e_hp2 = _expect_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
-        e_hp = _expect_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_xhp2 = _expect_or_inf(fam, lambda x: x * h.h_prime(x) ** 2, tol)
+        e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
+        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+        e_xhp2 = expectation_or_inf(fam, lambda x: x * h.h_prime(x) ** 2, tol)
         var_hp = math.inf if math.isinf(e_hp2) or math.isinf(e_hp) else e_hp2 - e_hp**2
         out = [
             Comparator("cacoullos_upper", "upper", var_hp / lam**2 + e_xhp2 / lam),
             Comparator("klaassen_exp_upper", "upper", 4.0 * e_hp2 / lam**2),
         ]
         if h.h_second is not None:
-            e_cross = _expect_or_inf(fam, lambda x: x * h.h_prime(x) * h.h_second(x), tol)
+            e_cross = expectation_or_inf(fam, lambda x: x * h.h_prime(x) * h.h_second(x), tol)
             if math.isinf(e_hp2) or math.isinf(e_cross):
                 rewrite = math.inf
             else:
@@ -268,25 +252,15 @@ def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> li
     if name == "gamma":
         a = fam.structural_value("shape")
         b = role.sigma0 if isinstance(role, Scale) else 1.0
-        e_hp = _expect_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_xhp = _expect_or_inf(fam, lambda x: x * h.h_prime(x), tol)
+        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+        e_xhp = expectation_or_inf(fam, lambda x: x * h.h_prime(x), tol)
         if math.isinf(e_hp) or math.isinf(e_xhp):
             value = math.inf
         else:
             value = max((a - 2.0) / b**2 * e_hp**2, e_xhp**2 / a)
         return [Comparator("klaassen_gamma_lower", "lower", value)]
 
-    raise NotApplicable(f"no comparator bounds catalogued for {name} with a {role_kind(role)} role")
-
-
-def _expect_or_inf(fam: ContinuousFamily, fn: RealFn, tol: float) -> float:
-    def integrand(x: float) -> float:
-        w = fam.pdf(x)
-        if w == 0.0:
-            return 0.0
-        return fn(x) * w
-
-    return integrate_detecting_divergence(integrand, fam.support, tol)
+    raise NotApplicable(f"no comparator bounds catalogued for {name} with a {role.kind} role")
 
 
 # --------------------------------------------------------------------------

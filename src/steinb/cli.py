@@ -32,7 +32,14 @@ from typing import Any, Sequence
 
 from . import config
 from .families import InvalidParameter
-from .harness import Scenario, ScenarioResult, builtin_scenarios, result_to_dict, run_scenario
+from .harness import (
+    SCENARIO_ERRORS,
+    Scenario,
+    ScenarioResult,
+    builtin_scenarios,
+    result_to_dict,
+    run_scenario,
+)
 
 
 class ScenarioFileError(Exception):
@@ -63,8 +70,10 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     return scenarios
 
 
-def _validate(scenarios: Sequence[Scenario]) -> None:
-    """Reject files naming unknown families, roles, or test functions up front."""
+def _scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """The scenario file named on the command line (or the builtin suite),
+    with unknown families, roles, or test functions rejected up front."""
+    scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
     for s in scenarios:
         try:
             s.build_family()
@@ -72,6 +81,7 @@ def _validate(scenarios: Sequence[Scenario]) -> None:
             s.build_test_function()
         except (InvalidParameter, KeyError) as exc:
             raise ScenarioFileError(f"scenario {s.scenario_id!r}: {exc}") from exc
+    return scenarios
 
 
 def run_all(scenarios: Sequence[Scenario], tol: float, jobs: int) -> list[ScenarioResult]:
@@ -94,10 +104,6 @@ def _fmt(value: float) -> str:
 
 def emit_json(results: Sequence[ScenarioResult]) -> str:
     return json.dumps([result_to_dict(r) for r in results], indent=2, sort_keys=True) + "\n"
-
-
-def parse_json_report(text: str) -> list[dict[str, Any]]:
-    return json.loads(text)
 
 
 CSV_COLUMNS = ("scenario", "lower", "variance", "upper", "flags", "comparators", "identity_checks")
@@ -161,14 +167,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tol = config.resolve_tol(args.tol)
-    try:
-        scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
-        _validate(scenarios)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = run_all(scenarios, tol, args.jobs)
+    results = run_all(_scenarios(args), config.resolve_tol(args.tol), args.jobs)
     all_pass = True
     print(f"{'scenario':24s} {'f0':22s} {'E[T f0]':>14s}  pass")
     for res in results:
@@ -191,14 +190,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    tol = config.resolve_tol(args.tol)
-    try:
-        scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
-        _validate(scenarios)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = run_all(scenarios, tol, args.jobs)
+    results = run_all(_scenarios(args), config.resolve_tol(args.tol), args.jobs)
     text = EMITTERS[args.format](results)
     _write_out(text, args.out)
     failed = [r for r in results if r.error is not None or not all(c.passed for c in r.identity_checks)]
@@ -208,19 +200,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_fisher(args: argparse.Namespace) -> int:
     from .operators import score_profile  # local import keeps CLI startup light
 
+    scenarios = _scenarios(args)
     tol = config.resolve_tol(args.tol)
-    try:
-        scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
-        _validate(scenarios)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rows = []
     for s in sorted(scenarios, key=lambda s: s.scenario_id):
         fam = s.build_family()
         try:
             prof = score_profile(fam, tol=tol)
-        except Exception as exc:
+        except SCENARIO_ERRORS as exc:
             rows.append({"scenario": s.scenario_id, "family": fam.name, "role": s.kind,
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -309,7 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ScenarioFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ class QuadratureDefaults:
     """Tolerances and budgets for the adaptive quadrature."""
 
     request_tol: float = 1e-12      # tolerance handed to integrate() by default
-    assert_tol: float = 1e-10       # what downstream checks may rely on
     max_subdivisions: int = 2000    # bisection budget before NonConvergence
     divergence_budget: int = 500    # first refinement level of the divergence detector
 

@@ -2,15 +2,12 @@
 
 Continuous families are stored as a base density g0 together with its
 logarithmic derivative L = g0'/g0 (and L' where known); the parameter of
-interest enters through the role:
+interest enters through the family's role (``roles.py``).  Discrete
+families live on {0, ..., N} with N independent of the parameter and
+register the derivative of g(x; theta)/g(0; theta) in theta.
 
-    location   g(x; mu)    = g0(x - mu)
-    scale      g(x; sigma) = sigma * g0(sigma * x)      (sigma is a rate)
-    SAS skew   g(x; delta) = C_delta(x) (1+x^2)^{-1/2} g0(S_delta(x))
-
-with S_delta(x) = sinh(asinh(x) + delta) and C_delta its cosh companion.
-Discrete families live on {0, ..., N} with N independent of the parameter
-and register the derivative of g(x; theta)/g(0; theta) in theta.
+Every catalogue family is one entry of FAMILIES: its factory, a different
+law on the same support (falsification evidence) and a base sampler.
 
 Note the scale convention: sigma multiplies the coordinate, so the
 exponential family has rate lambda = sigma0 and the Gamma family rate
@@ -22,65 +19,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
-from .numerics import Interval, RealFn, integrate, sum_series
+from .numerics import Interval, RealFn, integrate, integrate_detecting_divergence, sum_series
+from .roles import (  # the role classes, the exceptions and sas_transform are re-exported here
+    ROLE_KINDS,
+    DiscreteTheta,
+    InvalidParameter,
+    Location,
+    ParamRole,
+    Scale,
+    SkewSAS,
+    UnsupportedRole,
+    sas_transform,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class InvalidParameter(ValueError):
-    """A parameter lies outside the family's admissible set."""
-
-
-# --------------------------------------------------------------------------
-# Parameter roles.
-
-
-@dataclass(frozen=True)
-class Location:
-    mu0: float
-
-
-@dataclass(frozen=True)
-class Scale:
-    sigma0: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise InvalidParameter(f"scale parameter must be > 0, got {self.sigma0}")
-
-
-@dataclass(frozen=True)
-class SkewSAS:
-    delta0: float
-
-
-@dataclass(frozen=True)
-class DiscreteTheta:
-    theta0: float
-
-
-ParamRole = Union[Location, Scale, SkewSAS, DiscreteTheta]
-
-
-def role_kind(role: ParamRole) -> str:
-    return {
-        Location: "location",
-        Scale: "scale",
-        SkewSAS: "skew",
-        DiscreteTheta: "theta",
-    }[type(role)]
-
-
-def role_value(role: ParamRole) -> float:
-    if isinstance(role, Location):
-        return role.mu0
-    if isinstance(role, Scale):
-        return role.sigma0
-    if isinstance(role, SkewSAS):
-        return role.delta0
-    return role.theta0
 
 
 # --------------------------------------------------------------------------
@@ -217,42 +171,11 @@ def product(f: TestFunction, g: TestFunction, name: str | None = None) -> TestFu
 
 
 # --------------------------------------------------------------------------
-# SAS transform.
-
-
-def sas_transform(x: float, delta: float) -> tuple[float, float]:
-    """(S, C) = (sinh(asinh x + delta), cosh(asinh x + delta)); C^2 - S^2 = 1."""
-    u = math.asinh(x) + delta
-    return math.sinh(u), math.cosh(u)
-
-
-# --------------------------------------------------------------------------
 # Continuous families.
 
 
-@dataclass(frozen=True)
-class ContinuousFamily:
-    name: str
-    base_density: RealFn                       # g0, with its indicator built in
-    log_density_derivative: RealFn             # L = g0'/g0 on the interior
-    base_support: Interval
-    role: ParamRole
-    smooth_order: int = 2
-    log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
-    structural: tuple[tuple[str, float], ...] = ()
-    support_depends_on_parameter: bool = False
-
-    @property
-    def support(self) -> Interval:
-        """Support of g(.; theta0) in x-space."""
-        return _support_at(self, role_value(self.role))
-
-    def pdf(self, x: float) -> float:
-        return density_at(self, x, role_value(self.role))
-
-    @property
-    def is_discrete(self) -> bool:
-        return False
+class _Structural:
+    structural: tuple[tuple[str, float], ...]
 
     def structural_value(self, key: str) -> float:
         for k, v in self.structural:
@@ -261,28 +184,33 @@ class ContinuousFamily:
         raise KeyError(key)
 
 
-def _support_at(fam: ContinuousFamily, theta: float) -> Interval:
-    lo, hi = fam.base_support.lo, fam.base_support.hi
-    if isinstance(fam.role, Location):
-        return Interval(lo + theta, hi + theta)
-    if isinstance(fam.role, Scale):
-        return Interval(lo / theta if math.isfinite(lo) else lo,
-                        hi / theta if math.isfinite(hi) else hi)
-    return Interval(lo, hi)  # SAS skewing keeps the real line
+@dataclass(frozen=True)
+class ContinuousFamily(_Structural):
+    name: str
+    base_density: RealFn                       # g0, with its indicator built in
+    log_density_derivative: RealFn             # L = g0'/g0 on the interior
+    base_support: Interval
+    role: ParamRole
+    log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
+    structural: tuple[tuple[str, float], ...] = ()
+    support_depends_on_parameter: bool = False
+
+    @property
+    def support(self) -> Interval:
+        """Support of g(.; theta0) in x-space."""
+        return self.role.support(self.base_support)
+
+    def pdf(self, x: float) -> float:
+        return self.role.density(self.base_density, x, self.role.value)
+
+    @property
+    def is_discrete(self) -> bool:
+        return False
 
 
 def density_at(fam: ContinuousFamily, x: float, theta: float) -> float:
     """g(x; theta) under the family's parameter role; 0 outside the support."""
-    if isinstance(fam.role, Location):
-        return fam.base_density(x - theta)
-    if isinstance(fam.role, Scale):
-        if not theta > 0:
-            raise InvalidParameter(f"scale parameter must be > 0, got {theta}")
-        return theta * fam.base_density(theta * x)
-    if isinstance(fam.role, SkewSAS):
-        s, c = sas_transform(x, theta)
-        return c / math.sqrt(1.0 + x * x) * fam.base_density(s)
-    raise InvalidParameter(f"{fam.name} has no continuous role")
+    return fam.role.density(fam.base_density, x, theta)
 
 
 # --- factories ---
@@ -299,10 +227,9 @@ def _gaussian_base(width: float) -> tuple[RealFn, RealFn, RealFn]:
 
 def gaussian(role: ParamRole, *, sigma: float = 1.0) -> ContinuousFamily:
     """Normal base density of standard deviation ``sigma`` (default standard normal)."""
+    _require_kind("gaussian", role.kind)
     if not sigma > 0:
         raise InvalidParameter(f"gaussian width must be > 0, got {sigma}")
-    if isinstance(role, (DiscreteTheta,)):
-        raise InvalidParameter("gaussian is a continuous family")
     g0, L, Lp = _gaussian_base(sigma)
     return ContinuousFamily(
         name="gaussian",
@@ -323,8 +250,7 @@ def exponential(role: ParamRole) -> ContinuousFamily:
     machinery rejects this family/role pair (the operator instead carries a
     Dirac atom at the edge).
     """
-    if not isinstance(role, (Location, Scale)):
-        raise InvalidParameter("exponential supports location or scale roles")
+    _require_kind("exponential", role.kind)
 
     def g0(y: float) -> float:
         return math.exp(-y) if y >= 0.0 else 0.0
@@ -347,13 +273,12 @@ def gamma(role: ParamRole, *, shape: float) -> ContinuousFamily:
     Fisher information additionally diverges for a <= 2, which surfaces at
     bound time as an infinite value, not here.
     """
+    _require_kind("gamma", role.kind)
     a = float(shape)
     if not a > 0:
         raise InvalidParameter(f"gamma shape must be > 0, got {a}")
     if isinstance(role, Location) and not a > 1:
         raise InvalidParameter(f"gamma location role needs shape > 1, got {a}")
-    if not isinstance(role, (Location, Scale)):
-        raise InvalidParameter("gamma supports location or scale roles")
     lg = math.lgamma(a)
 
     def g0(y: float) -> float:
@@ -411,7 +336,7 @@ def quartic(mu0: float = 0.0) -> ContinuousFamily:
 
 
 @dataclass(frozen=True)
-class DiscreteFamily:
+class DiscreteFamily(_Structural):
     name: str
     role: DiscreteTheta
     support_max: float                                   # int or math.inf
@@ -424,8 +349,10 @@ class DiscreteFamily:
     structural: tuple[tuple[str, float], ...] = ()
     mass_tail_bound: Callable[[int], float | None] | None = None
 
+    support_depends_on_parameter: ClassVar[bool] = False
+
     def pmf(self, x: int) -> float:
-        return pmf_at(self, x, self.role.theta0)
+        return self.role.mass(self, x, self.role.theta0)
 
     def score(self, x: float) -> float:
         """d/dtheta log g(x; theta) at theta0, extended smoothly off the integers."""
@@ -439,22 +366,10 @@ class DiscreteFamily:
     def is_discrete(self) -> bool:
         return True
 
-    def structural_value(self, key: str) -> float:
-        for k, v in self.structural:
-            if k == key:
-                return v
-        raise KeyError(key)
-
 
 def pmf_at(fam: DiscreteFamily, x: int, theta: float) -> float:
     """g(x; theta), 0 off the support {0, ..., N}."""
-    if not (fam.theta_domain.lo < theta < fam.theta_domain.hi):
-        raise InvalidParameter(
-            f"{fam.name} parameter {theta} outside ({fam.theta_domain.lo}, {fam.theta_domain.hi})"
-        )
-    if x < 0 or x > fam.support_max:
-        return 0.0
-    return fam.pmf_fn(int(x), theta)
+    return fam.role.mass(fam, x, theta)
 
 
 def poisson(lam: float) -> DiscreteFamily:
@@ -557,94 +472,174 @@ def binomial(n: int, p: float) -> DiscreteFamily:
 
 Family = Union[ContinuousFamily, DiscreteFamily]
 
-FAMILY_IDS = (
-    "gaussian",
-    "exponential",
-    "gamma",
-    "sas-gaussian",
-    "poisson",
-    "geometric",
-    "binomial",
-)
+# --------------------------------------------------------------------------
+# The family table.
+
+
+def _std_normal(uniform: Callable[[], float]) -> float:
+    u1, u2 = uniform(), uniform()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _gamma_draw(fam: ContinuousFamily, uniform: Callable[[], float]) -> float:
+    # Marsaglia-Tsang; the boost keeps it valid for a < 1.
+    a = fam.structural_value("shape")
+    boost = 1.0
+    if a < 1.0:
+        boost = uniform() ** (1.0 / a)
+        a += 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        z = _std_normal(uniform)
+        v = (1.0 + c * z) ** 3
+        if v <= 0.0:
+            continue
+        u = uniform()
+        if math.log(u) < 0.5 * z * z + d - d * v + d * math.log(v):
+            return d * v * boost
+
+
+def _poisson_draw(fam: DiscreteFamily, uniform: Callable[[], float]) -> float:
+    # Knuth's product-of-uniforms method
+    limit = math.exp(-fam.role.theta0)
+    k, prod = 0, uniform()
+    while prod > limit:
+        k += 1
+        prod *= uniform()
+    return float(k)
+
+
+def _exponential_perturbed(fam: ContinuousFamily) -> ContinuousFamily:
+    # Twice the rate keeps the half-line [0, inf).
+    if fam.support.lo != 0.0:
+        raise UnsupportedRole("no same-support perturbation for a shifted exponential")
+    rate = fam.role.sigma0 if isinstance(fam.role, Scale) else 1.0
+    return exponential(Scale(rate * 2.0))
+
+
+@dataclass(frozen=True)
+class FamilyEntry:
+    """One catalogue family.
+
+    ``build(role, **structural)`` constructs it; ``perturb`` gives a different
+    law on the same support (falsification evidence); ``sample`` draws from
+    the base law with the given uniform source, and the role's ``from_base``
+    maps the draw into x-space.
+    """
+
+    build: Callable[..., Family]
+    kinds: tuple[str, ...]
+    perturb: Callable[[Family], Family]
+    sample: Callable[[Family, Callable[[], float]], float]
+    required: tuple[str, ...] = ()    # structural constants without a default
+    optional: tuple[str, ...] = ()
+
+
+FAMILIES: dict[str, FamilyEntry] = {
+    "gaussian": FamilyEntry(
+        build=gaussian,
+        kinds=("location", "scale", "skew"),
+        perturb=lambda fam: gaussian(fam.role, sigma=fam.structural_value("sigma") * math.sqrt(2.0)),
+        sample=lambda fam, uniform: _std_normal(uniform) * fam.structural_value("sigma"),
+        optional=("sigma",),
+    ),
+    "exponential": FamilyEntry(
+        build=exponential,
+        kinds=("location", "scale"),
+        perturb=_exponential_perturbed,
+        sample=lambda fam, uniform: -math.log(uniform()),
+    ),
+    "gamma": FamilyEntry(
+        build=gamma,
+        kinds=("location", "scale"),
+        perturb=lambda fam: gamma(fam.role, shape=fam.structural_value("shape") + 1.0),
+        sample=_gamma_draw,
+        required=("shape",),
+    ),
+    "sas-gaussian": FamilyEntry(
+        build=lambda role: sas_gaussian(role.delta0),
+        kinds=("skew",),
+        perturb=lambda fam: sas_gaussian(fam.role.delta0 + 0.7),
+        sample=lambda fam, uniform: _std_normal(uniform),
+    ),
+    "poisson": FamilyEntry(
+        build=lambda role: poisson(role.theta0),
+        kinds=("theta",),
+        perturb=lambda fam: poisson(fam.role.theta0 * 2.0),
+        sample=_poisson_draw,
+    ),
+    "geometric": FamilyEntry(
+        build=lambda role: geometric(role.theta0),
+        kinds=("theta",),
+        perturb=lambda fam: geometric(fam.role.theta0 / 2.0),
+        sample=lambda fam, uniform: float(math.floor(math.log(uniform()) / math.log1p(-fam.role.theta0))),
+    ),
+    "binomial": FamilyEntry(
+        build=lambda role, n: binomial(int(n), role.theta0),
+        kinds=("theta",),
+        perturb=lambda fam: binomial(int(fam.structural_value("n")), fam.role.theta0 / 2.0),
+        sample=lambda fam, uniform: float(
+            sum(uniform() < fam.role.theta0 for _ in range(int(fam.structural_value("n"))))
+        ),
+        required=("n",),
+    ),
+}
+
+FAMILY_IDS = tuple(FAMILIES)
 
 
 def make_family(name: str, kind: str, value: float, **structural: float) -> Family:
     """Construct a catalogue family from its string id, role kind, and parameter value."""
-    if name == "gaussian":
-        sigma = structural.pop("sigma", 1.0)
-        _none(structural)
-        return gaussian(_continuous_role(kind, value), sigma=sigma)
-    if name == "exponential":
-        _none(structural)
-        return exponential(_continuous_role(kind, value))
-    if name == "gamma":
-        shape = structural.pop("shape", None)
-        if shape is None:
-            raise InvalidParameter("gamma requires a structural 'shape'")
-        _none(structural)
-        return gamma(_continuous_role(kind, value), shape=shape)
-    if name == "sas-gaussian":
-        if kind != "skew":
-            raise InvalidParameter("sas-gaussian supports only the skew role")
-        _none(structural)
-        return sas_gaussian(value)
-    if name == "poisson":
-        _require_theta(kind)
-        _none(structural)
-        return poisson(value)
-    if name == "geometric":
-        _require_theta(kind)
-        _none(structural)
-        return geometric(value)
-    if name == "binomial":
-        _require_theta(kind)
-        n = structural.pop("n", None)
-        if n is None:
-            raise InvalidParameter("binomial requires a structural 'n'")
-        _none(structural)
-        return binomial(int(n), value)
-    raise InvalidParameter(f"unknown family {name!r}; known: {FAMILY_IDS}")
+    entry = FAMILIES.get(name)
+    if entry is None:
+        raise InvalidParameter(f"unknown family {name!r}; known: {FAMILY_IDS}")
+    _require_kind(name, kind)
+    for key in entry.required:
+        if key not in structural:
+            raise InvalidParameter(f"{name} requires a structural {key!r}")
+    unexpected = sorted(set(structural) - set(entry.required) - set(entry.optional))
+    if unexpected:
+        raise InvalidParameter(f"unexpected structural constants: {unexpected}")
+    return entry.build(ROLE_KINDS[kind](float(value)), **structural)
 
 
-def _continuous_role(kind: str, value: float) -> ParamRole:
-    if kind == "location":
-        return Location(float(value))
-    if kind == "scale":
-        return Scale(float(value))
-    if kind == "skew":
-        return SkewSAS(float(value))
-    raise InvalidParameter(f"unknown continuous role kind {kind!r}")
-
-
-def _require_theta(kind: str) -> None:
-    if kind != "theta":
-        raise InvalidParameter("discrete families use the 'theta' role")
-
-
-def _none(structural: dict) -> dict:
-    if structural:
-        raise InvalidParameter(f"unexpected structural constants: {sorted(structural)}")
-    return {}
+def _require_kind(name: str, kind: str) -> None:
+    kinds = FAMILIES[name].kinds
+    if kind not in kinds:
+        raise InvalidParameter(f"{name} supports the {'/'.join(kinds)} role, not {kind!r}")
 
 
 # --------------------------------------------------------------------------
 # Expectations and bulk radii.
 
 
-def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
-    """E[fn(X)] by quadrature (continuous) or series (discrete)."""
-    if isinstance(fam, DiscreteFamily):
-        if math.isfinite(fam.support_max):
-            return math.fsum(fn(x) * fam.pmf(x) for x in range(int(fam.support_max) + 1))
-        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, None, tol)
-
+def _weighted(fam: ContinuousFamily, fn: RealFn) -> RealFn:
+    """The integrand fn * pdf, zero wherever the density is."""
     def integrand(x: float) -> float:
         w = fam.pdf(x)
         if w == 0.0:
             return 0.0
         return fn(x) * w
 
-    return integrate(integrand, fam.support, tol).value
+    return integrand
+
+
+def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
+    """E[fn(X)] by quadrature (continuous) or series (discrete)."""
+    if fam.is_discrete:
+        if math.isfinite(fam.support_max):
+            return math.fsum(fn(x) * fam.pmf(x) for x in range(int(fam.support_max) + 1))
+        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, None, tol)
+    return integrate(_weighted(fam, fn), fam.support, tol).value
+
+
+def expectation_or_inf(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
+    """E[fn(X)] as ``expectation``, except that a divergent integral returns
+    +-inf instead of raising NonConvergence."""
+    if fam.is_discrete:
+        return expectation(fam, fn, tol)
+    return integrate_detecting_divergence(_weighted(fam, fn), fam.support, tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -655,7 +650,7 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
     a half-line the radius also covers the distance from the center to the
     finite endpoint, so a bump of this radius straddles the whole bulk.
     """
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         total = 0.0
         x = 0
         cap = fam.support_max if math.isfinite(fam.support_max) else 10_000_000
@@ -666,7 +661,7 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
             x += 1
         return float(cap)
 
-    center = fam.role.mu0 if isinstance(fam.role, Location) else 0.0
+    center = fam.role.center
     support = fam.support
 
     probe_tol = max(eps * 1e-2, 1e-13)

@@ -19,35 +19,33 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from . import config
 from .bounds import BoundReport, bound_report
 from .families import (
-    ContinuousFamily,
-    DiscreteFamily,
+    FAMILIES,
+    FamilyEntry,
     Family,
     Location,
-    Scale,
     TestFunction,
-    binomial,
     bulk_radius,
     bump,
     expectation,
-    exponential,
-    gamma,
-    gaussian,
-    geometric,
+    expectation_or_inf,
     make_family,
     named_test_function,
-    poisson,
     polynomial,
     product,
-    role_kind,
-    sas_gaussian,
 )
-from .numerics import TruncationUnsafe, integrate, integrate_detecting_divergence, sum_series
-from .operators import SteinOperator, UnsupportedRole, hermite_test_function, make_operator
+from .numerics import NumericsError, TruncationUnsafe
+from .operators import (
+    BoundaryViolation,
+    SteinOperator,
+    UnsupportedRole,
+    hermite_test_function,
+    make_operator,
+)
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
 DISCRETE_IDENTITY_TOL = 1e-9
@@ -55,6 +53,13 @@ DISCRETE_IDENTITY_TOL = 1e-9
 
 class DivergentMoment(Exception):
     """E[h^2] does not exist for this family/test function."""
+
+
+# What a scenario may end in instead of a report: recorded as a typed error
+# row, so one extreme scenario never takes the rest of a matrix down.
+SCENARIO_ERRORS = (
+    UnsupportedRole, BoundaryViolation, DivergentMoment, ValueError, NumericsError, ArithmeticError,
+)
 
 
 @dataclass(frozen=True)
@@ -90,22 +95,11 @@ def operator_expectation(
     tol: float = 1e-12,
 ) -> float:
     """E[T(f0)(X)] under ``law`` (default: the operator's own family), with
-    any Dirac atom folded in as coefficient * density(atom location)."""
+    any Dirac atom folded in as coefficient * density(atom location).
+
+    Series run to a tolerance of at most 1e-13."""
     target = law if law is not None else op.family
-    if isinstance(target, DiscreteFamily):
-        if math.isfinite(target.support_max):
-            value = math.fsum(op(x) * target.pmf(x) for x in range(int(target.support_max) + 1))
-        else:
-            value = sum_series(lambda x: op(x) * target.pmf(x), 0, None, min(tol, 1e-13))
-        return value
-
-    def integrand(x: float) -> float:
-        w = target.pdf(x)
-        if w == 0.0:
-            return 0.0
-        return op(x) * w
-
-    value = integrate(integrand, target.support, tol).value
+    value = expectation(target, op, min(tol, 1e-13) if target.is_discrete else tol)
     if op.atom is not None:
         value += op.atom.coefficient * target.pdf(op.atom.location)
     return value
@@ -113,17 +107,7 @@ def operator_expectation(
 
 def check_identity(fam: Family, f0: TestFunction, *, tol: float | None = None) -> IdentityCheck:
     """E[T(f0)(X)] = 0 under the family's own law, to the stated tolerance."""
-    op = make_operator(fam, f0)
-    is_discrete = isinstance(fam, DiscreteFamily)
-    tolerance = tol if tol is not None else (DISCRETE_IDENTITY_TOL if is_discrete else CONTINUOUS_IDENTITY_TOL)
-    value = operator_expectation(op)
-    return IdentityCheck(
-        family=fam.name,
-        role=role_kind(fam.role),
-        test_function=f0.name,
-        expectation_value=value,
-        tolerance=tolerance,
-    )
+    return _identity_check(fam, f0, fam, fam.name, tol)
 
 
 def falsify_identity(
@@ -135,43 +119,31 @@ def falsify_identity(
 ) -> IdentityCheck:
     """Evaluate the family's operator under a different law of the same
     support; a nonzero expectation is falsification evidence."""
-    op = make_operator(fam, f0)
-    is_discrete = isinstance(fam, DiscreteFamily)
-    tolerance = tol if tol is not None else (DISCRETE_IDENTITY_TOL if is_discrete else CONTINUOUS_IDENTITY_TOL)
-    value = operator_expectation(op, law=wrong_law)
+    return _identity_check(fam, f0, wrong_law, f"{fam.name}|under:{wrong_law.name}", tol)
+
+
+def _identity_check(fam: Family, f0: TestFunction, law: Family, label: str,
+                    tol: float | None) -> IdentityCheck:
+    default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
     return IdentityCheck(
-        family=f"{fam.name}|under:{wrong_law.name}",
-        role=role_kind(fam.role),
+        family=label,
+        role=fam.role.kind,
         test_function=f0.name,
-        expectation_value=value,
-        tolerance=tolerance,
+        expectation_value=operator_expectation(make_operator(fam, f0), law=law),
+        tolerance=tol if tol is not None else default,
     )
+
+
+def _entry(fam: Family) -> FamilyEntry:
+    try:
+        return FAMILIES[fam.name]
+    except KeyError:
+        raise UnsupportedRole(f"{fam.name} is not in the family table") from None
 
 
 def perturbed_law(fam: Family) -> Family:
     """A different law on the same support, used for falsification evidence."""
-    if isinstance(fam, DiscreteFamily):
-        th = fam.role.theta0
-        if fam.name == "poisson":
-            return poisson(th * 2.0)
-        if fam.name == "geometric":
-            return geometric(th / 2.0)
-        if fam.name == "binomial":
-            return binomial(int(fam.structural_value("n")), th / 2.0)
-        raise UnsupportedRole(f"no perturbation registered for {fam.name}")
-    if fam.name == "gaussian":
-        return gaussian(fam.role, sigma=fam.structural_value("sigma") * math.sqrt(2.0))
-    if fam.name == "sas-gaussian":
-        return sas_gaussian(fam.role.delta0 + 0.7)
-    if fam.name == "gamma":
-        return gamma(fam.role, shape=fam.structural_value("shape") + 1.0)
-    if fam.name == "exponential":
-        if isinstance(fam.role, Scale):
-            return exponential(Scale(fam.role.sigma0 * 2.0))
-        if fam.role.mu0 == 0.0:
-            return exponential(Scale(2.0))  # same half-line support, different density
-        raise UnsupportedRole("no same-support perturbation for a shifted exponential")
-    raise UnsupportedRole(f"no perturbation registered for {fam.name}")
+    return _entry(fam).perturb(fam)
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +161,7 @@ def builtin_test_functions(fam: Family) -> list[TestFunction]:
     radius = bulk_radius(fam)
     window = bump(radius + 2.0)
     out = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(5)]
-    if isinstance(fam, ContinuousFamily) and fam.name == "gaussian" and isinstance(fam.role, Location):
+    if fam.name == "gaussian" and isinstance(fam.role, Location):
         out.extend(product(hermite_test_function(n), window) for n in (1, 2, 3))
     return out
 
@@ -204,25 +176,13 @@ def identity_suite(fam: Family, *, tol: float | None = None) -> list[IdentityChe
 
 def ground_truth_variance(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> float:
     """Var[h(X)] by quadrature/series; raises DivergentMoment when E[h^2] diverges."""
-    if isinstance(fam, DiscreteFamily):
-        try:
-            second = expectation(fam, lambda x: h.h(x) ** 2, tol)
-            first = expectation(fam, h.h, tol)
-        except TruncationUnsafe as exc:
-            raise DivergentMoment(str(exc)) from exc
-        return second - first * first
-
-    def weighted(fn: Callable[[float], float]) -> float:
-        def integrand(x: float) -> float:
-            w = fam.pdf(x)
-            return 0.0 if w == 0.0 else fn(x) * w
-
-        return integrate_detecting_divergence(integrand, fam.support, tol)
-
-    second = weighted(lambda x: h.h(x) ** 2)
-    if math.isinf(second):
-        raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
-    first = weighted(h.h)
+    try:
+        second = expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
+        if math.isinf(second):
+            raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
+        first = expectation_or_inf(fam, h.h, tol)
+    except TruncationUnsafe as exc:
+        raise DivergentMoment(str(exc)) from exc
     return second - first * first
 
 
@@ -331,7 +291,7 @@ def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) ->
             identity_checks=checks,
             wall_time=time.perf_counter() - started,
         )
-    except (UnsupportedRole, DivergentMoment, ValueError, TruncationUnsafe) as exc:
+    except SCENARIO_ERRORS as exc:
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
             report=None,
@@ -395,22 +355,6 @@ def result_to_dict(result: ScenarioResult) -> dict[str, Any]:
     }
 
 
-def dict_to_result_fields(raw: dict[str, Any]) -> dict[str, Any]:
-    """Parse a report dict back into plain numeric fields ("inf" -> inf)."""
-    def num(v: Any) -> float:
-        return math.inf if v == "inf" else float(v)
-
-    out = dict(raw)
-    for key in ("lower", "variance", "upper"):
-        if key in out:
-            out[key] = num(out[key])
-    if "comparators" in out:
-        out["comparators"] = [
-            {**c, "value": num(c["value"])} for c in out["comparators"]
-        ]
-    return out
-
-
 # --------------------------------------------------------------------------
 # Seeded Monte Carlo diagnostics (never an oracle).
 
@@ -426,66 +370,6 @@ class Lcg:
         return ((self.state >> 11) + 0.5) / 9007199254740992.0  # 2^53
 
 
-def _sample(fam: Family, rng: Lcg) -> float:
-    if isinstance(fam, DiscreteFamily):
-        theta = fam.role.theta0
-        if fam.name == "poisson":
-            # Knuth's product-of-uniforms method
-            limit = math.exp(-theta)
-            k, prod = 0, rng.next_uniform()
-            while prod > limit:
-                k += 1
-                prod *= rng.next_uniform()
-            return float(k)
-        if fam.name == "geometric":
-            u = rng.next_uniform()
-            return float(math.floor(math.log(u) / math.log1p(-theta)))
-        n = int(fam.structural_value("n"))
-        return float(sum(rng.next_uniform() < theta for _ in range(n)))
-
-    def std_normal() -> float:
-        u1, u2 = rng.next_uniform(), rng.next_uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    role = fam.role
-    if fam.name == "gaussian":
-        width = fam.structural_value("sigma")
-        z = std_normal() * width
-        if isinstance(role, Location):
-            return z + role.mu0
-        return z / role.sigma0
-    if fam.name == "sas-gaussian":
-        z = std_normal()
-        return math.sinh(math.asinh(z) - role.delta0)
-    if fam.name == "exponential":
-        e = -math.log(rng.next_uniform())
-        if isinstance(role, Location):
-            return e + role.mu0
-        return e / role.sigma0
-    if fam.name == "gamma":
-        a = fam.structural_value("shape")
-        # Marsaglia-Tsang; the boost keeps it valid for a < 1.
-        boost = 1.0
-        if a < 1.0:
-            boost = rng.next_uniform() ** (1.0 / a)
-            a += 1.0
-        d = a - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            z = std_normal()
-            v = (1.0 + c * z) ** 3
-            if v <= 0.0:
-                continue
-            u = rng.next_uniform()
-            if math.log(u) < 0.5 * z * z + d - d * v + d * math.log(v):
-                y = d * v * boost
-                break
-        if isinstance(role, Location):
-            return y + role.mu0
-        return y / role.sigma0
-    raise UnsupportedRole(f"no sampler registered for {fam.name}")
-
-
 def monte_carlo_variance(
     fam: Family,
     h: TestFunction,
@@ -494,10 +378,11 @@ def monte_carlo_variance(
 ) -> float:
     """Sample estimate of Var[h(X)] from the fixed LCG; diagnostic only."""
     rng = Lcg(seed)
+    entry = _entry(fam)
     total = 0.0
     total_sq = 0.0
     for _ in range(n):
-        v = h.h(_sample(fam, rng))
+        v = h.h(fam.role.from_base(entry.sample(fam, rng.next_uniform)))
         total += v
         total_sq += v * v
     mean = total / n

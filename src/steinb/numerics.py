@@ -239,18 +239,6 @@ def _transformed(f: RealFn, iv: Interval) -> tuple[RealFn, float, float]:
     return g, -1.0, 1.0
 
 
-def from_transform(iv: Interval, t: float) -> float:
-    """Map a point of the transform parameter interval back to x-space."""
-    lo, hi = iv.lo, iv.hi
-    if iv.bounded:
-        return t
-    if math.isfinite(lo):
-        return lo + t / (1.0 - t)
-    if math.isfinite(hi):
-        return hi - t / (1.0 - t)
-    return t / (1.0 - t * t)
-
-
 def integrate(
     f: RealFn,
     iv: Interval,
@@ -365,7 +353,9 @@ def integrate_detecting_divergence(
         magnitudes[0] <= magnitudes[1] <= magnitudes[2]
         and (magnitudes[2] > 1.5 * magnitudes[0] or math.isinf(magnitudes[2]))
     )
-    contracted = partial_errors[2] <= 0.25 * partial_errors[0]
+    # An infinite last estimate (the level overflowed) never counts as
+    # contraction, even against an infinite first one.
+    contracted = math.isfinite(partial_errors[2]) and partial_errors[2] <= 0.25 * partial_errors[0]
     if growing and not contracted:
         sign = 1.0
         for v in reversed(partial_values):

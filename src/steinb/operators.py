@@ -1,7 +1,8 @@
 """Parametric Stein operators, score profiles, and exchanging pairs.
 
 Every operator here is the quotient  d/dtheta (f(x;theta) g(x;theta)) / g(x;theta0)
-specialized to a parameter role.  Closed forms are registered per role:
+specialized to a parameter role.  Each role (``roles.py``) registers its
+closed form:
 
     location   T(x) = -f0'(y) - f0(y) L(y),            y = x - mu0
     scale      T(x) = f0(y)/sigma0 + x f0'(y) + x f0(y) L(y),   y = sigma0 x
@@ -22,37 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from . import numerics
 from .families import (
-    ContinuousFamily,
-    DiscreteFamily,
-    Family,
-    Location,
     ONE,
-    ParamRole,
-    Scale,
-    SkewSAS,
+    Family,
     TestFunction,
     bulk_radius,
-    density_at,
-    pmf_at,
-    role_kind,
-    sas_transform,
+    expectation,
+    expectation_or_inf,
 )
 from .numerics import (
     Interval,
     MonotonicityCertificate,
     RealFn,
     bisect_root,
-    derivative,
-    integrate_detecting_divergence,
     monotonicity_scan,
     scan_grid,
 )
-
-
-class UnsupportedRole(Exception):
-    """The family/role pair does not admit the requested construction."""
+from .roles import Atom, ParamRole, UnsupportedRole
 
 
 class BoundaryViolation(Exception):
@@ -84,28 +71,8 @@ def hermite_test_function(n: int, f0: TestFunction = ONE) -> TestFunction:
     )
 
 
-def sas_lifted(f1: TestFunction) -> TestFunction:
-    """f0(x) = sqrt(1+x^2) f1(x); turns the plain SAS operator into its polynomial variant."""
-    def h(x: float) -> float:
-        return math.sqrt(1.0 + x * x) * f1.h(x)
-
-    def hp(x: float) -> float:
-        r = math.sqrt(1.0 + x * x)
-        return x / r * f1.h(x) + r * f1.h_prime(x)
-
-    return TestFunction(f"sqrt1px2*{f1.name}", h, hp)
-
-
 # --------------------------------------------------------------------------
 # Stein operators.
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Dirac term carried by the operator: coefficient * delta_{location}."""
-
-    location: float
-    coefficient: float
 
 
 @dataclass(frozen=True)
@@ -120,156 +87,27 @@ class SteinOperator:
         return self.evaluate(x)
 
 
-def location_operator(fam: ContinuousFamily, f0: TestFunction) -> SteinOperator:
-    """-(f0 g0)'(x - mu0) / g0(x - mu0), plus a Dirac atom when the density
-    is positive at a finite left support edge (exponential case)."""
-    if not isinstance(fam.role, Location):
-        raise UnsupportedRole(f"{fam.name} family was built with a {role_kind(fam.role)} role")
-    mu0 = fam.role.mu0
-    L = fam.log_density_derivative
-    lo = fam.base_support.lo
-
-    def op(x: float) -> float:
-        y = x - mu0
-        if y < lo or y > fam.base_support.hi:
-            return 0.0
-        return -f0.h_prime(y) - f0.h(y) * L(y)
-
-    atom = None
-    if math.isfinite(lo) and _edge_density_positive(fam.base_density, lo):
-        atom = Atom(location=mu0 + lo, coefficient=-f0.h(lo))
-    return SteinOperator(fam, fam.role, f0, op, atom)
-
-
-def _edge_density_positive(g0: RealFn, lo: float) -> bool:
-    # Distinguish a jump (exponential: g0(0+) = 1) from a vanishing edge
-    # (gamma with shape > 1) by how the density behaves approaching the edge.
-    near, nearer = g0(lo + 1e-6), g0(lo + 1e-12)
-    return nearer > 1e-300 and nearer >= 0.5 * near
-
-
-def scale_operator(fam: ContinuousFamily, f0: TestFunction) -> SteinOperator:
-    """d/dy (y f0(sigma0 y) g0(sigma0 y)) / (sigma0 g0(sigma0 x)) in closed form."""
-    if not isinstance(fam.role, Scale):
-        raise UnsupportedRole(f"{fam.name} family was built with a {role_kind(fam.role)} role")
-    sigma0 = fam.role.sigma0
-    L = fam.log_density_derivative
-    lo, hi = fam.base_support.lo, fam.base_support.hi
-
-    def op(x: float) -> float:
-        y = sigma0 * x
-        if y < lo or y > hi:
-            return 0.0
-        base = f0.h(y) / sigma0
-        if x == 0.0:  # the linear-in-x terms vanish; skips L at a closed edge where it may blow up
-            return base
-        return base + x * f0.h_prime(y) + x * f0.h(y) * L(y)
-
-    return SteinOperator(fam, fam.role, f0, op)
-
-
-def skew_operator_sas(fam: ContinuousFamily, f0: TestFunction, delta0: float | None = None) -> SteinOperator:
-    """C f0'(S) + (S/C + C L(S)) f0(S) with (S, C) the sinh-arcsinh pair at delta0."""
-    if not isinstance(fam.role, SkewSAS):
-        raise UnsupportedRole(f"{fam.name} family was built with a {role_kind(fam.role)} role")
-    if fam.smooth_order < 1:
-        raise UnsupportedRole("SAS operator needs a differentiable base density")
-    d0 = fam.role.delta0 if delta0 is None else float(delta0)
-    L = fam.log_density_derivative
-
-    def op(x: float) -> float:
-        s, c = sas_transform(x, d0)
-        return c * f0.h_prime(s) + (s / c + c * L(s)) * f0.h(s)
-
-    return SteinOperator(fam, fam.role, f0, op)
-
-
-def discrete_operator(fam: DiscreteFamily, f0: TestFunction) -> SteinOperator:
-    """D+ ( f0 * d/dtheta[g(.;theta)/g(0;theta)] )(x) / g(x; theta0).
-
-    Matches the defining quotient exactly; note this fixes the geometric
-    operator's overall sign by the derivative of (1-p)^x in p, which is the
-    negative of the form usually quoted (operators are equivalent up to
-    scaling).
-    """
-    theta0 = fam.role.theta0
-    nmax = fam.support_max
-
-    def op(x: float) -> float:
-        k = int(round(x))
-        if k < 0 or k > nmax:
-            return 0.0
-        w1 = f0.h(k + 1) * fam.theta_ratio_derivative(k + 1, theta0) if k + 1 <= nmax else 0.0
-        w0 = f0.h(k) * fam.theta_ratio_derivative(k, theta0)
-        return (w1 - w0) / pmf_at(fam, k, theta0)
-
-    return SteinOperator(fam, fam.role, f0, op)
-
-
 def make_operator(fam: Family, f0: TestFunction) -> SteinOperator:
-    """Dispatch on the family's parameter role."""
-    if isinstance(fam, DiscreteFamily):
-        return discrete_operator(fam, f0)
-    if isinstance(fam.role, Location):
-        return location_operator(fam, f0)
-    if isinstance(fam.role, Scale):
-        return scale_operator(fam, f0)
-    return skew_operator_sas(fam, f0)
-
-
-# --------------------------------------------------------------------------
-# Generic quotient (central difference in theta) for cross-checking.
+    """The closed form of the family's parameter role applied to f0."""
+    evaluate, atom = fam.role.operator(fam, f0)
+    return SteinOperator(fam, fam.role, f0, evaluate, atom)
 
 
 def generic_operator_value(fam: Family, f0: TestFunction, x: float, step: float = 1e-5) -> float:
     """d/dtheta(f g)/g at theta0 by central differencing; the ground truth
     every registered closed form is checked against."""
-    if isinstance(fam, DiscreteFamily):
-        theta0 = fam.role.theta0
-        k = int(round(x))
-
-        def w(j: int) -> float:
-            if j > fam.support_max:
-                return 0.0
-            ratio_p = pmf_at(fam, j, theta0 + step) / pmf_at(fam, 0, theta0 + step)
-            ratio_m = pmf_at(fam, j, theta0 - step) / pmf_at(fam, 0, theta0 - step)
-            return f0.h(j) * (ratio_p - ratio_m) / (2.0 * step)
-
-        return (w(k + 1) - w(k)) / pmf_at(fam, k, theta0)
-
-    theta0 = _theta0(fam.role)
-
-    def fg(theta: float) -> float:
-        if isinstance(fam.role, Location):
-            return f0.h(x - theta) * density_at(fam, x, theta)
-        if isinstance(fam.role, Scale):
-            return f0.h(theta * x) * density_at(fam, x, theta)
-        s, _ = sas_transform(x, theta)
-        return f0.h(s) * density_at(fam, x, theta)
-
-    g0x = density_at(fam, x, theta0)
-    return (fg(theta0 + step) - fg(theta0 - step)) / (2.0 * step * g0x)
-
-
-def _theta0(role: ParamRole) -> float:
-    if isinstance(role, Location):
-        return role.mu0
-    if isinstance(role, Scale):
-        return role.sigma0
-    if isinstance(role, SkewSAS):
-        return role.delta0
-    return role.theta0
+    return fam.role.quotient(fam, f0, x, step)
 
 
 def comparison_grid(fam: Family, points: int = 200) -> list[float]:
     """Interior sample points where closed forms and the generic quotient
     can both be evaluated stably (clear of moving support edges)."""
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         top = int(min(fam.support_max, bulk_radius(fam)))
         return [float(k) for k in range(0, top + 1)]
     support = fam.support
     radius = bulk_radius(fam)
-    center = fam.role.mu0 if isinstance(fam.role, Location) else 0.0
+    center = fam.role.center
     lo = max(support.lo, center - radius)
     hi = min(support.hi, center + radius)
     if math.isfinite(support.lo):
@@ -294,38 +132,7 @@ class ScoreProfile:
     zero_crossing: float | None
 
 
-def _score_callables(fam: Family) -> tuple[RealFn, RealFn]:
-    if isinstance(fam, DiscreteFamily):
-        phi = fam.score_fn
-        return phi, (lambda x: derivative(phi, x))
-    L = fam.log_density_derivative
-    Lp = fam.log_density_second_derivative
-    if Lp is None:
-        Lp = lambda y: derivative(L, y)  # finite-difference fallback
-    role = fam.role
-    if isinstance(role, Location):
-        mu0 = role.mu0
-        return (lambda x: -L(x - mu0)), (lambda x: -Lp(x - mu0))
-    if isinstance(role, Scale):
-        s0 = role.sigma0
-        return (
-            lambda x: 1.0 / s0 + x * L(s0 * x),
-            lambda x: L(s0 * x) + s0 * x * Lp(s0 * x),
-        )
-    d0 = role.delta0
-
-    def phi(x: float) -> float:
-        s, c = sas_transform(x, d0)
-        return s / c + c * L(s)
-
-    def phi_prime(x: float) -> float:
-        s, c = sas_transform(x, d0)
-        return (1.0 / (c * c) + s * L(s) + c * c * Lp(s)) / math.sqrt(1.0 + x * x)
-
-    return phi, phi_prime
-
-
-def score_profile(fam: Family, role: ParamRole | None = None, *, tol: float = 1e-12) -> ScoreProfile:
+def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
     """Score, Fisher information E[phi^2] (by quadrature/series; +inf when the
     integral diverges), monotonicity certificate, and zero crossing.
 
@@ -333,41 +140,29 @@ def score_profile(fam: Family, role: ParamRole | None = None, *, tol: float = 1e
     admissible: a support that moves with the parameter while the density
     stays positive at its edge (exponential location).
     """
-    if role is not None and role != fam.role:
-        raise UnsupportedRole("role argument disagrees with the family's role")
-    if isinstance(fam, ContinuousFamily) and fam.support_depends_on_parameter:
+    if fam.support_depends_on_parameter:
         raise UnsupportedRole(
-            f"{fam.name} with a {role_kind(fam.role)} role: support depends on the "
+            f"{fam.name} with a {fam.role.kind} role: support depends on the "
             "parameter and the density is positive at its edge"
         )
-    phi, phi_prime = _score_callables(fam)
+    phi, phi_prime = fam.role.score(fam)
 
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         top = min(fam.support_max, float(bulk_radius(fam)))
         scan_iv = Interval(0.0, max(top, 1.0))
-        fisher = _discrete_fisher(fam, tol)
+        fisher = expectation(fam, lambda x: phi(x) ** 2, min(tol, 1e-13))
     else:
         scan_iv = fam.support
 
-        def integrand(x: float) -> float:
-            w = fam.pdf(x)
-            if w == 0.0:
-                return 0.0
+        def phi_squared(x: float) -> float:
             p = phi(x)
-            return p * p * w
+            return p * p
 
-        fisher = integrate_detecting_divergence(integrand, fam.support, tol)
+        fisher = expectation_or_inf(fam, phi_squared, tol)
 
     cert = monotonicity_scan(phi, phi_prime, scan_iv, 257)
     zero = _zero_crossing(phi, scan_iv)
     return ScoreProfile(fam, phi, phi_prime, cert, fisher, zero)
-
-
-def _discrete_fisher(fam: DiscreteFamily, tol: float) -> float:
-    phi = fam.score_fn
-    if math.isfinite(fam.support_max):
-        return math.fsum(phi(x) ** 2 * fam.pmf(x) for x in range(int(fam.support_max) + 1))
-    return numerics.sum_series(lambda x: phi(x) ** 2 * fam.pmf(x), 0, None, min(tol, 1e-13))
 
 
 def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
@@ -406,13 +201,7 @@ class ExchangingPair:
     boundary_values: tuple[float, float]
 
 
-def exchanging_pair(
-    fam: Family,
-    f0: TestFunction = ONE,
-    role: ParamRole | None = None,
-    *,
-    strict: bool = True,
-) -> ExchangingPair:
+def exchanging_pair(fam: Family, f0: TestFunction = ONE, *, strict: bool = True) -> ExchangingPair:
     """Build the exchanging function for the family's role and verify that
     f-tilde * g vanishes at both support endpoints (to 1e-9).
 
@@ -420,35 +209,18 @@ def exchanging_pair(
     bounds of the variance machinery are invalid without it); strict=False
     returns the pair with boundary_ok=False for inspection.
     """
-    if role is not None and role != fam.role:
-        raise UnsupportedRole("role argument disagrees with the family's role")
-
-    if isinstance(fam, DiscreteFamily):
+    f_tilde = fam.role.f_tilde(fam, f0)
+    if fam.is_discrete:
         if f0 is not ONE:
             raise UnsupportedRole("discrete exchanging pairs are registered for f0 = 1 only")
-        f_tilde: RealFn = fam.exchange_fn
         left = f_tilde(0.0) * fam.pmf(0)
         far = int(min(fam.support_max, bulk_radius(fam, 1e-12) * 2 + 8))
         right = f_tilde(float(far)) * fam.pmf(far) if math.isinf(fam.support_max) else (
-            f_tilde(fam.support_max + 1.0) * pmf_at(fam, int(fam.support_max) + 1, fam.role.theta0)
+            f_tilde(fam.support_max + 1.0) * fam.pmf(int(fam.support_max) + 1)
         )
     else:
-        role_ = fam.role
-        if isinstance(role_, Location):
-            mu0 = role_.mu0
-            f_tilde = lambda x: -f0.h(x - mu0)
-        elif isinstance(role_, Scale):
-            s0 = role_.sigma0
-            f_tilde = lambda x: (x / s0) * f0.h(s0 * x)
-        else:
-            d0 = role_.delta0
-
-            def f_tilde(x: float) -> float:
-                s, _ = sas_transform(x, d0)
-                return math.sqrt(1.0 + x * x) * f0.h(s)
-
-        left = _endpoint_value(fam, f_tilde, fam.support.lo, low=True)
-        right = _endpoint_value(fam, f_tilde, fam.support.hi, low=False)
+        left = _endpoint_value(fam, f_tilde, fam.support.lo)
+        right = _endpoint_value(fam, f_tilde, fam.support.hi)
 
     ok = abs(left) < 1e-9 and abs(right) < 1e-9
     if strict and not ok:
@@ -458,12 +230,10 @@ def exchanging_pair(
     return ExchangingPair(fam, f0, f_tilde, ok, (left, right))
 
 
-def _endpoint_value(fam: ContinuousFamily, f_tilde: RealFn, endpoint: float, *, low: bool) -> float:
+def _endpoint_value(fam: Family, f_tilde: RealFn, endpoint: float) -> float:
     if math.isfinite(endpoint):
         x = endpoint
     else:
-        x = math.copysign(bulk_radius(fam, 1e-12) * 1.5, endpoint)
-        if isinstance(fam.role, Location):
-            x += fam.role.mu0
+        x = math.copysign(bulk_radius(fam, 1e-12) * 1.5, endpoint) + fam.role.center
     w = fam.pdf(x)
     return 0.0 if w == 0.0 else f_tilde(x) * w

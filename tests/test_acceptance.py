@@ -184,9 +184,11 @@ def test_criterion_9_invariances():
 
 
 def test_criterion_10_determinism():
-    from steinb.papertable import build_rows, rows_to_report
+    from steinb.papertable import build_rows, row_ids, rows_to_report
 
-    first = json.dumps(rows_to_report(build_rows(), 1e-12), sort_keys=True, indent=2)
+    rows = build_rows()
+    assert [r.row_id for r in rows] == row_ids()  # --list cannot drift from the table
+    first = json.dumps(rows_to_report(rows, 1e-12), sort_keys=True, indent=2)
     second = json.dumps(rows_to_report(build_rows(), 1e-12), sort_keys=True, indent=2)
     assert first == second
     assert json.loads(first)["all_pass"] is True

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,6 @@ from steinb.cli import (
     emit_md,
     load_scenarios,
     main,
-    parse_json_report,
 )
 from steinb.harness import run_scenario
 
@@ -71,12 +71,12 @@ class TestScenarioFile:
 class TestEmission:
     def test_json_roundtrip(self, sqrt_results):
         text = emit_json(sqrt_results)
-        parsed = parse_json_report(text)
+        parsed = json.loads(text)
         assert emit_json_like(parsed) == text
         assert parsed[0]["scenario"] == "exp-sca-h-sqrt"
 
     def test_json_csv_numeric_agreement(self, sqrt_results):
-        parsed = parse_json_report(emit_json(sqrt_results))
+        parsed = json.loads(emit_json(sqrt_results))
         rows = list(csv.DictReader(io.StringIO(emit_csv(sqrt_results))))
         for obj, row in zip(parsed, rows):
             for key in ("lower", "variance", "upper"):
@@ -172,6 +172,18 @@ class TestCommands:
         assert main(["bounds", str(demo_file), "--out", str(serial)]) == 0
         assert main(["bounds", str(demo_file), "--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_text() == parallel.read_text()
+
+    def test_bounds_probe_scenarios_end_as_error_rows(self, tmp_path, capsys):
+        # an underflowing Poisson pmf and an overflowing binomial coefficient
+        # become typed error rows; the good line still gets its report
+        probes = Path(__file__).parent / "data" / "probe_scenarios.jsonl"
+        out = tmp_path / "probes.json"
+        assert main(["bounds", str(probes), "--out", str(out)]) == 1
+        rows = {r["scenario"]: r for r in json.loads(out.read_text())}
+        assert rows["poisson-theta-800"]["error"].startswith("ZeroDivisionError:")
+        assert rows["binomial-n-2000"]["error"].startswith("OverflowError:")
+        assert [r for r in rows.values() if "error" not in r] == [rows["gauss-loc-h-linear"]]
+        assert rows["gauss-loc-h-linear"]["lower"] == pytest.approx(1.0, abs=1e-10)
 
     def test_fisher_table(self, demo_file, capsys):
         assert main(["fisher", str(demo_file)]) == 0

@@ -24,7 +24,6 @@ from steinb.harness import (
     builtin_scenarios,
     builtin_test_functions,
     check_identity,
-    dict_to_result_fields,
     falsify_identity,
     ground_truth_variance,
     identity_suite,
@@ -189,6 +188,23 @@ class TestScenarios:
         assert all(set(c) == {"name", "kind", "value"} for c in d["comparators"])
         assert all(set(c) == {"f0", "value", "pass"} for c in d["identity_checks"])
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario("sas-skew0.5-h-linear", "sas-gaussian", "skew", 0.5),
+            Scenario("gamma0.3-sca-h-sqrt", "gamma", "scale", 1.0,
+                     structural=(("shape", 0.3),), test_function="sqrt"),
+        ],
+        ids=lambda s: s.scenario_id,
+    )
+    def test_overflowing_upper_integral_is_divergent(self, scenario):
+        # every refinement level of the upper-bound integral overflows; the
+        # detector must return the infinite verdict rather than fail
+        d = result_to_dict(run_scenario(scenario))
+        assert d["upper"] == "inf"
+        assert "upper-divergent" in d["flags"]
+        assert d["lower"] <= d["variance"]
+
     def test_inf_encoding_roundtrip(self):
         result = run_scenario(Scenario("skew", "sas-gaussian", "skew", 0.0))
         d = result_to_dict(result)
@@ -196,6 +212,22 @@ class TestScenarios:
         parsed = dict_to_result_fields(json.loads(json.dumps(d)))
         assert math.isinf(parsed["upper"])
         assert parsed["lower"] == d["lower"]
+
+
+def dict_to_result_fields(raw):
+    """Parse a report dict back into plain numeric fields ("inf" -> inf)."""
+    def num(v):
+        return math.inf if v == "inf" else float(v)
+
+    out = dict(raw)
+    for key in ("lower", "variance", "upper"):
+        if key in out:
+            out[key] = num(out[key])
+    if "comparators" in out:
+        out["comparators"] = [
+            {**c, "value": num(c["value"])} for c in out["comparators"]
+        ]
+    return out
 
 
 class TestMonteCarloDiagnostic:

@@ -126,6 +126,12 @@ class TestDivergenceDetection:
         )
         assert v == pytest.approx(SQRT_PI, abs=1e-9)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_level_overflowing_gives_signed_inf(self, sign):
+        # all three levels end NonFinite(+-inf), with infinite error estimates
+        v = integrate_detecting_divergence(lambda x: sign * math.inf, Interval(0.0, 1.0))
+        assert v == sign * math.inf
+
 
 class TestSumSeries:
     def test_poisson_mass(self):

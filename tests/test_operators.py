@@ -8,6 +8,7 @@ from steinb.families import (
     Location,
     ONE,
     Scale,
+    TestFunction as TF,
     binomial,
     exponential,
     gamma,
@@ -23,20 +24,27 @@ from steinb.operators import (
     BoundaryViolation,
     UnsupportedRole,
     comparison_grid,
-    discrete_operator,
     exchanging_pair,
     generic_operator_value,
     hermite,
     hermite_test_function,
-    location_operator,
     make_operator,
-    sas_lifted,
-    scale_operator,
     score_profile,
-    skew_operator_sas,
 )
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))  # ~2.34432
+
+
+def sas_lifted(f1):
+    """f0(x) = sqrt(1+x^2) f1(x); turns the plain SAS operator into its polynomial variant."""
+    def h(x):
+        return math.sqrt(1.0 + x * x) * f1.h(x)
+
+    def hp(x):
+        r = math.sqrt(1.0 + x * x)
+        return x / r * f1.h(x) + r * f1.h_prime(x)
+
+    return TF(f"sqrt1px2*{f1.name}", h, hp)
 
 
 class TestHermite:
@@ -73,28 +81,24 @@ class TestHermite:
 
 class TestLocationOperator:
     def test_gaussian_constant(self):
-        op = location_operator(gaussian(Location(0.0)), ONE)
+        op = make_operator(gaussian(Location(0.0)), ONE)
         assert op(2.0) == pytest.approx(2.0)
         assert op.atom is None
 
     def test_gaussian_hermite_weight(self):
         # with f = H_1 * 1 the operator value at 0 is H_2(0) = -1
-        op = location_operator(gaussian(Location(0.0)), hermite_test_function(1))
+        op = make_operator(gaussian(Location(0.0)), hermite_test_function(1))
         assert op(0.0) == pytest.approx(-1.0)
 
     def test_exponential_atom(self):
-        op = location_operator(exponential(Location(0.0)), linear())
+        op = make_operator(exponential(Location(0.0)), linear())
         assert op(3.0) == pytest.approx(2.0)
         assert op.atom.location == 0.0 and op.atom.coefficient == 0.0
-        op1 = location_operator(exponential(Location(0.0)), ONE)
+        op1 = make_operator(exponential(Location(0.0)), ONE)
         assert op1.atom.coefficient == -1.0
 
     def test_gamma_has_no_atom(self):
-        assert location_operator(gamma(Location(0.0), shape=3), ONE).atom is None
-
-    def test_role_mismatch(self):
-        with pytest.raises(UnsupportedRole):
-            location_operator(gaussian(Scale(1.0)), ONE)
+        assert make_operator(gamma(Location(0.0), shape=3), ONE).atom is None
 
 
 class TestScaleOperator:
@@ -107,35 +111,35 @@ class TestScaleOperator:
         ],
     )
     def test_unit_scale_closed_forms(self, fam, x, expected):
-        assert scale_operator(fam, ONE)(x) == pytest.approx(expected, abs=1e-12)
+        assert make_operator(fam, ONE)(x) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSkewOperator:
     def test_variant_form(self):
         fam = sas_gaussian(0.0)
-        op = skew_operator_sas(fam, sas_lifted(ONE))
+        op = make_operator(fam, sas_lifted(ONE))
         assert op(1.0) == pytest.approx(0.0, abs=1e-12)
         assert op(2.0) == pytest.approx(-6.0, abs=1e-12)
 
     def test_plain_form(self):
-        op = skew_operator_sas(sas_gaussian(0.0), ONE)
+        op = make_operator(sas_gaussian(0.0), ONE)
         assert op(1.0) == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
 
 
 class TestDiscreteOperator:
     def test_poisson(self):
-        op = discrete_operator(poisson(1.0), ONE)
+        op = make_operator(poisson(1.0), ONE)
         assert op(2.0) == pytest.approx(-math.e, abs=1e-12)
 
     def test_geometric_sign_follows_defining_quotient(self):
         # The defining quotient fixes the sign as d/dp (1-p)^x < 0; the often
         # quoted form is its negative.
-        op = discrete_operator(geometric(0.5), ONE)
+        op = make_operator(geometric(0.5), ONE)
         assert op(0.0) == pytest.approx(-2.0, abs=1e-12)
         assert op(0.0) == pytest.approx(generic_operator_value(geometric(0.5), ONE, 0.0), rel=1e-7)
 
     def test_binomial(self):
-        op = discrete_operator(binomial(2, 0.5), ONE)
+        op = make_operator(binomial(2, 0.5), ONE)
         assert op(2.0) == pytest.approx(-32.0, abs=1e-10)
 
 
@@ -269,10 +273,10 @@ class TestExchangingPair:
         ids=lambda f: f"{f.name}-{f.role}",
     )
     def test_continuous_exchange_identity(self, fam):
-        from steinb.families import density_at, role_value
+        from steinb.families import density_at
 
         pair = exchanging_pair(fam)
-        theta0 = role_value(fam.role)
+        theta0 = fam.role.value
         for x in (0.3, 0.9, 1.7, 2.5):
             lhs = (density_at(fam, x, theta0 + 1e-6) - density_at(fam, x, theta0 - 1e-6)) / 2e-6
             rhs = derivative(lambda y: pair.f_tilde(y) * fam.pdf(y), x)
