@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Check that another source tree of steinb writes the same reports as this one.
+
+Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
+``steinb.cli.main`` in process for:
+
+- ``bounds --format json`` and ``bounds --format csv``, on the builtin matrix
+  and on ``scripts/scenarios_demo.jsonl``;
+- ``check --out`` and ``fisher --format json``, on the same two inputs;
+- ``paper-table --out``;
+- every sweep-mixed scenario (``perfbench/sweep.py``) of each seed in
+  ``--seeds``, written as a one-line file, under ``check --out`` and
+  ``bounds --format json --out``.
+
+For every call it compares the exit code (or the exception raised), stdout,
+stderr and the ``--out`` file byte for byte, prints the key of each call whose
+outcome differs, and exits 1 on any difference.
+
+Usage:
+    python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3]
+
+OTHER_SRC is the ``src`` directory of the other tree, for example of an
+export of the parent commit (``git archive HEAD~1 | tar -x -C /tmp/parent``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+DEMO = REPO / "scripts" / "scenarios_demo.jsonl"
+SWEEP = REPO / "perfbench" / "sweep.py"
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("perfbench_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(key, argv) of every call; writes the sweep scenario files into tmp."""
+    calls: list[tuple[str, list[str]]] = []
+    for label, inputs in (("builtin", []), ("demo", [str(DEMO)])):
+        calls += [
+            (f"{label}/bounds-json", ["bounds", *inputs, "--format", "json"]),
+            (f"{label}/bounds-csv", ["bounds", *inputs, "--format", "csv"]),
+            (f"{label}/check", ["check", *inputs, "--out", str(out)]),
+            (f"{label}/fisher", ["fisher", *inputs, "--format", "json"]),
+        ]
+    calls.append(("paper-table", ["paper-table", "--out", str(out)]))
+    sweep = _load_sweep()
+    for seed in seeds:
+        for item in sweep.generate(seed):
+            scenario = item["scenario"]
+            path = tmp / f"seed{seed}-{scenario['id']}.jsonl"
+            path.write_text(json.dumps(scenario, sort_keys=True) + "\n")
+            key = f"sweep/seed{seed}/{scenario['id']}"
+            calls += [
+                (f"{key}/check", ["check", str(path), "--out", str(out)]),
+                (f"{key}/bounds", ["bounds", str(path), "--format", "json", "--out", str(out)]),
+            ]
+    return calls
+
+
+def collect(seeds: list[int], result: Path) -> None:
+    """Make every call with the steinb found on PYTHONPATH; write the outcomes."""
+    import steinb
+    from steinb import cli
+
+    tree = Path(os.environ["PYTHONPATH"]).resolve()
+    if tree not in Path(steinb.__file__).resolve().parents:
+        raise SystemExit(f"steinb was imported from {steinb.__file__}, not from {tree}")
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.out"
+        for key, argv in requests(seeds, Path(tmp), out):
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc: int | str = cli.main(argv)
+            except Exception as exc:  # a raising call is an outcome to compare, too
+                rc = f"raised {type(exc).__name__}: {exc}"
+            outcomes[key] = {
+                "rc": rc,
+                "stdout": stdout.getvalue(),
+                "stderr": stderr.getvalue(),
+                "file": out.read_bytes().hex() if out.exists() else None,
+            }
+    result.write_text(json.dumps(outcomes))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", nargs="?", help="src directory of the other tree")
+    parser.add_argument("--seeds", default="1,2,3", help="sweep-mixed seeds, comma separated")
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    if args.collect is not None:
+        collect(seeds, args.collect)
+        return 0
+    if args.other_src is None:
+        parser.error("OTHER_SRC is required")
+
+    trees = {"this": REPO / "src", "other": Path(args.other_src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        running = {}
+        for label, src in trees.items():
+            result = Path(tmp) / f"{label}.json"
+            env = {**os.environ, "PYTHONPATH": str(src.resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
+            cmd = [sys.executable, str(Path(__file__).resolve()),
+                   "--collect", str(result), "--seeds", args.seeds]
+            running[label] = (subprocess.Popen(cmd, env=env), result)
+        failed = [label for label, (proc, _) in running.items() if proc.wait() != 0]
+        for label in failed:
+            print(f"collecting from {trees[label]} failed (exit {running[label][0].returncode})")
+        if failed:
+            return 1
+        outcomes = {label: json.loads(result.read_text()) for label, (_, result) in running.items()}
+
+    this, other = outcomes["this"], outcomes["other"]
+    differing = 0
+    for key in sorted(set(this) | set(other)):
+        a, b = this.get(key), other.get(key)
+        if a == b:
+            continue
+        differing += 1
+        fields = "call missing" if a is None or b is None else ", ".join(f for f in a if a[f] != b[f])
+        print(f"DIFF {key}: {fields}")
+    total = len(set(this) | set(other))
+    print(f"{total - differing} of {total} calls identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

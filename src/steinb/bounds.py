@@ -7,31 +7,31 @@ function f-tilde (for the constant test function):
     upper:  E[ (h'(X))^2 / (-phi'(X)) * f-tilde(X) ]   -- phi strictly monotone
 
 Discrete families get the lower bound only, evaluated by summation by parts:
-the numerator is  sum_x D+h(x) f-tilde(x+1) g(x+1)  with the boundary term
+the numerator is  sum_x D+h(x-1) f-tilde(x) g(x)  with the boundary term
 f-tilde(0) g(0) = 0 checked up front.  (Evaluating D+h at unshifted mass
 points, as sometimes quoted for the Poisson, overshoots the true variance:
 h = x^2 at rate 1 gives 25 > 11.  The shifted form below yields 9 <= 11.)
 
-Also here: the log-concavity Poincare constant and the classical comparator
-bounds (Chernoff, Cacoullos, Klaassen) for the families they apply to.
+Also here: the log-concavity Poincare constant and COMPARATORS, the classical
+bounds (Chernoff, Cacoullos, Klaassen) and fixed report flags per (family, role).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .families import (
     ContinuousFamily,
     DiscreteFamily,
     Family,
     Location,
-    Scale,
     TestFunction,
     expectation,
     expectation_or_inf,
 )
-from .numerics import golden_section_minimize, scan_grid, sum_series
+from .numerics import golden_section_minimize, scan_grid
 from .operators import (
     BoundaryViolation,
     ScoreProfile,
@@ -99,7 +99,7 @@ def lower_bound(
     profile: ScoreProfile | None = None,
 ) -> float:
     """(E[h' f-tilde])^2 / Fisher; returns 0 (vacuous) when Fisher diverges."""
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         return discrete_lower_bound(fam, h, tol=tol, profile=profile)
     prof = profile if profile is not None else score_profile(fam, tol=tol)
     if math.isinf(prof.fisher):
@@ -119,7 +119,7 @@ def upper_bound(
     """E[(h')^2 / (-phi') * f-tilde], or +inf when the score is not strictly
     monotone (witness available on the profile's certificate) or the
     integral itself diverges."""
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         raise UnsupportedRole("no discrete upper bound is available")
     prof = profile if profile is not None else score_profile(fam, tol=tol)
     if not prof.monotonicity.strictly_monotone:
@@ -140,20 +140,15 @@ def discrete_lower_bound(
     tol: float = 1e-12,
     profile: ScoreProfile | None = None,
 ) -> float:
-    """( sum_x D+h(x) f-tilde(x+1) g(x+1) )^2 / Fisher, by exact summation by parts."""
+    """( sum_x D+h(x-1) f-tilde(x) g(x) )^2 / Fisher, by exact summation by parts."""
     pair = exchanging_pair(fam)  # verifies f-tilde * g = 0 at the support edges
     if abs(pair.f_tilde(0.0) * fam.pmf(0)) > 1e-12:
         raise BoundaryViolation("f-tilde * g does not vanish at the origin")
     prof = profile if profile is not None else score_profile(fam, tol=tol)
-    theta0 = fam.role.theta0
-
-    def term(x: int) -> float:
-        return h.forward_difference(x) * pair.f_tilde(x + 1.0) * fam.pmf_fn(x + 1, theta0)
-
-    if math.isfinite(fam.support_max):
-        numerator = math.fsum(term(x) for x in range(int(fam.support_max)))
-    else:
-        numerator = sum_series(term, 0, None, min(tol, 1e-13))
+    # The x = 0 term is D+h(-1) f-tilde(0) g(0) = 0, checked above.
+    numerator = expectation(
+        fam, lambda x: h.forward_difference(x - 1) * pair.f_tilde(x), min(tol, 1e-13)
+    )
     if math.isinf(prof.fisher):
         return 0.0
     return numerator * numerator / prof.fisher
@@ -215,52 +210,80 @@ def poincare_constant(fam: ContinuousFamily, *, grid: int = 2049) -> PoincareCon
 # Literature comparators.
 
 
-def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> list[Comparator]:
-    """Named classical bounds applicable to this family/role; divergent
-    constituent integrals surface as +inf values, never as large floats."""
-    if isinstance(fam, DiscreteFamily):
-        raise NotApplicable(f"no comparator bounds catalogued for {fam.name}")
-    name, role = fam.name, fam.role
+def _chernoff(fam: Family, h: TestFunction, tol: float) -> list[Comparator]:
+    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+    e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
+    return [
+        Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2),
+        Comparator("chernoff_upper", "upper", e_hp2),
+    ]
 
-    if name == "gaussian" and isinstance(role, Location):
-        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
-        return [
-            Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2),
-            Comparator("chernoff_upper", "upper", e_hp2),
-        ]
 
-    if name == "exponential" and isinstance(role, Scale):
-        lam = role.sigma0
-        e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
-        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_xhp2 = expectation_or_inf(fam, lambda x: x * h.h_prime(x) ** 2, tol)
-        var_hp = math.inf if math.isinf(e_hp2) or math.isinf(e_hp) else e_hp2 - e_hp**2
-        out = [
-            Comparator("cacoullos_upper", "upper", var_hp / lam**2 + e_xhp2 / lam),
-            Comparator("klaassen_exp_upper", "upper", 4.0 * e_hp2 / lam**2),
-        ]
-        if h.h_second is not None:
-            e_cross = expectation_or_inf(fam, lambda x: x * h.h_prime(x) * h.h_second(x), tol)
-            if math.isinf(e_hp2) or math.isinf(e_cross):
-                rewrite = math.inf
-            else:
-                rewrite = (e_hp2 + 2.0 * e_cross) / lam**2
-            out.append(Comparator("exp_rewrite_upper", "upper", rewrite))
-        return out
-
-    if name == "gamma":
-        a = fam.structural_value("shape")
-        b = role.sigma0 if isinstance(role, Scale) else 1.0
-        e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-        e_xhp = expectation_or_inf(fam, lambda x: x * h.h_prime(x), tol)
-        if math.isinf(e_hp) or math.isinf(e_xhp):
-            value = math.inf
+def _exponential_uppers(fam: Family, h: TestFunction, tol: float) -> list[Comparator]:
+    """Cacoullos and Klaassen, plus the rewrite that needs h''."""
+    lam = fam.role.sigma0
+    e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
+    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+    e_xhp2 = expectation_or_inf(fam, lambda x: x * h.h_prime(x) ** 2, tol)
+    var_hp = math.inf if math.isinf(e_hp2) or math.isinf(e_hp) else e_hp2 - e_hp**2
+    out = [
+        Comparator("cacoullos_upper", "upper", var_hp / lam**2 + e_xhp2 / lam),
+        Comparator("klaassen_exp_upper", "upper", 4.0 * e_hp2 / lam**2),
+    ]
+    if h.h_second is not None:
+        e_cross = expectation_or_inf(fam, lambda x: x * h.h_prime(x) * h.h_second(x), tol)
+        if math.isinf(e_hp2) or math.isinf(e_cross):
+            rewrite = math.inf
         else:
-            value = max((a - 2.0) / b**2 * e_hp**2, e_xhp**2 / a)
-        return [Comparator("klaassen_gamma_lower", "lower", value)]
+            rewrite = (e_hp2 + 2.0 * e_cross) / lam**2
+        out.append(Comparator("exp_rewrite_upper", "upper", rewrite))
+    return out
 
-    raise NotApplicable(f"no comparator bounds catalogued for {name} with a {role.kind} role")
+
+def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) -> list[Comparator]:
+    """Klaassen's lower bound for the gamma law of shape a and rate b (1 under location)."""
+    a = fam.structural_value("shape")
+    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
+    e_xhp = expectation_or_inf(fam, lambda x: x * h.h_prime(x), tol)
+    if math.isinf(e_hp) or math.isinf(e_xhp):
+        value = 0.0
+    else:
+        value = max((a - 2.0) / b**2 * e_hp**2, e_xhp**2 / a)
+    return [Comparator("klaassen_gamma_lower", "lower", value)]
+
+
+@dataclass(frozen=True)
+class ComparatorEntry:
+    """One (family id, role kind) pair's comparator bounds, if any, and report flags."""
+
+    compute: Callable[[Family, TestFunction, float], list[Comparator]] | None = None
+    flags: tuple[str, ...] = ()
+
+
+COMPARATORS: dict[tuple[str, str], ComparatorEntry] = {
+    ("gaussian", "location"): ComparatorEntry(_chernoff),
+    ("exponential", "scale"): ComparatorEntry(_exponential_uppers),
+    ("gamma", "location"): ComparatorEntry(_klaassen_gamma),
+    ("gamma", "scale"): ComparatorEntry(
+        lambda fam, h, tol: _klaassen_gamma(fam, h, tol, fam.role.sigma0)
+    ),
+    # The shifted summation-by-parts weights are used here; the unshifted
+    # display sometimes quoted for this bound overshoots.
+    ("poisson", "theta"): ComparatorEntry(flags=("poisson-display-suspected-typo",)),
+}
+
+
+def _comparator_entry(fam: Family) -> ComparatorEntry:
+    return COMPARATORS.get((fam.name, fam.role.kind), ComparatorEntry())
+
+
+def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> list[Comparator]:
+    """The COMPARATORS bounds of this family/role; a divergent constituent integral
+    makes an upper comparator +inf and a lower one the vacuous 0."""
+    compute = _comparator_entry(fam).compute
+    if compute is None:
+        raise NotApplicable(f"no comparator bounds catalogued for {fam.name} as {fam.role.kind}")
+    return compute(fam, h, tol)
 
 
 # --------------------------------------------------------------------------
@@ -313,13 +336,9 @@ def bound_report(
         flags.append("vacuous-lower")
 
     witness: float | None = None
-    if isinstance(fam, DiscreteFamily):
+    if fam.is_discrete:
         upper = math.inf
         flags.append("discrete-no-upper")
-        if fam.name == "poisson":
-            # The shifted summation-by-parts weights are used here; the
-            # unshifted display sometimes quoted for this bound overshoots.
-            flags.append("poisson-display-suspected-typo")
     else:
         upper = upper_bound(fam, h=h, tol=tol, profile=prof)
         if math.isinf(upper):
@@ -330,6 +349,7 @@ def bound_report(
                     flags.append(f"score-not-monotone-witness={witness!r}")
             else:
                 flags.append("upper-divergent")
+    flags.extend(_comparator_entry(fam).flags)
 
     residual = tightness_residual(fam, h, prof, variance_truth, tol=tol)
 

@@ -98,10 +98,6 @@ def run_all(scenarios: Sequence[Scenario], tol: float, jobs: int) -> list[Scenar
 # Emission.
 
 
-def _fmt(value: float) -> str:
-    return "inf" if math.isinf(value) else repr(value)
-
-
 def emit_json(results: Sequence[ScenarioResult]) -> str:
     return json.dumps([result_to_dict(r) for r in results], indent=2, sort_keys=True) + "\n"
 

@@ -49,15 +49,12 @@ class TestFunction:
     h: RealFn
     h_prime: RealFn
     h_second: RealFn | None = None
-    _forward_difference: Callable[[int], float] | None = None
 
     def __call__(self, x: float) -> float:
         return self.h(x)
 
     def forward_difference(self, x: int) -> float:
-        """h(x+1) - h(x); exact by construction unless a custom form was given."""
-        if self._forward_difference is not None:
-            return self._forward_difference(x)
+        """h(x+1) - h(x)."""
         return self.h(x + 1) - self.h(x)
 
 
@@ -193,7 +190,8 @@ class ContinuousFamily(_Structural):
     role: ParamRole
     log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
     structural: tuple[tuple[str, float], ...] = ()
-    support_depends_on_parameter: bool = False
+
+    is_discrete: ClassVar[bool] = False
 
     @property
     def support(self) -> Interval:
@@ -202,10 +200,6 @@ class ContinuousFamily(_Structural):
 
     def pdf(self, x: float) -> float:
         return self.role.density(self.base_density, x, self.role.value)
-
-    @property
-    def is_discrete(self) -> bool:
-        return False
 
 
 def density_at(fam: ContinuousFamily, x: float, theta: float) -> float:
@@ -245,10 +239,8 @@ def gaussian(role: ParamRole, *, sigma: float = 1.0) -> ContinuousFamily:
 def exponential(role: ParamRole) -> ContinuousFamily:
     """Rate-1 exponential base e^{-y} on [0, inf).
 
-    With the location role the support moves with the parameter and the
-    density does not vanish at its left edge, so the variance-bound
-    machinery rejects this family/role pair (the operator instead carries a
-    Dirac atom at the edge).
+    Under the location role the density is positive at the moving left edge,
+    so the bound machinery rejects the pair and the operator has an atom there.
     """
     _require_kind("exponential", role.kind)
 
@@ -262,7 +254,6 @@ def exponential(role: ParamRole) -> ContinuousFamily:
         base_support=Interval.half_line(0.0),
         role=role,
         log_density_second_derivative=lambda y: 0.0,
-        support_depends_on_parameter=isinstance(role, Location),
     )
 
 
@@ -342,29 +333,20 @@ class DiscreteFamily(_Structural):
     support_max: float                                   # int or math.inf
     pmf_fn: Callable[[int, float], float]
     theta_ratio_derivative: Callable[[int, float], float]   # d/dtheta of g(x;theta)/g(0;theta)
-    origin_log_derivative: Callable[[float], float]         # d/dtheta log g(0;theta)
     exchange_fn: RealFn                                  # f-tilde for f0 = 1, continuous in x
     score_fn: RealFn                                     # d/dtheta log g(x;theta0), continuous in x
     theta_domain: Interval = field(default=Interval(-math.inf, math.inf))
     structural: tuple[tuple[str, float], ...] = ()
     mass_tail_bound: Callable[[int], float | None] | None = None
 
-    support_depends_on_parameter: ClassVar[bool] = False
+    is_discrete: ClassVar[bool] = True
 
     def pmf(self, x: int) -> float:
         return self.role.mass(self, x, self.role.theta0)
 
-    def score(self, x: float) -> float:
-        """d/dtheta log g(x; theta) at theta0, extended smoothly off the integers."""
-        return self.score_fn(x)
-
     @property
     def support(self) -> Interval:
         return Interval(0.0, self.support_max)
-
-    @property
-    def is_discrete(self) -> bool:
-        return True
 
 
 def pmf_at(fam: DiscreteFamily, x: int, theta: float) -> float:
@@ -400,7 +382,6 @@ def poisson(lam: float) -> DiscreteFamily:
         support_max=math.inf,
         pmf_fn=pmf_fn,
         theta_ratio_derivative=trd,
-        origin_log_derivative=lambda theta: -1.0,
         exchange_fn=lambda x, theta=float(lam): -x / theta,
         score_fn=lambda x, theta=float(lam): x / theta - 1.0,
         theta_domain=Interval(0.0, math.inf),
@@ -428,7 +409,6 @@ def geometric(p: float) -> DiscreteFamily:
         support_max=math.inf,
         pmf_fn=pmf_fn,
         theta_ratio_derivative=trd,
-        origin_log_derivative=lambda theta: 1.0 / theta,
         exchange_fn=lambda x, theta=float(p): x / (theta * (1.0 - theta)),
         score_fn=lambda x, theta=float(p): 1.0 / theta - x / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),
@@ -461,7 +441,6 @@ def binomial(n: int, p: float) -> DiscreteFamily:
         support_max=float(n),
         pmf_fn=pmf_fn,
         theta_ratio_derivative=trd,
-        origin_log_derivative=lambda theta: -n / (1.0 - theta),
         exchange_fn=lambda x, theta=float(p): -x / theta,
         score_fn=lambda x, theta=float(p): x / theta - (n - x) / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),

@@ -27,7 +27,6 @@ from .families import (
     FAMILIES,
     FamilyEntry,
     Family,
-    Location,
     TestFunction,
     bulk_radius,
     bump,
@@ -149,10 +148,15 @@ def perturbed_law(fam: Family) -> Family:
 # --------------------------------------------------------------------------
 # Built-in test function family.
 
+# Extra identity-check test functions (times the same bump) per (family id, role kind).
+IDENTITY_EXTRAS: dict[tuple[str, str], tuple[TestFunction, ...]] = {
+    ("gaussian", "location"): tuple(hermite_test_function(n) for n in (1, 2, 3)),
+}
+
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:
     """Polynomials x^k (k <= 4) times a smooth bump covering the family's
-    bulk; the Gaussian location family adds Hermite-weighted variants.
+    bulk, then the family/role's IDENTITY_EXTRAS times the same bump.
 
     Operators evaluate f0 in base coordinates (x - mu0, sigma0 * x, or the
     skew image), so the bump is centered at the base origin and sized from
@@ -161,8 +165,7 @@ def builtin_test_functions(fam: Family) -> list[TestFunction]:
     radius = bulk_radius(fam)
     window = bump(radius + 2.0)
     out = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(5)]
-    if fam.name == "gaussian" and isinstance(fam.role, Location):
-        out.extend(product(hermite_test_function(n), window) for n in (1, 2, 3))
+    out.extend(product(f0, window) for f0 in IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ()))
     return out
 
 

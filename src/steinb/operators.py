@@ -13,10 +13,9 @@ with L = g0'/g0 and D+ the forward difference.  A generic evaluation of the
 quotient by central differencing in theta is provided alongside, so every
 closed form can be cross-checked against the defining formula.
 
-Supports with a parameter-dependent finite edge where the density stays
-positive (the exponential location model) make the x-derivative above a
-distribution: the operator then carries an explicit Dirac atom at the edge,
-with coefficient -f0(edge), which expectation routines must add back.
+Where the density is positive at a support edge that moves with the parameter
+(``positive_at_moving_edge``: exponential location), the operator carries a
+Dirac atom -f0(edge) there, which expectation routines must add back.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .numerics import (
     monotonicity_scan,
     scan_grid,
 )
-from .roles import Atom, ParamRole, UnsupportedRole
+from .roles import Atom, UnsupportedRole
 
 
 class BoundaryViolation(Exception):
@@ -78,7 +77,6 @@ def hermite_test_function(n: int, f0: TestFunction = ONE) -> TestFunction:
 @dataclass(frozen=True)
 class SteinOperator:
     family: Family
-    role: ParamRole
     f0: TestFunction
     evaluate: RealFn
     atom: Atom | None = None
@@ -90,7 +88,7 @@ class SteinOperator:
 def make_operator(fam: Family, f0: TestFunction) -> SteinOperator:
     """The closed form of the family's parameter role applied to f0."""
     evaluate, atom = fam.role.operator(fam, f0)
-    return SteinOperator(fam, fam.role, f0, evaluate, atom)
+    return SteinOperator(fam, f0, evaluate, atom)
 
 
 def generic_operator_value(fam: Family, f0: TestFunction, x: float, step: float = 1e-5) -> float:
@@ -140,7 +138,7 @@ def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
     admissible: a support that moves with the parameter while the density
     stays positive at its edge (exponential location).
     """
-    if fam.support_depends_on_parameter:
+    if fam.role.positive_at_moving_edge(fam):
         raise UnsupportedRole(
             f"{fam.name} with a {fam.role.kind} role: support depends on the "
             "parameter and the density is positive at its edge"

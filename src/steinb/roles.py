@@ -17,14 +17,13 @@ Discrete families register g(x;theta) on {0, ..., N} and the derivative of
 g(x;theta)/g(0;theta) in theta; their operator is the forward-difference
 analogue.
 
-Each role class is the single home of its math.  It carries its kind and
-parameter value, the bulk centre, the support map and density, the base
-coordinate map y(x; theta) and its inverse at theta0, the closed-form
-operator (with the Dirac edge atom of the exponential location case), the
-score phi = d/dtheta log g and its derivative, the exchanging function
-f-tilde, and the generic quotient by central differencing in theta, against
-which every closed form is checked.  Adding a role means adding one class
-here and listing it in ROLE_KINDS.
+Each role class is the single home of its math: kind and parameter value,
+bulk centre, support map and density, the base coordinate map y(x; theta)
+and its inverse at theta0, whether g is positive at a support edge that
+moves with theta, the closed-form operator (with a Dirac atom at such an
+edge), the score phi = d/dtheta log g and its derivative, f-tilde, and the
+generic quotient by central differencing in theta, against which every
+closed form is checked.  Adding a role is one class here, in ROLE_KINDS.
 """
 
 from __future__ import annotations
@@ -61,7 +60,14 @@ def sas_transform(x: float, delta: float) -> tuple[float, float]:
     return math.sinh(u), math.cosh(u)
 
 
-class _ContinuousRole:
+class _Role:
+    def positive_at_moving_edge(self, fam: Any) -> bool:
+        """Is g > 0 at a finite support edge that moves with theta?  Then the
+        operator has a Dirac atom there and f0 = 1 is not admissible."""
+        return False
+
+
+class _ContinuousRole(_Role):
     """What the continuous roles share: the generic quotient and L, L'."""
 
     center: ClassVar[float] = 0.0   # where the family's bulk sits
@@ -111,9 +117,13 @@ class Location(_ContinuousRole):
     def from_base(self, y: float) -> float:
         return y + self.mu0
 
+    def positive_at_moving_edge(self, fam: Any) -> bool:
+        lo = fam.base_support.lo
+        return math.isfinite(lo) and fam.base_density(lo) > 0
+
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
         """-(f0 g0)'(x - mu0) / g0(x - mu0), plus a Dirac atom when the density
-        is positive at a finite left support edge (exponential case)."""
+        is positive at the finite left support edge (exponential case)."""
         mu0 = self.mu0
         L = fam.log_density_derivative
         lo = fam.base_support.lo
@@ -125,7 +135,7 @@ class Location(_ContinuousRole):
             return -f0.h_prime(y) - f0.h(y) * L(y)
 
         atom = None
-        if math.isfinite(lo) and _edge_density_positive(fam.base_density, lo):
+        if self.positive_at_moving_edge(fam):
             atom = Atom(location=mu0 + lo, coefficient=-f0.h(lo))
         return op, atom
 
@@ -137,13 +147,6 @@ class Location(_ContinuousRole):
     def f_tilde(self, fam: Any, f0: Any) -> RealFn:
         mu0 = self.mu0
         return lambda x: -f0.h(x - mu0)
-
-
-def _edge_density_positive(g0: RealFn, lo: float) -> bool:
-    # Distinguish a jump (exponential: g0(0+) = 1) from a vanishing edge
-    # (gamma with shape > 1) by how the density behaves approaching the edge.
-    near, nearer = g0(lo + 1e-6), g0(lo + 1e-12)
-    return nearer > 1e-300 and nearer >= 0.5 * near
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class SkewSAS(_ContinuousRole):
 
 
 @dataclass(frozen=True)
-class DiscreteTheta:
+class DiscreteTheta(_Role):
     theta0: float
 
     kind: ClassVar[str] = "theta"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinb.bounds import (
+    COMPARATORS,
     NotApplicable,
     NotStronglyUnimodal,
     PoincareConstant,
@@ -16,6 +17,7 @@ from steinb.bounds import (
     upper_bound,
 )
 from steinb.families import (
+    FAMILIES,
     Location,
     ONE,
     Scale,
@@ -25,6 +27,7 @@ from steinb.families import (
     gaussian,
     geometric,
     linear,
+    make_family,
     poisson,
     quartic,
     sas_gaussian,
@@ -164,6 +167,26 @@ class TestLiteratureBounds:
         comps = {c.name: c.value for c in literature_bounds(gaussian(Location(0.0)), linear())}
         assert comps["chernoff_lower"] == pytest.approx(1.0, abs=1e-10)
         assert comps["chernoff_upper"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_gamma_divergent_lower_is_vacuous(self):
+        # E[h'] = E[1 / (2 sqrt X)] diverges for shape 0.3; Var[sqrt X] is about 0.1485
+        comps = {c.name: c.value for c in literature_bounds(gamma(Scale(1.0), shape=0.3), sqrt_fn())}
+        assert comps["klaassen_gamma_lower"] == 0.0
+
+    def test_comparators_exactly_for_catalogued_pairs(self):
+        catalogued = {("gaussian", "location"), ("exponential", "scale"),
+                      ("gamma", "location"), ("gamma", "scale")}
+        assert {key for key, entry in COMPARATORS.items() if entry.compute} == catalogued
+        values = {"location": 0.0, "scale": 1.0, "skew": 0.0, "theta": 0.3}
+        structural = {"gamma": {"shape": 3.0}, "binomial": {"n": 4}}
+        for name, entry in FAMILIES.items():
+            for kind in entry.kinds:
+                fam = make_family(name, kind, values[kind], **structural.get(name, {}))
+                if (name, kind) in catalogued:
+                    assert literature_bounds(fam, linear()), (name, kind)
+                else:
+                    with pytest.raises(NotApplicable):
+                        literature_bounds(fam, linear())
 
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):

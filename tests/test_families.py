@@ -179,8 +179,10 @@ class TestFamilyConstruction:
             gamma(Scale(1.0), shape=0.0)
 
     def test_exponential_location_flagged(self):
-        assert exponential(Location(0.0)).support_depends_on_parameter
-        assert not exponential(Scale(1.0)).support_depends_on_parameter
+        fam = exponential(Location(0.0))
+        assert fam.role.positive_at_moving_edge(fam)
+        fam = exponential(Scale(1.0))
+        assert not fam.role.positive_at_moving_edge(fam)
 
     def test_scale_role_validates(self):
         with pytest.raises(InvalidParameter):
@@ -212,12 +214,6 @@ class TestTestFunctions:
         tf = square()
         for x in range(5):
             assert tf.forward_difference(x) == tf.h(x + 1) - tf.h(x)
-
-    def test_custom_forward_difference_used(self):
-        from steinb.families import TestFunction as TF
-
-        tf = TF("custom", lambda x: x, lambda x: 1.0, _forward_difference=lambda x: 17.0)
-        assert tf.forward_difference(3) == 17.0
 
     def test_polynomial(self):
         tf = polynomial([1.0, -2.0, 0.0, 3.0])

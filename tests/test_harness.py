@@ -13,6 +13,7 @@ from steinb.families import (
     gaussian,
     geometric,
     linear,
+    make_family,
     poisson,
     sas_gaussian,
     sqrt_fn,
@@ -79,6 +80,19 @@ def test_identity_suite_passes(fam):
     assert len(checks) >= 5
     for check in checks:
         assert check.passed, (check.test_function, check.expectation_value)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    ALL_FAMILIES + [gaussian(Location(1.0), sigma=2.0), make_family("gaussian", "skew", 0.2)],
+    ids=lambda f: f"{f.name}-{f.role}",
+)
+def test_hermite_extras_only_for_gaussian_location(fam):
+    names = [f0.name for f0 in builtin_test_functions(fam)]
+    hermite = [n for n in names if n.startswith("hermite")]
+    expected = 3 if (fam.name, fam.role.kind) == ("gaussian", "location") else 0
+    assert len(names) == 5 + expected
+    assert len(hermite) == expected
 
 
 class TestFalsification:

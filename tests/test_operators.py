@@ -21,6 +21,7 @@ from steinb.families import (
 )
 from steinb.numerics import Verdict, derivative
 from steinb.operators import (
+    Atom,
     BoundaryViolation,
     UnsupportedRole,
     comparison_grid,
@@ -99,6 +100,15 @@ class TestLocationOperator:
 
     def test_gamma_has_no_atom(self):
         assert make_operator(gamma(Location(0.0), shape=3), ONE).atom is None
+
+    @pytest.mark.parametrize("shape", [1.01, 1.03, 1.05])
+    def test_gamma_near_unit_shape_has_no_atom(self, shape):
+        # the density vanishes at the edge however steeply it rises after it
+        assert make_operator(gamma(Location(0.0), shape=shape), ONE).atom is None
+
+    def test_shifted_exponential_atom_sits_at_the_edge(self):
+        op = make_operator(exponential(Location(1.5)), ONE)
+        assert op.atom == Atom(location=1.5 + 0.0, coefficient=-ONE.h(0.0))
 
 
 class TestScaleOperator:
@@ -213,8 +223,12 @@ class TestScoreProfile:
         assert prof.zero_crossing == pytest.approx(lam, abs=1e-9)
 
     def test_exponential_location_rejected(self):
-        with pytest.raises(UnsupportedRole):
+        with pytest.raises(UnsupportedRole) as err:
             score_profile(exponential(Location(0.0)))
+        assert str(err.value) == (
+            "exponential with a location role: support depends on the "
+            "parameter and the density is positive at its edge"
+        )
 
     def test_exponential_scale(self):
         prof = score_profile(exponential(Scale(2.0)))
