@@ -14,7 +14,9 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
 
 For every call it compares the exit code (or the exception raised), stdout,
 stderr and the ``--out`` file byte for byte, prints the key of each call whose
-outcome differs, and exits 1 on any difference.
+outcome differs, and exits 1 on any difference.  When a differing stdout or
+``--out`` file parses as JSON on both sides, it also prints up to five
+differing leaves as ``path: old -> new``, where old is OTHER_SRC's value.
 
 Usage:
     python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3]
@@ -29,6 +31,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -39,6 +42,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "scripts" / "scenarios_demo.jsonl"
 SWEEP = REPO / "perfbench" / "sweep.py"
+SHOWN_LEAVES = 5
+_MISSING = object()
 
 
 def _load_sweep():
@@ -101,6 +106,43 @@ def collect(seeds: list[int], result: Path) -> None:
     result.write_text(json.dumps(outcomes))
 
 
+def _parse_json(text: str | None):
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError):  # no output, or not JSON
+        return _MISSING
+
+
+def leaf_diffs(old, new, path: str = ""):
+    """Yield (path, old, new) for every leaf at which two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            yield from leaf_diffs(old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=_MISSING)):
+            yield from leaf_diffs(a, b, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _shown(value) -> str:
+    return "(missing)" if value is _MISSING else json.dumps(value)
+
+
+def json_diff_lines(old: dict, new: dict) -> list[str]:
+    """Up to SHOWN_LEAVES differing leaves of the JSON stdout and --out file of one call."""
+    lines = []
+    for field, decode in (("stdout", lambda v: v), ("file", lambda v: v and bytes.fromhex(v).decode())):
+        if old[field] == new[field]:
+            continue
+        a, b = _parse_json(decode(old[field])), _parse_json(decode(new[field]))
+        if a is _MISSING or b is _MISSING:
+            continue
+        for path, x, y in itertools.islice(leaf_diffs(a, b), SHOWN_LEAVES - len(lines)):
+            lines.append(f"    {field}{path}: {_shown(x)} -> {_shown(y)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", nargs="?", help="src directory of the other tree")
@@ -137,8 +179,12 @@ def main(argv: list[str] | None = None) -> int:
         if a == b:
             continue
         differing += 1
-        fields = "call missing" if a is None or b is None else ", ".join(f for f in a if a[f] != b[f])
-        print(f"DIFF {key}: {fields}")
+        if a is None or b is None:
+            print(f"DIFF {key}: call missing")
+            continue
+        print(f"DIFF {key}: {', '.join(f for f in a if a[f] != b[f])}")
+        for line in json_diff_lines(b, a):
+            print(line)
     total = len(set(this) | set(other))
     print(f"{total - differing} of {total} calls identical")
     return 1 if differing else 0

@@ -158,7 +158,7 @@ def discrete_lower_bound(
 # Poincare constant.
 
 
-def poincare_constant(fam: ContinuousFamily, *, grid: int = 2049) -> PoincareConstant:
+def poincare_constant(fam: ContinuousFamily) -> PoincareConstant:
     """eps = inf of -(log g0)'' over the support (grid scan plus golden-section
     polish around the minimizing bracket); d = 1/eps.
 
@@ -179,7 +179,7 @@ def poincare_constant(fam: ContinuousFamily, *, grid: int = 2049) -> PoincareCon
 
     # A wide margin pushes unbounded grids far out (|y| ~ 1e9), so families
     # whose curvature only decays toward an endpoint are still caught.
-    xs = scan_grid(fam.base_support, grid, margin=1e-9)
+    xs = scan_grid(fam.base_support, 2049, margin=1e-9)
     values = []
     for y in xs:
         try:
@@ -211,11 +211,13 @@ def poincare_constant(fam: ContinuousFamily, *, grid: int = 2049) -> PoincareCon
 
 
 def _chernoff(fam: Family, h: TestFunction, tol: float) -> list[Comparator]:
+    """sigma^2 E[h']^2 <= Var h(X) <= sigma^2 E[h'^2] for a normal law of width sigma."""
+    s2 = fam.structural_value("sigma") ** 2
     e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
     e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
     return [
-        Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2),
-        Comparator("chernoff_upper", "upper", e_hp2),
+        Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2 * s2),
+        Comparator("chernoff_upper", "upper", e_hp2 * s2),
     ]
 
 
@@ -241,10 +243,11 @@ def _exponential_uppers(fam: Family, h: TestFunction, tol: float) -> list[Compar
 
 
 def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) -> list[Comparator]:
-    """Klaassen's lower bound for the gamma law of shape a and rate b (1 under location)."""
-    a = fam.structural_value("shape")
+    """Klaassen's lower bound for the gamma law of shape a and rate b (1 under location)
+    starting at mu0 (role center; 0 under scale)."""
+    a, mu0 = fam.structural_value("shape"), fam.role.center
     e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-    e_xhp = expectation_or_inf(fam, lambda x: x * h.h_prime(x), tol)
+    e_xhp = expectation_or_inf(fam, lambda x: (x - mu0) * h.h_prime(x), tol)
     if math.isinf(e_hp) or math.isinf(e_xhp):
         value = 0.0
     else:

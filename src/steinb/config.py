@@ -1,4 +1,5 @@
-"""Default numeric settings, collected so tests and the CLI can override them in one place."""
+"""Default numeric settings, collected so tests and the CLI can override them in one place
+(numerics reads the quadrature budget and the series term cap when called)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ class QuadratureDefaults:
 
     request_tol: float = 1e-12      # tolerance handed to integrate() by default
     max_subdivisions: int = 2000    # bisection budget before NonConvergence
-    divergence_budget: int = 500    # first refinement level of the divergence detector
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ _SCAN_MARGIN = 1e-6
 class NumericsError(Exception):
     """Base class for numerical failures in this module."""
 
+    levels: tuple[tuple[float, float], ...] = ()  # set by integrate(); see there
+
 
 class NonConvergence(NumericsError):
     """The error estimate stagnated above tolerance after the subdivision budget.
@@ -239,22 +241,19 @@ def _transformed(f: RealFn, iv: Interval) -> tuple[RealFn, float, float]:
     return g, -1.0, 1.0
 
 
-def integrate(
-    f: RealFn,
-    iv: Interval,
-    tol: float = config.QUAD.request_tol,
-    *,
-    budget: int = config.QUAD.max_subdivisions,
-) -> QuadResult:
+def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> QuadResult:
     """Adaptively integrate f over iv to absolute tolerance tol.
 
-    Raises NonConvergence when the subdivision budget is exhausted with the
-    error estimate still above tolerance (the partial result rides along on
-    the exception), and NonFinite when the integrand cannot be evaluated at
-    an interior point even after nudging.
+    Raises NonConvergence when the subdivision budget (``config.QUAD.max_subdivisions``,
+    read at call time) is exhausted with the error estimate still above
+    tolerance (the partial result rides along on the exception), and NonFinite
+    when the integrand cannot be evaluated at an interior point even after
+    nudging.  Either carries as ``levels`` the partial (value, error) passed at
+    a quarter and at half of the budget: what runs with those budgets end on.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    budget = config.QUAD.max_subdivisions
     g, t_lo, t_hi = _transformed(f, iv)
 
     evaluations = 0
@@ -262,6 +261,7 @@ def integrate(
     # heap entries: (-err, seq, lo, hi, value, err, resabs)
     heap: list[tuple[float, int, float, float, float, float, float]] = []
     frozen: list[tuple[float, float, float]] = []  # cells below splitting resolution
+    levels: list[tuple[float, float]] = []
 
     def push(a: float, b: float) -> None:
         nonlocal evaluations, seq
@@ -269,11 +269,6 @@ def integrate(
         evaluations += 15
         heapq.heappush(heap, (-e, seq, a, b, v, e, r))
         seq += 1
-
-    n_init = 8
-    width = (t_hi - t_lo) / n_init
-    for i in range(n_init):
-        push(t_lo + i * width, t_lo + (i + 1) * width)
 
     def totals() -> tuple[float, float, float]:
         total_v = math.fsum([c[4] for c in heap] + [v for v, _, _ in frozen])
@@ -287,67 +282,68 @@ def integrate(
         # reaches the floor (the estimate stays honest either way).
         return max(tol, 100.0 * _EPS * total_r)
 
-    splits = 0
-    total_v, total_e, total_r = totals()
-    while total_e > target(total_r):
-        if not math.isfinite(total_v):
-            raise NonConvergence("partial integral overflowed", total_v, total_e, evaluations)
-        if splits >= budget:
-            raise NonConvergence(
-                f"error {total_e:.3e} above tol {tol:.3e} after {splits} subdivisions",
-                total_v, total_e, evaluations,
-            )
-        if not heap:
-            raise NonConvergence(
-                "interval exhausted below resolution with error above tol",
-                total_v, total_e, evaluations,
-            )
-        _, _, a, b, v, e, r = heapq.heappop(heap)
-        if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
-            frozen.append((v, e, r))
-        else:
-            mid = 0.5 * (a + b)
-            push(a, mid)
-            push(mid, b)
-            splits += 1
+    # An integrand that itself integrates may raise a NumericsError of its
+    # own; it leaves this run with this run's levels.
+    try:
+        n_init = 8
+        width = (t_hi - t_lo) / n_init
+        for i in range(n_init):
+            push(t_lo + i * width, t_lo + (i + 1) * width)
+
+        splits = 0
         total_v, total_e, total_r = totals()
+        while total_e > target(total_r):
+            # The state a run with a quarter, then half, of this budget stops in.
+            while len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4:
+                levels.append((total_v, total_e))
+            if not math.isfinite(total_v):
+                raise NonConvergence("partial integral overflowed", total_v, total_e, evaluations)
+            if splits >= budget:
+                raise NonConvergence(
+                    f"error {total_e:.3e} above tol {tol:.3e} after {splits} subdivisions",
+                    total_v, total_e, evaluations,
+                )
+            if not heap:
+                raise NonConvergence(
+                    "interval exhausted below resolution with error above tol",
+                    total_v, total_e, evaluations,
+                )
+            _, _, a, b, v, e, r = heapq.heappop(heap)
+            if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
+                frozen.append((v, e, r))
+            else:
+                mid = 0.5 * (a + b)
+                push(a, mid)
+                push(mid, b)
+                splits += 1
+            total_v, total_e, total_r = totals()
+    except NumericsError as exc:
+        exc.levels = tuple(levels)
+        raise
 
     return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=evaluations)
 
 
-def integrate_detecting_divergence(
-    f: RealFn,
-    iv: Interval,
-    tol: float = config.QUAD.request_tol,
-    *,
-    base_budget: int = config.QUAD.divergence_budget,
-) -> float:
+def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:
     """Integrate f over iv, returning +-inf when the integral diverges.
 
-    Divergence is declared when, across three refinement levels (budget,
-    2*budget, 4*budget), the error estimate fails to contract while the
-    partial value grows monotonically in magnitude.  A convergent integral
-    returns its value at the first level that meets tolerance; anything
-    else re-raises the underlying NonConvergence.
+    The three refinement levels are one integrate() run's ``levels`` and the
+    result it ended on, which also fills levels the run did not reach.
+    Divergence is declared when across them the error estimate fails to
+    contract while the partial value grows monotonically in magnitude.
+    Anything else re-raises the run's own exception.
     """
-    partial_values: list[float] = []
-    partial_errors: list[float] = []
-    last_exc: NonConvergence | None = None
-    for level, budget in enumerate((base_budget, 2 * base_budget, 4 * base_budget)):
-        try:
-            return integrate(f, iv, tol, budget=budget).value
-        except NonConvergence as exc:
-            partial_values.append(exc.value)
-            partial_errors.append(exc.abs_error_estimate)
-            last_exc = exc
-        except NonFinite as exc:
-            # Overflow to +-inf deep in a singular cascade is divergence
-            # evidence; genuine NaNs stay fatal.
-            if exc.observed is not None and math.isinf(exc.observed):
-                partial_values.append(exc.observed)
-                partial_errors.append(math.inf)
-            else:
-                raise
+    try:
+        return integrate(f, iv, tol).value
+    except NonConvergence as exc:
+        failure, final = exc, (exc.value, exc.abs_error_estimate)
+    except NonFinite as exc:
+        # Overflow to +-inf deep in a singular cascade is divergence
+        # evidence; genuine NaNs stay fatal.
+        if exc.observed is None or not math.isinf(exc.observed):
+            raise
+        failure, final = exc, (exc.observed, math.inf)
+    partial_values, partial_errors = zip(*(*failure.levels, final, final, final)[:3])
     magnitudes = [abs(v) for v in partial_values]
     growing = (
         magnitudes[0] <= magnitudes[1] <= magnitudes[2]
@@ -363,8 +359,7 @@ def integrate_detecting_divergence(
                 sign = math.copysign(1.0, v)
                 break
         return sign * math.inf
-    assert last_exc is not None
-    raise last_exc
+    raise failure
 
 
 # --------------------------------------------------------------------------
@@ -376,18 +371,18 @@ def sum_series(
     start: int = 0,
     tail_bound: Callable[[int], float | None] | None = None,
     tol: float = config.SERIES.tol,
-    *,
-    max_terms: int = config.SERIES.max_terms,
 ) -> float:
     """Sum f(start) + f(start+1) + ... for an absolutely convergent series.
 
     Stops when the supplied tail bound drops below tol, or heuristically when
     64 consecutive terms are each below tol * 1e-3 in absolute value.  Hitting
-    the term cap first raises TruncationUnsafe.
+    the term cap ``config.SERIES.max_terms`` (read at call time) first raises
+    TruncationUnsafe.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     threshold = tol * config.SERIES.quiet_margin
+    max_terms = config.SERIES.max_terms
     terms: list[float] = []
     quiet = 0
     x = start
@@ -509,7 +504,7 @@ def monotonicity_scan(
     return MonotonicityCertificate(Verdict.DECREASING, None, skipped)
 
 
-def bisect_root(f: RealFn, lo: float, hi: float, *, iterations: int = 200) -> float:
+def bisect_root(f: RealFn, lo: float, hi: float) -> float:
     """Plain bisection for a bracketed sign change of a continuous function."""
     flo = f(lo)
     if flo == 0.0:
@@ -519,7 +514,7 @@ def bisect_root(f: RealFn, lo: float, hi: float, *, iterations: int = 200) -> fl
         return hi
     if flo * fhi > 0:
         raise ValueError("root not bracketed")
-    for _ in range(iterations):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or (hi - lo) < 4.0 * _EPS * max(1.0, abs(mid)):
@@ -531,14 +526,14 @@ def bisect_root(f: RealFn, lo: float, hi: float, *, iterations: int = 200) -> fl
     return 0.5 * (lo + hi)
 
 
-def golden_section_minimize(f: RealFn, lo: float, hi: float, *, iterations: int = 200) -> tuple[float, float]:
+def golden_section_minimize(f: RealFn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section search for a local minimum in [lo, hi]; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if (b - a) < 1e-14 * max(1.0, abs(a), abs(b)):
             break
         if fc <= fd:

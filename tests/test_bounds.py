@@ -205,6 +205,32 @@ class TestLiteratureBounds:
         assert ours <= comps["cacoullos_upper"] + 1e-9
 
 
+# Parameters per comparator pair, away from the standard law: sigma != 1,
+# mu0 != 0 and scale parameters other than 1.
+SANDWICH_PARAMETERS = {
+    ("gaussian", "location"): [(0.0, {}), (1.5, {"sigma": 2.0}), (-0.7, {"sigma": 0.5})],
+    ("exponential", "scale"): [(1.0, {}), (0.5, {}), (3.0, {})],
+    ("gamma", "location"): [(0.0, {"shape": 3.0}), (3.0, {"shape": 3.0}), (-1.5, {"shape": 4.5})],
+    ("gamma", "scale"): [(1.0, {"shape": 3.0}), (2.0, {"shape": 2.5}), (0.5, {"shape": 5.0})],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SANDWICH_PARAMETERS), ids="-".join)
+@pytest.mark.parametrize("h", [linear(), square()], ids=lambda t: t.name)
+def test_comparators_sandwich_the_variance(pair, h):
+    assert set(SANDWICH_PARAMETERS) == {key for key, entry in COMPARATORS.items() if entry.compute}
+    for value, structural in SANDWICH_PARAMETERS[pair]:
+        fam = make_family(*pair, value, **structural)
+        variance = ground_truth_variance(fam, h)
+        slack = 1e-9 * abs(variance) + 1e-12
+        for c in literature_bounds(fam, h):
+            where = (pair, value, structural, h.name, c.name, c.value, variance)
+            if c.kind == "lower":
+                assert c.value <= variance + slack, where
+            else:
+                assert c.value >= variance - slack, where
+
+
 class TestBoundReport:
     def test_sandwich_across_matrix(self):
         for scenario in builtin_scenarios():

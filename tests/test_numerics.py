@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinb import config
 from steinb.numerics import (
     Interval,
     NonConvergence,
@@ -20,6 +22,10 @@ from steinb.numerics import (
 )
 
 SQRT_PI = 1.7724538509055159  # oracle: math.sqrt(math.pi)
+
+
+def _set_budget(monkeypatch, subdivisions):
+    monkeypatch.setattr(config, "QUAD", dataclasses.replace(config.QUAD, max_subdivisions=subdivisions))
 
 
 class TestInterval:
@@ -61,11 +67,36 @@ class TestIntegrate:
             got = integrate(fn, Interval(*iv), 1e-11).value
             assert got == pytest.approx(expected, abs=1e-8)
 
-    def test_nonconvergence_carries_partial_result(self):
+    def test_nonconvergence_carries_partial_result(self, monkeypatch):
+        _set_budget(monkeypatch, 50)
         with pytest.raises(NonConvergence) as err:
-            integrate(lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12, budget=50)
+            integrate(lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12)
         assert err.value.value > 0
         assert err.value.abs_error_estimate > 1e-12
+
+    def test_nonconvergence_levels_are_shorter_runs(self, monkeypatch):
+        # Refinement is deterministic, so the partial results at a quarter and
+        # at half of the budget are what runs with those budgets end on.
+        f, iv = (lambda x: 1.0 / x), Interval(0.0, 1.0)
+        ends = []
+        for subdivisions in (12, 25, 50):
+            _set_budget(monkeypatch, subdivisions)
+            with pytest.raises(NonConvergence) as err:
+                integrate(f, iv, 1e-12)
+            ends.append((err.value.value, err.value.abs_error_estimate))
+        assert len(err.value.levels) == 2
+        assert list(err.value.levels) == ends[:2]
+
+    def test_nonfinite_carries_levels_reached(self):
+        # Bisection toward 0 reaches x < 1e-250 after the quarter-budget mark
+        # (500 splits) and before the half-budget one.
+        f = lambda x: math.inf if x < 1e-250 else 1.0 / x
+        with pytest.raises(NonFinite) as err:
+            integrate(f, Interval(0.0, 1.0), 1e-12)
+        assert len(err.value.levels) == 1
+        with pytest.raises(NonFinite) as err:
+            integrate(lambda x: math.nan, Interval(0.0, 1.0), 1e-12)
+        assert err.value.levels == ()
 
     def test_nonfinite_interior(self):
         bad = lambda x: math.nan if 0.3 < x < 0.6 else 1.0
@@ -107,7 +138,82 @@ class TestIntegrate:
                 assert abs(combined - parts) <= 3 * tol
 
 
+def _ladder(f, iv, tol=config.QUAD.request_tol):
+    """The three-level detector integrate_detecting_divergence replaced: it ran
+    integrate afresh with budgets of a quarter, half and all of the default."""
+    full = config.QUAD
+    partial_values, partial_errors, last_exc = [], [], None
+    try:
+        for subdivisions in (full.max_subdivisions // 4, full.max_subdivisions // 2, full.max_subdivisions):
+            config.QUAD = dataclasses.replace(full, max_subdivisions=subdivisions)
+            try:
+                return integrate(f, iv, tol).value
+            except NonConvergence as exc:
+                partial_values.append(exc.value)
+                partial_errors.append(exc.abs_error_estimate)
+                last_exc = exc
+            except NonFinite as exc:
+                if exc.observed is not None and math.isinf(exc.observed):
+                    partial_values.append(exc.observed)
+                    partial_errors.append(math.inf)
+                else:
+                    raise
+    finally:
+        config.QUAD = full
+    magnitudes = [abs(v) for v in partial_values]
+    growing = (
+        magnitudes[0] <= magnitudes[1] <= magnitudes[2]
+        and (magnitudes[2] > 1.5 * magnitudes[0] or math.isinf(magnitudes[2]))
+    )
+    contracted = math.isfinite(partial_errors[2]) and partial_errors[2] <= 0.25 * partial_errors[0]
+    if growing and not contracted:
+        sign = 1.0
+        for v in reversed(partial_values):
+            if v != 0.0 and not math.isnan(v):
+                sign = math.copysign(1.0, v)
+                break
+        return sign * math.inf
+    raise last_exc
+
+
+def _outcome(detector, f, iv, tol):
+    try:
+        return ("value", detector(f, iv, tol))
+    except Exception as exc:  # the verdict includes which error ends the call
+        return ("raised", type(exc).__name__, str(exc))
+
+
 class TestDivergenceDetection:
+    @pytest.mark.parametrize(
+        "f,iv,tol",
+        [
+            (lambda x: math.exp(-x) / (4 * x), Interval.half_line(0.0), 1e-12),
+            (lambda y: y**-1.5 * math.exp(-y), Interval.half_line(0.0), 1e-12),
+            (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-10),
+            (lambda x: math.inf, Interval(0.0, 1.0), 1e-12),
+            (lambda x: -math.inf, Interval(0.0, 1.0), 1e-12),
+            (lambda x: math.nan, Interval(0.0, 1.0), 1e-12),
+            (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12),
+            (lambda x: math.inf if x < 1e-250 else 1.0 / x, Interval(0.0, 1.0), 1e-12),
+        ],
+        ids=["log", "power", "sqrt-singularity", "inf", "minus-inf", "nan", "reciprocal",
+             "reciprocal-overflowing"],
+    )
+    def test_same_verdict_as_restarted_levels(self, f, iv, tol):
+        assert _outcome(integrate_detecting_divergence, f, iv, tol) == _outcome(_ladder, f, iv, tol)
+
+    def test_divergent_call_costs_one_run(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 1.0 / x
+
+        assert integrate_detecting_divergence(f, Interval(0.0, 1.0), 1e-12) == math.inf
+        # 8 initial cells plus two per split, 15 Kronrod nodes each; 1/x is
+        # finite at every interior node, so there are no nudge retries.
+        assert calls[0] <= 15 * (8 + 2 * config.QUAD.max_subdivisions)
+
     def test_log_divergence(self):
         v = integrate_detecting_divergence(
             lambda x: math.exp(-x) / (4 * x), Interval.half_line(0.0), 1e-12
@@ -155,9 +261,10 @@ class TestSumSeries:
         total = sum_series(lambda x: (1 - p) ** x * p, 0, lambda k: (1 - p) ** (k + 1), 1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_truncation_unsafe(self):
+    def test_truncation_unsafe(self, monkeypatch):
+        monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=10_000))
         with pytest.raises(TruncationUnsafe):
-            sum_series(lambda x: 1e-6, 0, None, 1e-3, max_terms=10_000)
+            sum_series(lambda x: 1e-6, 0, None, 1e-3)
 
     def test_nonfinite_term(self):
         with pytest.raises(NonFinite):
