@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import config
 from .families import InvalidParameter
@@ -37,7 +37,9 @@ from .harness import (
     Scenario,
     ScenarioResult,
     builtin_scenarios,
+    identity_rows,
     result_to_dict,
+    run_checks,
     run_scenario,
 )
 
@@ -84,8 +86,9 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
     return scenarios
 
 
-def run_all(scenarios: Sequence[Scenario], tol: float, jobs: int) -> list[ScenarioResult]:
-    runner = functools.partial(run_scenario, tol=tol)
+def run_all(
+    scenarios: Sequence[Scenario], runner: Callable[[Scenario], ScenarioResult], jobs: int
+) -> list[ScenarioResult]:
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(runner, scenarios))
@@ -163,7 +166,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    results = run_all(_scenarios(args), config.resolve_tol(args.tol), args.jobs)
+    results = run_all(_scenarios(args), run_checks, args.jobs)
     all_pass = True
     print(f"{'scenario':24s} {'f0':22s} {'E[T f0]':>14s}  pass")
     for res in results:
@@ -177,7 +180,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.out:
         payload = [
             {"scenario": r.scenario_id,
-             "identity_checks": result_to_dict(r)["identity_checks"]}
+             "identity_checks": identity_rows(r)}
             for r in results
         ]
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -186,7 +189,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    results = run_all(_scenarios(args), config.resolve_tol(args.tol), args.jobs)
+    runner = functools.partial(run_scenario, tol=config.resolve_tol(args.tol))
+    results = run_all(_scenarios(args), runner, args.jobs)
     text = EMITTERS[args.format](results)
     _write_out(text, args.out)
     failed = [r for r in results if r.error is not None or not all(c.passed for c in r.identity_checks)]

@@ -338,6 +338,7 @@ class DiscreteFamily(_Structural):
     theta_domain: Interval = field(default=Interval(-math.inf, math.inf))
     structural: tuple[tuple[str, float], ...] = ()
     mass_tail_bound: Callable[[int], float | None] | None = None
+    mode: int = 0                                        # where g(.; theta0) peaks
 
     is_discrete: ClassVar[bool] = True
 
@@ -386,6 +387,7 @@ def poisson(lam: float) -> DiscreteFamily:
         score_fn=lambda x, theta=float(lam): x / theta - 1.0,
         theta_domain=Interval(0.0, math.inf),
         mass_tail_bound=tail,
+        mode=math.floor(lam),
     )
 
 
@@ -446,6 +448,7 @@ def binomial(n: int, p: float) -> DiscreteFamily:
         theta_domain=Interval(0.0, 1.0),
         structural=(("n", float(n)),),
         mass_tail_bound=lambda k: 0.0 if k >= n else None,
+        mode=min(math.floor((n + 1) * p), n),
     )
 
 
@@ -609,7 +612,7 @@ def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
     if fam.is_discrete:
         if math.isfinite(fam.support_max):
             return math.fsum(fn(x) * fam.pmf(x) for x in range(int(fam.support_max) + 1))
-        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, None, tol)
+        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, None, tol, quiet_from=fam.mode)
     return integrate(_weighted(fam, fn), fam.support, tol).value
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from . import config
 from .bounds import BoundReport, bound_report
@@ -44,6 +44,7 @@ from .operators import (
     UnsupportedRole,
     hermite_test_function,
     make_operator,
+    require_score,
 )
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
@@ -271,6 +272,31 @@ class Scenario:
 def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
     """Identity checks plus a bound report for one scenario; failures are
     recorded on the result rather than raised, so a matrix always completes."""
+
+    def report(fam: Family, h: TestFunction) -> BoundReport:
+        try:
+            variance = ground_truth_variance(fam, h, tol=tol)
+        except DivergentMoment:
+            variance = math.inf
+        return bound_report(fam, h, tol=tol, variance_truth=variance)
+
+    return _contained(scenario, report)
+
+
+def run_checks(scenario: Scenario) -> ScenarioResult:
+    """The identity checks of ``run_scenario`` without its bound report
+    (``report`` stays None), failures recorded the same way.  A family/role
+    pair that has no bound report at all (``require_score``) is still an
+    error row, as under ``run_scenario``."""
+    return _contained(scenario, lambda fam, h: require_score(fam))
+
+
+def _contained(
+    scenario: Scenario, report: Callable[[Family, TestFunction], BoundReport | None]
+) -> ScenarioResult:
+    """Build the scenario, run its identity checks (under the deliberately
+    wrong law when it names one), then ``report``; a SCENARIO_ERRORS
+    exception anywhere becomes the result's error."""
     started = time.perf_counter()
     try:
         fam = scenario.build_family()
@@ -283,14 +309,9 @@ def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) ->
                 falsify_identity(fam, f0, wrong_law, tol=scenario.identity_tol)
                 for f0 in builtin_test_functions(fam)
             )
-        try:
-            variance = ground_truth_variance(fam, h, tol=tol)
-        except DivergentMoment:
-            variance = math.inf
-        report = bound_report(fam, h, tol=tol, variance_truth=variance)
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
-            report=report,
+            report=report(fam, h),
             identity_checks=checks,
             wall_time=time.perf_counter() - started,
         )
@@ -351,11 +372,16 @@ def result_to_dict(result: ScenarioResult) -> dict[str, Any]:
         "comparators": [
             {"name": c.name, "kind": c.kind, "value": _number(c.value)} for c in rep.comparators
         ],
-        "identity_checks": [
-            {"f0": c.test_function, "value": c.expectation_value, "pass": c.passed}
-            for c in result.identity_checks
-        ],
+        "identity_checks": identity_rows(result),
     }
+
+
+def identity_rows(result: ScenarioResult) -> list[dict[str, Any]]:
+    """The identity checks of a result in the report schema (none for an error row)."""
+    return [
+        {"f0": c.test_function, "value": c.expectation_value, "pass": c.passed}
+        for c in result.identity_checks
+    ]
 
 
 # --------------------------------------------------------------------------

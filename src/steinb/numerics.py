@@ -165,11 +165,9 @@ def _eval_raw(f: RealFn, x: float) -> float:
         return math.nan
 
 
-def _safe_eval(f: RealFn, x: float, lo: float, hi: float) -> float:
-    value = _eval_raw(f, x)
-    if math.isfinite(value):
-        return value
-    # Singularity-avoidance nudge: retry slightly toward the cell midpoint.
+def _nudged(f: RealFn, x: float, lo: float, hi: float) -> float:
+    """Singularity-avoidance nudge for a node where f was not finite: retry
+    slightly toward the cell midpoint, or raise NonFinite."""
     mid = 0.5 * (lo + hi)
     step = 1e-9 * (hi - lo)
     x2 = x + (step if x < mid else -step)
@@ -179,29 +177,43 @@ def _safe_eval(f: RealFn, x: float, lo: float, hi: float) -> float:
     raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2)
 
 
+# Signed Kronrod abscissae in evaluation order: the center, then the
+# positive nodes, then their mirror images.
+_NODES = (0.0, *_XGK[:7], *(-x for x in _XGK[:7]))
+
+
 def _gk15(f: RealFn, lo: float, hi: float) -> tuple[float, float, float]:
     """One Gauss-Kronrod pass over [lo, hi]: (kronrod value, error estimate, integral of |f|)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
-    fc = _safe_eval(f, center, lo, hi)
-    fplus = [_safe_eval(f, center + half * x, lo, hi) for x in _XGK[:7]]
-    fminus = [_safe_eval(f, center - half * x, lo, hi) for x in _XGK[:7]]
-
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    for i in range(7):
-        s = fplus[i] + fminus[i]
-        resk += _WGK[i] * s
-        resabs += _WGK[i] * (abs(fplus[i]) + abs(fminus[i]))
-    resg = _WG[3] * fc
-    for j, i in enumerate((1, 3, 5)):
-        resg += _WG[j] * (fplus[i] + fminus[i])
-
-    reskh = resk * 0.5
-    resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fplus[i] - reskh) + abs(fminus[i] - reskh))
+    fv = []
+    for t in _NODES:
+        x = center + half * t
+        # As _eval_raw, inline: the kernel runs once per 15 evaluations.
+        try:
+            y = f(x)
+        except (OverflowError, ZeroDivisionError):
+            y = math.inf
+        except ValueError:
+            y = math.nan
+        fv.append(y if math.isfinite(y) else _nudged(f, x, lo, hi))
+    # p_i, m_i: f at center + half * _XGK[i] and center - half * _XGK[i].
+    # Each sum runs left to right, in the order of dqk15's loops.
+    fc, p0, p1, p2, p3, p4, p5, p6, m0, m1, m2, m3, m4, m5, m6 = fv
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
+    resk = (w7 * fc + w0 * (p0 + m0) + w1 * (p1 + m1) + w2 * (p2 + m2) + w3 * (p3 + m3)
+            + w4 * (p4 + m4) + w5 * (p5 + m5) + w6 * (p6 + m6))
+    resabs = (w7 * abs(fc) + w0 * (abs(p0) + abs(m0)) + w1 * (abs(p1) + abs(m1))
+              + w2 * (abs(p2) + abs(m2)) + w3 * (abs(p3) + abs(m3)) + w4 * (abs(p4) + abs(m4))
+              + w5 * (abs(p5) + abs(m5)) + w6 * (abs(p6) + abs(m6)))
+    resg = g3 * fc + g0 * (p1 + m1) + g1 * (p3 + m3) + g2 * (p5 + m5)
+    h = resk * 0.5
+    resasc = (w7 * abs(fc - h) + w0 * (abs(p0 - h) + abs(m0 - h)) + w1 * (abs(p1 - h) + abs(m1 - h))
+              + w2 * (abs(p2 - h) + abs(m2 - h)) + w3 * (abs(p3 - h) + abs(m3 - h))
+              + w4 * (abs(p4 - h) + abs(m4 - h)) + w5 * (abs(p5 - h) + abs(m5 - h))
+              + w6 * (abs(p6 - h) + abs(m6 - h)))
 
     value = resk * half
     resabs *= abs(half)
@@ -241,8 +253,27 @@ def _transformed(f: RealFn, iv: Interval) -> tuple[RealFn, float, float]:
     return g, -1.0, 1.0
 
 
+# The adaptive loop keeps running totals, updated by child1 + child2 - parent
+# at each split, and re-anchors them on the exact fsum totals every this many
+# splits (and whenever the rounding band could change a decision).
+_ANCHOR_EVERY = 50
+# Running totals at or above this magnitude are re-anchored at every step:
+# fsum's partial sums stay below the summed |f| mass and error, so beneath it
+# they cannot overflow and fsum's result does not depend on the cell order.
+_HUGE = 2.0**1000
+
+
 def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> QuadResult:
     """Adaptively integrate f over iv to absolute tolerance tol.
+
+    Globally adaptive: the cell with the largest error estimate is bisected
+    until the summed error estimate meets the tolerance.  The sums of value,
+    error and |f| mass are kept as running totals, so a split costs O(1)
+    plus a heap push.  Every decision and every reported number still uses
+    the exact ``math.fsum`` over all cells: the totals are re-summed every
+    50 splits, at the ``levels`` marks, whenever they are huge or not
+    finite, whenever their bound on accumulated rounding cannot decide the
+    stopping test, and before any return or raise.
 
     Raises NonConvergence when the subdivision budget (``config.QUAD.max_subdivisions``,
     read at call time) is exhausted with the error estimate still above
@@ -256,19 +287,18 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
     budget = config.QUAD.max_subdivisions
     g, t_lo, t_hi = _transformed(f, iv)
 
-    evaluations = 0
-    seq = 0
+    seq = 0  # cells made, 15 evaluations each
     # heap entries: (-err, seq, lo, hi, value, err, resabs)
     heap: list[tuple[float, int, float, float, float, float, float]] = []
     frozen: list[tuple[float, float, float]] = []  # cells below splitting resolution
     levels: list[tuple[float, float]] = []
 
-    def push(a: float, b: float) -> None:
-        nonlocal evaluations, seq
+    def push(a: float, b: float) -> tuple[float, float, float]:
+        nonlocal seq
         v, e, r = _gk15(g, a, b)
-        evaluations += 15
         heapq.heappush(heap, (-e, seq, a, b, v, e, r))
         seq += 1
+        return v, e, r
 
     def totals() -> tuple[float, float, float]:
         total_v = math.fsum([c[4] for c in heap] + [v for v, _, _ in frozen])
@@ -282,6 +312,10 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
         # reaches the floor (the estimate stays honest either way).
         return max(tol, 100.0 * _EPS * total_r)
 
+    def level_due() -> bool:
+        # Reached the state a run with a quarter, then half, of this budget stops in.
+        return len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4
+
     # An integrand that itself integrates may raise a NumericsError of its
     # own; it leaves this run with this run's levels.
     try:
@@ -290,38 +324,58 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
         for i in range(n_init):
             push(t_lo + i * width, t_lo + (i + 1) * width)
 
-        splits = 0
+        splits = anchored = 0
         total_v, total_e, total_r = totals()
-        while total_e > target(total_r):
-            # The state a run with a quarter, then half, of this budget stops in.
-            while len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4:
+        # exact: the running totals are totals(); drift_e and drift_r bound
+        # how far the error and mass totals may have drifted from it.
+        exact, drift_e, drift_r = True, 0.0, 0.0
+        while True:
+            # The running totals stand in for totals() only on a step that
+            # reports nothing and whose go-on decision no drift could change.
+            usable = exact or not (
+                level_due() or splits >= budget or not heap or splits - anchored >= _ANCHOR_EVERY
+                or not total_e - drift_e > target(total_r + drift_r)
+            )
+            if not usable or not (abs(total_v) < _HUGE and total_e < _HUGE and total_r < _HUGE):
+                total_v, total_e, total_r = totals()
+                exact, drift_e, drift_r, anchored = True, 0.0, 0.0, splits
+            if not total_e > target(total_r):
+                break
+            while level_due():
                 levels.append((total_v, total_e))
             if not math.isfinite(total_v):
-                raise NonConvergence("partial integral overflowed", total_v, total_e, evaluations)
+                raise NonConvergence("partial integral overflowed", total_v, total_e, 15 * seq)
             if splits >= budget:
                 raise NonConvergence(
                     f"error {total_e:.3e} above tol {tol:.3e} after {splits} subdivisions",
-                    total_v, total_e, evaluations,
+                    total_v, total_e, 15 * seq,
                 )
             if not heap:
                 raise NonConvergence(
                     "interval exhausted below resolution with error above tol",
-                    total_v, total_e, evaluations,
+                    total_v, total_e, 15 * seq,
                 )
             _, _, a, b, v, e, r = heapq.heappop(heap)
             if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
-                frozen.append((v, e, r))
-            else:
-                mid = 0.5 * (a + b)
-                push(a, mid)
-                push(mid, b)
-                splits += 1
-            total_v, total_e, total_r = totals()
+                frozen.append((v, e, r))  # the totals do not change
+                continue
+            mid = 0.5 * (a + b)
+            v1, e1, r1 = push(a, mid)
+            v2, e2, r2 = push(mid, b)
+            splits += 1
+            total_v += v1 + v2 - v
+            total_e += e1 + e2 - e
+            total_r += r1 + r2 - r
+            # Each update rounds at most three times; twice eps per unit of
+            # the magnitudes involved bounds that with room to spare.
+            drift_e += 2.0 * _EPS * (e1 + e2 + e + abs(total_e))
+            drift_r += 2.0 * _EPS * (r1 + r2 + r + abs(total_r))
+            exact = False
     except NumericsError as exc:
         exc.levels = tuple(levels)
         raise
 
-    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=evaluations)
+    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=15 * seq)
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:
@@ -371,12 +425,15 @@ def sum_series(
     start: int = 0,
     tail_bound: Callable[[int], float | None] | None = None,
     tol: float = config.SERIES.tol,
+    quiet_from: int = 0,
 ) -> float:
     """Sum f(start) + f(start+1) + ... for an absolutely convergent series.
 
     Stops when the supplied tail bound drops below tol, or heuristically when
-    64 consecutive terms are each below tol * 1e-3 in absolute value.  Hitting
-    the term cap ``config.SERIES.max_terms`` (read at call time) first raises
+    64 consecutive terms are each below tol * 1e-3 in absolute value and the
+    index has reached ``quiet_from`` (pass the mode of a pmf in the terms, so
+    a negligible left tail does not end the sum).  Hitting the term cap
+    ``config.SERIES.max_terms`` (read at call time) first raises
     TruncationUnsafe.
     """
     if tol <= 0:
@@ -396,7 +453,7 @@ def sum_series(
             if tb is not None and abs(tb) < tol:
                 return math.fsum(terms)
         quiet = quiet + 1 if abs(term) < threshold else 0
-        if quiet >= config.SERIES.quiet_run:
+        if quiet >= config.SERIES.quiet_run and x >= quiet_from:
             return math.fsum(terms)
         x += 1
     raise TruncationUnsafe(f"no stop rule met within {max_terms} terms")

@@ -130,19 +130,25 @@ class ScoreProfile:
     zero_crossing: float | None
 
 
-def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
-    """Score, Fisher information E[phi^2] (by quadrature/series; +inf when the
-    integral diverges), monotonicity certificate, and zero crossing.
-
-    Rejects family/role pairs where the constant test function is not
-    admissible: a support that moves with the parameter while the density
-    stays positive at its edge (exponential location).
-    """
+def require_score(fam: Family) -> None:
+    """Raise UnsupportedRole for a family/role pair where the constant test
+    function is not admissible, so no score or bound exists: a support that
+    moves with the parameter while the density stays positive at its edge
+    (exponential location)."""
     if fam.role.positive_at_moving_edge(fam):
         raise UnsupportedRole(
             f"{fam.name} with a {fam.role.kind} role: support depends on the "
             "parameter and the density is positive at its edge"
         )
+
+
+def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
+    """Score, Fisher information E[phi^2] (by quadrature/series; +inf when the
+    integral diverges), monotonicity certificate, and zero crossing.
+
+    Rejects the family/role pairs ``require_score`` rejects.
+    """
+    require_score(fam)
     phi, phi_prime = fam.role.score(fam)
 
     if fam.is_discrete:

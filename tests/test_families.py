@@ -72,6 +72,15 @@ def test_pmf_normalizes(fam):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("rate", [150.0, 200.0, 400.0])
+def test_large_poisson_expectations_reach_the_bulk(rate):
+    # The left tail below the mode is negligible term by term; it must not
+    # end the series before the mass is reached.
+    fam = make_family("poisson", "theta", rate)
+    assert expectation(fam, lambda x: 1.0) == pytest.approx(1.0, rel=1e-10)
+    assert expectation(fam, lambda x: x) == pytest.approx(rate, rel=1e-10)
+
+
 @pytest.mark.parametrize("fam", CONTINUOUS, ids=lambda f: f"{f.name}-{f.role}")
 def test_log_derivative_matches_finite_differences(fam):
     L = fam.log_density_derivative

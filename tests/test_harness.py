@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from steinb import numerics
 from steinb.families import (
     Location,
     ONE,
     Scale,
     binomial,
+    bulk_radius,
     exponential,
     gamma,
     gaussian,
@@ -31,6 +33,7 @@ from steinb.harness import (
     monte_carlo_variance,
     perturbed_law,
     result_to_dict,
+    run_checks,
     run_scenario,
 )
 
@@ -188,6 +191,45 @@ class TestScenarios:
         result = run_scenario(bad)
         assert result.report is None
         assert "UnsupportedRole" in result.error
+
+    def test_checks_alone_match_run_scenario(self):
+        for scenario in builtin_scenarios():
+            alone, full = run_checks(scenario), run_scenario(scenario)
+            assert alone.report is None and alone.error is None
+            assert alone.identity_checks == full.identity_checks
+
+    def test_checks_alone_skip_a_failing_bound_report(self):
+        # The bound report of this gamma location scenario does not converge;
+        # its identity checks do, and pass.
+        scenario = Scenario("gamma1.75-loc", "gamma", "location", 4.242,
+                            structural=(("shape", 1.754),))
+        assert run_scenario(scenario).error.startswith("NonConvergence")
+        checks = run_checks(scenario)
+        assert checks.error is None
+        assert len(checks.identity_checks) == 5
+        assert all(c.passed for c in checks.identity_checks)
+
+    def test_checks_alone_reject_a_role_without_score(self):
+        result = run_checks(Scenario("exp-loc", "exponential", "location", 0.0))
+        assert result.identity_checks == ()
+        assert result.error == run_scenario(Scenario("exp-loc", "exponential", "location", 0.0)).error
+
+    def test_builtin_matrix_gk15_cells(self, monkeypatch):
+        # An upper bound on the quadrature work of the builtin matrix: the
+        # count when it was pinned.  Lower it when refinement gets cheaper;
+        # never raise it silently.
+        bulk_radius.cache_clear()
+        cells = [0]
+        kernel = numerics._gk15
+
+        def counting(f, lo, hi):
+            cells[0] += 1
+            return kernel(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk15", counting)
+        for scenario in builtin_scenarios():
+            run_scenario(scenario)
+        assert cells[0] <= 16_034
 
     def test_wall_time_not_serialized(self):
         result = run_scenario(builtin_scenarios()[0])

@@ -1,15 +1,17 @@
 import dataclasses
+import heapq
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinb import config
+from steinb import config, numerics
 from steinb.numerics import (
     Interval,
     NonConvergence,
     NonFinite,
+    NumericsError,
     QuadResult,
     TruncationUnsafe,
     Verdict,
@@ -136,6 +138,230 @@ class TestIntegrate:
                 combined = integrate(lambda x: alpha * f(x) + beta * g(x), iv, tol).value
                 parts = alpha * integrate(f, iv, tol).value + beta * integrate(g, iv, tol).value
                 assert abs(combined - parts) <= 3 * tol
+
+
+def _reference_safe_eval(f, x, lo, hi):
+    """The kernel's node evaluation as a call per node, nudge included."""
+    value = numerics._eval_raw(f, x)
+    if math.isfinite(value):
+        return value
+    mid = 0.5 * (lo + hi)
+    step = 1e-9 * (hi - lo)
+    x2 = x + (step if x < mid else -step)
+    value2 = numerics._eval_raw(f, x2)
+    if math.isfinite(value2):
+        return value2
+    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2)
+
+
+def _reference_gk15(f, lo, hi):
+    """The GK15 kernel as first written: center, positive, then negative nodes."""
+    xgk, wgk, wg = numerics._XGK, numerics._WGK, numerics._WG
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = _reference_safe_eval(f, center, lo, hi)
+    fplus = [_reference_safe_eval(f, center + half * x, lo, hi) for x in xgk[:7]]
+    fminus = [_reference_safe_eval(f, center - half * x, lo, hi) for x in xgk[:7]]
+    resk = wgk[7] * fc
+    resabs = wgk[7] * abs(fc)
+    for i in range(7):
+        resk += wgk[i] * (fplus[i] + fminus[i])
+        resabs += wgk[i] * (abs(fplus[i]) + abs(fminus[i]))
+    resg = wg[3] * fc
+    for j, i in enumerate((1, 3, 5)):
+        resg += wg[j] * (fplus[i] + fminus[i])
+    reskh = resk * 0.5
+    resasc = wgk[7] * abs(fc - reskh)
+    for i in range(7):
+        resasc += wgk[i] * (abs(fplus[i] - reskh) + abs(fminus[i] - reskh))
+    value = resk * half
+    resabs *= abs(half)
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > 1e-290:
+        err = max(err, 50.0 * numerics._EPS * resabs)
+    return value, err, resabs
+
+
+def _reference_integrate(f, iv, tol=config.QUAD.request_tol):
+    """integrate() as it was before running totals: every cell re-summed with
+    math.fsum after every split, and the kernel above."""
+    eps = numerics._EPS
+    budget = config.QUAD.max_subdivisions
+    g, t_lo, t_hi = numerics._transformed(f, iv)
+    evaluations = seq = 0
+    heap, frozen, levels = [], [], []
+
+    def push(a, b):
+        nonlocal evaluations, seq
+        v, e, r = _reference_gk15(g, a, b)
+        evaluations += 15
+        heapq.heappush(heap, (-e, seq, a, b, v, e, r))
+        seq += 1
+
+    def totals():
+        return tuple(
+            math.fsum([c[4 + k] for c in heap] + [cell[k] for cell in frozen]) for k in range(3)
+        )
+
+    def target(total_r):
+        return max(tol, 100.0 * eps * total_r)
+
+    try:
+        width = (t_hi - t_lo) / 8
+        for i in range(8):
+            push(t_lo + i * width, t_lo + (i + 1) * width)
+        splits = 0
+        total_v, total_e, total_r = totals()
+        while total_e > target(total_r):
+            while len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4:
+                levels.append((total_v, total_e))
+            if not math.isfinite(total_v):
+                raise NonConvergence("partial integral overflowed", total_v, total_e, evaluations)
+            if splits >= budget:
+                raise NonConvergence(
+                    f"error {total_e:.3e} above tol {tol:.3e} after {splits} subdivisions",
+                    total_v, total_e, evaluations,
+                )
+            if not heap:
+                raise NonConvergence(
+                    "interval exhausted below resolution with error above tol",
+                    total_v, total_e, evaluations,
+                )
+            _, _, a, b, v, e, r = heapq.heappop(heap)
+            if (b - a) < 1e-300 + 50.0 * eps * max(abs(a), abs(b)):
+                frozen.append((v, e, r))
+            else:
+                mid = 0.5 * (a + b)
+                push(a, mid)
+                push(mid, b)
+                splits += 1
+            total_v, total_e, total_r = totals()
+    except NumericsError as exc:
+        exc.levels = tuple(levels)
+        raise
+    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=evaluations)
+
+
+def _quad_outcome(quad, f, iv, tol):
+    """Everything a caller can see of one run, plus how often f was called,
+    as a string: repr makes NaNs compare equal and keeps signed zeros apart."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    try:
+        r = quad(counted, iv, tol)
+        seen = ("value", r.value, r.abs_error_estimate, r.evaluations)
+    except Exception as exc:  # payload: value, error, evaluations, point, observed, levels
+        seen = ("raised", type(exc).__name__, str(exc), sorted(vars(exc).items()))
+    return repr((seen, calls[0]))
+
+
+def _first_cell_node(k):
+    """The k-th Kronrod node of the first of the 8 initial cells of (0, 1)."""
+    center, half = 0.5 * 0.125, 0.5 * 0.125
+    return center + half * numerics._XGK[k]
+
+
+def _raising_at(node, error, width=0.0):
+    def f(x):
+        if abs(x - node) <= width:
+            raise error("boom")
+        return math.exp(-x) / math.sqrt(x)
+    return f
+
+
+class _Inner(NumericsError):
+    pass
+
+
+def _raising_inner(x):
+    if x > 0.999:
+        raise _Inner("inner integral failed")
+    return 1.0 / x
+
+
+REFERENCE_CASES = [
+    # the scipy-oracle integrands
+    (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-11, None),
+    (lambda x: math.exp(-x * x) * math.cos(3 * x), Interval.real_line(), 1e-11, None),
+    (lambda x: x**3 * math.exp(-2 * x), Interval.half_line(0.0), 1e-11, None),
+    # endpoint singularities and divergences
+    (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12, None),
+    (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-10, None),
+    (lambda x: math.exp(-x) / (4 * x), Interval.half_line(0.0), 1e-12, None),
+    (lambda y: y**-1.5 * math.exp(-y), Interval.half_line(0.0), 1e-12, None),
+    (lambda x: math.inf if x < 1e-250 else 1.0 / x, Interval(0.0, 1.0), 1e-12, None),
+    (lambda x: math.inf, Interval(0.0, 1.0), 1e-12, None),
+    (lambda x: -math.inf, Interval(0.0, 1.0), 1e-12, None),
+    (lambda x: math.nan, Interval(0.0, 1.0), 1e-12, None),
+    # cancellation: the error mass falls many decades below its start
+    (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-12, None),
+    (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-14, None),
+    (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-12, None),
+    (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-14, None),
+    (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-14, 7),
+    (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-14, 40),
+    (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12, 1),
+    (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12, 3),
+    (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12, 123),
+    (lambda x: math.exp(-x) / (4 * x), Interval.half_line(0.0), 1e-12, 0),
+    # huge values: the totals overflow, or sit above the running-total guard
+    (lambda x: 1e307, Interval(0.0, 1.0), 1e-12, None),
+    (lambda x: 1e300 * math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-12, 60),
+    (lambda x: 1e303 / x, Interval(0.0, 1.0), 1e-12, 60),
+    # one Kronrod node raises; the nudged retry succeeds, or raises too
+    (_raising_at(_first_cell_node(2), OverflowError), Interval(0.0, 1.0), 1e-12, None),
+    (_raising_at(_first_cell_node(5), ZeroDivisionError), Interval(0.0, 1.0), 1e-12, None),
+    (_raising_at(_first_cell_node(0), ValueError), Interval(0.0, 1.0), 1e-12, None),
+    (_raising_at(_first_cell_node(3), OverflowError, 1e-6), Interval(0.0, 1.0), 1e-12, None),
+    (_raising_at(_first_cell_node(1), ValueError, 1e-6), Interval(0.0, 1.0), 1e-12, None),
+    # a NumericsError of the integrand's own leaves with the run's levels
+    (_raising_inner, Interval(0.0, 1.0), 1e-12, None),
+]
+REFERENCE_IDS = [
+    "scipy-sqrt", "scipy-gauss-cos", "scipy-cubic", "reciprocal", "sqrt-singularity", "log",
+    "power", "reciprocal-overflowing", "inf", "minus-inf", "nan", "sin50-1e-12", "sin50-1e-14",
+    "xgauss-1e-12", "xgauss-1e-14", "sin50-budget7", "xgauss-budget40", "reciprocal-budget1",
+    "reciprocal-budget3", "reciprocal-budget123", "log-budget0", "overflowing-total",
+    "huge-sin50", "huge-reciprocal", "overflow-node", "zerodiv-node", "valueerror-node",
+    "overflow-node-and-nudge", "valueerror-node-and-nudge", "inner-numerics-error",
+]
+
+
+class TestRunningTotals:
+    @pytest.mark.parametrize("f,iv,tol,budget", REFERENCE_CASES, ids=REFERENCE_IDS)
+    def test_same_outcome_as_per_split_fsum(self, monkeypatch, f, iv, tol, budget):
+        if budget is not None:
+            _set_budget(monkeypatch, budget)
+        assert _quad_outcome(integrate, f, iv, tol) == _quad_outcome(_reference_integrate, f, iv, tol)
+
+    @pytest.mark.parametrize("f,iv,tol", [
+        (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-14),
+        (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-14),
+        (lambda x: math.exp(-x * x) * math.cos(3 * x), Interval.real_line(), 1e-12),
+        (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-10),
+    ])
+    def test_final_totals_equal_a_full_fsum(self, monkeypatch, f, iv, tol):
+        cells = {}
+        kernel = numerics._gk15
+
+        def recording(g, lo, hi):
+            cells[lo, hi] = kernel(g, lo, hi)
+            return cells[lo, hi]
+
+        monkeypatch.setattr(numerics, "_gk15", recording)
+        result = integrate(f, iv, tol)
+        leaves = [c for (lo, hi), c in cells.items() if (lo, 0.5 * (lo + hi)) not in cells]
+        assert len(cells) > 8  # at least one split
+        assert result.value == math.fsum(v for v, _, _ in leaves)
+        assert result.abs_error_estimate == math.fsum(e for _, e, _ in leaves)
+        assert result.evaluations == 15 * len(cells)
 
 
 def _ladder(f, iv, tol=config.QUAD.request_tol):
