@@ -25,19 +25,8 @@ class SeriesDefaults:
     quiet_margin: float = 1e-3      # negligible means |term| < tol * quiet_margin
 
 
-@dataclass(frozen=True)
-class LcgConstants:
-    """64-bit linear congruential generator (MMIX constants), diagnostics only."""
-
-    multiplier: int = 6364136223846793005
-    increment: int = 1442695040888963407
-    modulus: int = 2**64
-    default_seed: int = 20130819
-
-
 QUAD = QuadratureDefaults()
 SERIES = SeriesDefaults()
-LCG = LcgConstants()
 
 TOL_ENV_VAR = "STEINB_TOL"
 

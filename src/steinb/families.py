@@ -6,8 +6,10 @@ interest enters through the family's role (``roles.py``).  Discrete
 families live on {0, ..., N} with N independent of the parameter and
 register the derivative of g(x; theta)/g(0; theta) in theta.
 
-Every catalogue family is one entry of FAMILIES: its factory, a different
-law on the same support (falsification evidence) and a base sampler.
+Every continuous family also carries the closed-form tails of its base law,
+from which ``bulk_radius`` reads the mass outside a window.  Every catalogue
+family is one entry of FAMILIES: its factory and a different law on the same
+support (falsification evidence).
 
 Note the scale convention: sigma multiplies the coordinate, so the
 exponential family has rate lambda = sigma0 and the Gamma family rate
@@ -21,7 +23,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
-from .numerics import Interval, RealFn, integrate, integrate_detecting_divergence, sum_series
+from .numerics import (
+    Interval,
+    RealFn,
+    integrate,
+    integrate_detecting_divergence,
+    regularized_gamma,
+    sum_series,
+)
 from .roles import (  # the role classes, the exceptions and sas_transform are re-exported here
     ROLE_KINDS,
     DiscreteTheta,
@@ -188,6 +197,8 @@ class ContinuousFamily(_Structural):
     log_density_derivative: RealFn             # L = g0'/g0 on the interior
     base_support: Interval
     role: ParamRole
+    base_sf: RealFn                            # P(Y > y) under g0, accurate in the right tail
+    base_cdf: RealFn                           # P(Y < y) under g0, accurate in the left tail
     log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
     structural: tuple[tuple[str, float], ...] = ()
 
@@ -210,13 +221,22 @@ def density_at(fam: ContinuousFamily, x: float, theta: float) -> float:
 # --- factories ---
 
 
-def _gaussian_base(width: float) -> tuple[RealFn, RealFn, RealFn]:
+def _gaussian_base(width: float) -> dict[str, object]:
+    """The ContinuousFamily fields of a centred normal base of standard deviation width."""
     s2 = width * width
+    root2_width = math.sqrt(2.0) * width
 
     def g0(y: float) -> float:
         return math.exp(-y * y / (2.0 * s2)) / (width * SQRT_2PI)
 
-    return g0, lambda y: -y / s2, lambda y: -1.0 / s2
+    return dict(
+        base_density=g0,
+        log_density_derivative=lambda y: -y / s2,
+        log_density_second_derivative=lambda y: -1.0 / s2,
+        base_support=Interval.real_line(),
+        base_sf=lambda y: 0.5 * math.erfc(y / root2_width),
+        base_cdf=lambda y: 0.5 * math.erfc(-y / root2_width),
+    )
 
 
 def gaussian(role: ParamRole, *, sigma: float = 1.0) -> ContinuousFamily:
@@ -224,15 +244,8 @@ def gaussian(role: ParamRole, *, sigma: float = 1.0) -> ContinuousFamily:
     _require_kind("gaussian", role.kind)
     if not sigma > 0:
         raise InvalidParameter(f"gaussian width must be > 0, got {sigma}")
-    g0, L, Lp = _gaussian_base(sigma)
     return ContinuousFamily(
-        name="gaussian",
-        base_density=g0,
-        log_density_derivative=L,
-        base_support=Interval.real_line(),
-        role=role,
-        log_density_second_derivative=Lp,
-        structural=(("sigma", float(sigma)),),
+        name="gaussian", role=role, structural=(("sigma", float(sigma)),), **_gaussian_base(sigma)
     )
 
 
@@ -253,6 +266,8 @@ def exponential(role: ParamRole) -> ContinuousFamily:
         log_density_derivative=lambda y: -1.0,
         base_support=Interval.half_line(0.0),
         role=role,
+        base_sf=lambda y: math.exp(-y) if y > 0.0 else 1.0,
+        base_cdf=lambda y: -math.expm1(-y) if y > 0.0 else 0.0,
         log_density_second_derivative=lambda y: 0.0,
     )
 
@@ -283,6 +298,8 @@ def gamma(role: ParamRole, *, shape: float) -> ContinuousFamily:
         log_density_derivative=lambda y: (a - 1.0) / y - 1.0,
         base_support=Interval.half_line(0.0),
         role=role,
+        base_sf=lambda y: regularized_gamma(a, y)[1],
+        base_cdf=lambda y: regularized_gamma(a, y)[0],
         log_density_second_derivative=lambda y: -(a - 1.0) / (y * y),
         structural=(("shape", a),),
     )
@@ -290,15 +307,7 @@ def gamma(role: ParamRole, *, shape: float) -> ContinuousFamily:
 
 def sas_gaussian(delta0: float = 0.0) -> ContinuousFamily:
     """Sinh-arcsinh-skewed standard Gaussian; delta0 = 0 recovers the normal."""
-    g0, L, Lp = _gaussian_base(1.0)
-    return ContinuousFamily(
-        name="sas-gaussian",
-        base_density=g0,
-        log_density_derivative=L,
-        base_support=Interval.real_line(),
-        role=SkewSAS(float(delta0)),
-        log_density_second_derivative=Lp,
-    )
+    return ContinuousFamily(name="sas-gaussian", role=SkewSAS(float(delta0)), **_gaussian_base(1.0))
 
 
 def quartic(mu0: float = 0.0) -> ContinuousFamily:
@@ -312,12 +321,20 @@ def quartic(mu0: float = 0.0) -> ContinuousFamily:
     def g0(y: float) -> float:
         return math.exp(-y**4 / 4.0) / z
 
+    def sf(y: float) -> float:
+        # Y^4/4 is Gamma(1/4)-distributed, and each sign of Y carries half the mass.
+        y2 = y * y
+        p, q = regularized_gamma(0.25, 0.25 * y2 * y2)
+        return 0.5 * q if y >= 0.0 else 0.5 + 0.5 * p
+
     return ContinuousFamily(
         name="quartic",
         base_density=g0,
         log_density_derivative=lambda y: -y**3,
         base_support=Interval.real_line(),
         role=Location(float(mu0)),
+        base_sf=sf,
+        base_cdf=lambda y: sf(-y),
         log_density_second_derivative=lambda y: -3.0 * y * y,
     )
 
@@ -458,40 +475,6 @@ Family = Union[ContinuousFamily, DiscreteFamily]
 # The family table.
 
 
-def _std_normal(uniform: Callable[[], float]) -> float:
-    u1, u2 = uniform(), uniform()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def _gamma_draw(fam: ContinuousFamily, uniform: Callable[[], float]) -> float:
-    # Marsaglia-Tsang; the boost keeps it valid for a < 1.
-    a = fam.structural_value("shape")
-    boost = 1.0
-    if a < 1.0:
-        boost = uniform() ** (1.0 / a)
-        a += 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        z = _std_normal(uniform)
-        v = (1.0 + c * z) ** 3
-        if v <= 0.0:
-            continue
-        u = uniform()
-        if math.log(u) < 0.5 * z * z + d - d * v + d * math.log(v):
-            return d * v * boost
-
-
-def _poisson_draw(fam: DiscreteFamily, uniform: Callable[[], float]) -> float:
-    # Knuth's product-of-uniforms method
-    limit = math.exp(-fam.role.theta0)
-    k, prod = 0, uniform()
-    while prod > limit:
-        k += 1
-        prod *= uniform()
-    return float(k)
-
-
 def _exponential_perturbed(fam: ContinuousFamily) -> ContinuousFamily:
     # Twice the rate keeps the half-line [0, inf).
     if fam.support.lo != 0.0:
@@ -505,15 +488,12 @@ class FamilyEntry:
     """One catalogue family.
 
     ``build(role, **structural)`` constructs it; ``perturb`` gives a different
-    law on the same support (falsification evidence); ``sample`` draws from
-    the base law with the given uniform source, and the role's ``from_base``
-    maps the draw into x-space.
+    law on the same support (falsification evidence).
     """
 
     build: Callable[..., Family]
     kinds: tuple[str, ...]
     perturb: Callable[[Family], Family]
-    sample: Callable[[Family, Callable[[], float]], float]
     required: tuple[str, ...] = ()    # structural constants without a default
     optional: tuple[str, ...] = ()
 
@@ -523,47 +503,38 @@ FAMILIES: dict[str, FamilyEntry] = {
         build=gaussian,
         kinds=("location", "scale", "skew"),
         perturb=lambda fam: gaussian(fam.role, sigma=fam.structural_value("sigma") * math.sqrt(2.0)),
-        sample=lambda fam, uniform: _std_normal(uniform) * fam.structural_value("sigma"),
         optional=("sigma",),
     ),
     "exponential": FamilyEntry(
         build=exponential,
         kinds=("location", "scale"),
         perturb=_exponential_perturbed,
-        sample=lambda fam, uniform: -math.log(uniform()),
     ),
     "gamma": FamilyEntry(
         build=gamma,
         kinds=("location", "scale"),
         perturb=lambda fam: gamma(fam.role, shape=fam.structural_value("shape") + 1.0),
-        sample=_gamma_draw,
         required=("shape",),
     ),
     "sas-gaussian": FamilyEntry(
         build=lambda role: sas_gaussian(role.delta0),
         kinds=("skew",),
         perturb=lambda fam: sas_gaussian(fam.role.delta0 + 0.7),
-        sample=lambda fam, uniform: _std_normal(uniform),
     ),
     "poisson": FamilyEntry(
         build=lambda role: poisson(role.theta0),
         kinds=("theta",),
         perturb=lambda fam: poisson(fam.role.theta0 * 2.0),
-        sample=_poisson_draw,
     ),
     "geometric": FamilyEntry(
         build=lambda role: geometric(role.theta0),
         kinds=("theta",),
         perturb=lambda fam: geometric(fam.role.theta0 / 2.0),
-        sample=lambda fam, uniform: float(math.floor(math.log(uniform()) / math.log1p(-fam.role.theta0))),
     ),
     "binomial": FamilyEntry(
         build=lambda role, n: binomial(int(n), role.theta0),
         kinds=("theta",),
         perturb=lambda fam: binomial(int(fam.structural_value("n")), fam.role.theta0 / 2.0),
-        sample=lambda fam, uniform: float(
-            sum(uniform() < fam.role.theta0 for _ in range(int(fam.structural_value("n"))))
-        ),
         required=("n",),
     ),
 }
@@ -631,6 +602,9 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
     The center is mu0 for location families and 0 otherwise; for families on
     a half-line the radius also covers the distance from the center to the
     finite endpoint, so a bump of this radius straddles the whole bulk.
+    R is found by doubling from 1, then 30 bisection steps; continuous
+    families read the mass outside from their closed-form base tails,
+    discrete ones sum the pmf.
     """
     if fam.is_discrete:
         total = 0.0
@@ -643,18 +617,13 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
             x += 1
         return float(cap)
 
-    center = fam.role.center
-    support = fam.support
-
-    probe_tol = max(eps * 1e-2, 1e-13)
+    role, center = fam.role, fam.role.center
 
     def tail_outside(r: float) -> float:
-        mass = 0.0
-        if support.hi > center + r:
-            mass += integrate(fam.pdf, Interval(center + r, support.hi), probe_tol).value
-        if support.lo < center - r:
-            mass += integrate(fam.pdf, Interval(support.lo, center - r), probe_tol).value
-        return mass
+        # Every continuous role maps x to the base coordinate increasingly,
+        # so the mass beyond center +- r is a pair of closed-form base tails.
+        return (fam.base_sf(role.to_base(center + r, role.value))
+                + fam.base_cdf(role.to_base(center - r, role.value)))
 
     r = 1.0
     while tail_outside(r) > eps:

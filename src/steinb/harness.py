@@ -10,8 +10,7 @@ for, not a proof of, the converse characterization.
 Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
 compact bump whose radius covers all but 1e-8 of the family's mass, plus
 Hermite-weighted variants for the Gaussian location family.  Ground truth is
-always quadrature or series summation; the seeded Monte Carlo check at the
-bottom is a diagnostic, never an oracle.
+always quadrature or series summation.
 """
 
 from __future__ import annotations
@@ -382,37 +381,3 @@ def identity_rows(result: ScenarioResult) -> list[dict[str, Any]]:
         {"f0": c.test_function, "value": c.expectation_value, "pass": c.passed}
         for c in result.identity_checks
     ]
-
-
-# --------------------------------------------------------------------------
-# Seeded Monte Carlo diagnostics (never an oracle).
-
-
-class Lcg:
-    """Deterministic 64-bit linear congruential generator."""
-
-    def __init__(self, seed: int = config.LCG.default_seed):
-        self.state = seed % config.LCG.modulus
-
-    def next_uniform(self) -> float:
-        self.state = (config.LCG.multiplier * self.state + config.LCG.increment) % config.LCG.modulus
-        return ((self.state >> 11) + 0.5) / 9007199254740992.0  # 2^53
-
-
-def monte_carlo_variance(
-    fam: Family,
-    h: TestFunction,
-    n: int = 1_000_000,
-    seed: int = config.LCG.default_seed,
-) -> float:
-    """Sample estimate of Var[h(X)] from the fixed LCG; diagnostic only."""
-    rng = Lcg(seed)
-    entry = _entry(fam)
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(n):
-        v = h.h(fam.role.from_base(entry.sample(fam, rng.next_uniform)))
-        total += v
-        total_sq += v * v
-    mean = total / n
-    return total_sq / n - mean * mean

@@ -19,11 +19,12 @@ analogue.
 
 Each role class is the single home of its math: kind and parameter value,
 bulk centre, support map and density, the base coordinate map y(x; theta)
-and its inverse at theta0, whether g is positive at a support edge that
-moves with theta, the closed-form operator (with a Dirac atom at such an
-edge), the score phi = d/dtheta log g and its derivative, f-tilde, and the
-generic quotient by central differencing in theta, against which every
-closed form is checked.  Adding a role is one class here, in ROLE_KINDS.
+(increasing in x for every continuous role, so tails in x are base tails),
+whether g is positive at a support edge that moves with theta, the
+closed-form operator (with a Dirac atom at such an edge), the score
+phi = d/dtheta log g and its derivative, f-tilde, and the generic quotient
+by central differencing in theta, against which every closed form is
+checked.  Adding a role is one class here, in ROLE_KINDS.
 """
 
 from __future__ import annotations
@@ -114,9 +115,6 @@ class Location(_ContinuousRole):
     def to_base(self, x: float, theta: float) -> float:
         return x - theta
 
-    def from_base(self, y: float) -> float:
-        return y + self.mu0
-
     def positive_at_moving_edge(self, fam: Any) -> bool:
         lo = fam.base_support.lo
         return math.isfinite(lo) and fam.base_density(lo) > 0
@@ -176,9 +174,6 @@ class Scale(_ContinuousRole):
     def to_base(self, x: float, theta: float) -> float:
         return theta * x
 
-    def from_base(self, y: float) -> float:
-        return y / self.sigma0
-
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
         """d/dy (y f0(sigma0 y) g0(sigma0 y)) / (sigma0 g0(sigma0 x)) in closed form."""
         sigma0 = self.sigma0
@@ -228,9 +223,6 @@ class SkewSAS(_ContinuousRole):
 
     def to_base(self, x: float, theta: float) -> float:
         return sas_transform(x, theta)[0]
-
-    def from_base(self, y: float) -> float:
-        return math.sinh(math.asinh(y) - self.delta0)
 
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
         """C f0'(S) + (S/C + C L(S)) f0(S) with (S, C) the sinh-arcsinh pair at delta0."""
@@ -286,9 +278,6 @@ class DiscreteTheta(_Role):
         if x < 0 or x > fam.support_max:
             return 0.0
         return fam.pmf_fn(int(x), theta)
-
-    def from_base(self, y: float) -> float:
-        return y
 
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
         """D+ ( f0 * d/dtheta[g(.;theta)/g(0;theta)] )(x) / g(x; theta0).

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from steinb import numerics
@@ -30,7 +31,6 @@ from steinb.harness import (
     falsify_identity,
     ground_truth_variance,
     identity_suite,
-    monte_carlo_variance,
     perturbed_law,
     result_to_dict,
     run_checks,
@@ -229,7 +229,7 @@ class TestScenarios:
         monkeypatch.setattr(numerics, "_gk15", counting)
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert cells[0] <= 16_034
+        assert cells[0] <= 9_714
 
     def test_wall_time_not_serialized(self):
         result = run_scenario(builtin_scenarios()[0])
@@ -286,12 +286,32 @@ def dict_to_result_fields(raw):
     return out
 
 
-class TestMonteCarloDiagnostic:
-    def test_deterministic_given_seed(self):
-        a = monte_carlo_variance(gaussian(Location(0.0)), linear(), n=2000, seed=7)
-        b = monte_carlo_variance(gaussian(Location(0.0)), linear(), n=2000, seed=7)
-        assert a == b
+# Test-only sampler: a draw of the base law, mapped into x-space by the
+# inverse of the role's base coordinate at theta0.
+BASE_DRAWS = {
+    "gaussian": lambda fam, rng, n: rng.normal(0.0, fam.structural_value("sigma"), n),
+    "sas-gaussian": lambda fam, rng, n: rng.standard_normal(n),
+    "exponential": lambda fam, rng, n: rng.exponential(1.0, n),
+    "gamma": lambda fam, rng, n: rng.gamma(fam.structural_value("shape"), 1.0, n),
+    "poisson": lambda fam, rng, n: rng.poisson(fam.role.theta0, n),
+    "geometric": lambda fam, rng, n: rng.geometric(fam.role.theta0, n) - 1,  # failures
+    "binomial": lambda fam, rng, n: rng.binomial(int(fam.structural_value("n")), fam.role.theta0, n),
+}
+FROM_BASE = {
+    "location": lambda y, mu0: y + mu0,
+    "scale": lambda y, sigma0: y / sigma0,
+    "skew": lambda y, delta0: np.sinh(np.arcsinh(y) - delta0),
+    "theta": lambda y, theta0: y,
+}
 
+
+def monte_carlo_variance(fam, h, n, seed):
+    rng = np.random.default_rng(seed)
+    xs = FROM_BASE[fam.role.kind](BASE_DRAWS[fam.name](fam, rng, n), fam.role.value)
+    return float(np.var([h.h(float(x)) for x in xs]))
+
+
+class TestMonteCarloDiagnostic:
     @pytest.mark.parametrize(
         "fam,h,expected",
         [

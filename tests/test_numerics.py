@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from steinb import config, numerics
+from steinb.families import Location, Scale, exponential, gamma, gaussian, quartic, sas_gaussian
 from steinb.numerics import (
     Interval,
     NonConvergence,
@@ -19,6 +21,7 @@ from steinb.numerics import (
     integrate,
     integrate_detecting_divergence,
     monotonicity_scan,
+    regularized_gamma,
     scan_grid,
     sum_series,
 )
@@ -495,6 +498,74 @@ class TestSumSeries:
     def test_nonfinite_term(self):
         with pytest.raises(NonFinite):
             sum_series(lambda x: math.nan, 0, None, 1e-12)
+
+
+def _relative_error(value, oracle):
+    return abs(value - oracle) / oracle
+
+
+class TestRegularizedGamma:
+    SHAPES = (0.25, 0.3, 1.0, 1.5, 2.371, 9.0, 10.0, 50.0)
+
+    @staticmethod
+    def _points(a):
+        # 1e-3 to a + 60 on a log grid, plus both sides of the a + 1 switch
+        n = 80
+        grid = [1e-3 * ((a + 60.0) / 1e-3) ** (i / (n - 1)) for i in range(n)]
+        switch = a + 1.0
+        return grid + [math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)]
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_matches_scipy(self, a):
+        # oracle: scipy.special.gammainc / gammaincc
+        for x in self._points(a):
+            p, q = regularized_gamma(a, x)
+            oracle_p, oracle_q = special.gammainc(a, x), special.gammaincc(a, x)
+            assert p + q == pytest.approx(1.0, abs=1e-15)
+            # the smaller of the two is a tail value a caller may rely on
+            for value, oracle in ((p, oracle_p), (q, oracle_q)):
+                if oracle > 1e-300:
+                    assert _relative_error(value, oracle) < 1e-12, (a, x, value, oracle)
+
+    def test_edges(self):
+        assert regularized_gamma(2.0, 0.0) == (0.0, 1.0)
+        assert regularized_gamma(2.0, -1.0) == (0.0, 1.0)
+        assert regularized_gamma(2.0, math.inf) == (1.0, 0.0)
+        with pytest.raises(ValueError):
+            regularized_gamma(0.0, 1.0)
+
+
+# (family, scipy law of its base coordinate Y, a Y-range reaching far into both tails)
+BASE_LAWS = [
+    pytest.param(gaussian(Location(0.0)), stats.norm(), (-35.0, 35.0), id="gaussian"),
+    pytest.param(gaussian(Scale(1.0), sigma=2.5), stats.norm(scale=2.5), (-85.0, 85.0), id="gaussian-sigma2.5"),
+    pytest.param(sas_gaussian(1.0), stats.norm(), (-35.0, 35.0), id="sas-gaussian"),
+    pytest.param(exponential(Scale(1.0)), stats.expon(), (-1.0, 650.0), id="exponential"),
+    pytest.param(gamma(Scale(1.0), shape=0.3), stats.gamma(0.3), (-1.0, 650.0), id="gamma0.3"),
+    pytest.param(gamma(Scale(1.0), shape=1.5), stats.gamma(1.5), (-1.0, 650.0), id="gamma1.5"),
+    pytest.param(gamma(Scale(1.0), shape=9.0), stats.gamma(9.0), (-1.0, 650.0), id="gamma9"),
+    pytest.param(quartic(), stats.gennorm(4.0, scale=4.0**0.25), (-7.0, 7.0), id="quartic"),
+]
+
+
+class TestBaseTails:
+    @pytest.mark.parametrize("fam,law,span", BASE_LAWS)
+    def test_tails_match_scipy(self, fam, law, span):
+        # oracle: scipy.stats sf / cdf; the relative error is bounded on the
+        # tail value itself, which is what bulk_radius compares with eps
+        lo, hi = span
+        for i in range(401):
+            y = lo + (hi - lo) * i / 400
+            for value, oracle in ((fam.base_sf(y), law.sf(y)), (fam.base_cdf(y), law.cdf(y))):
+                if oracle > 1e-300:
+                    assert _relative_error(value, oracle) < 1e-12, (y, value, oracle)
+                else:
+                    assert value <= 1e-290
+
+    @pytest.mark.parametrize("fam,law,span", BASE_LAWS)
+    def test_tails_are_complementary(self, fam, law, span):
+        for y in (-3.0, -0.5, 0.0, 0.25, 1.0, 4.0):
+            assert fam.base_sf(y) + fam.base_cdf(y) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDerivative:
