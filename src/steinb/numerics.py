@@ -10,7 +10,12 @@ Improper integrals are reduced to finite ones by smooth changes of variable:
 The transformed integrand is then handled by a globally adaptive 15-point
 Gauss-Kronrod rule (worst-interval-first bisection).  Kronrod nodes are
 interior points, so integrable endpoint singularities are never sampled
-directly; they just cost extra bisections near the offending endpoint.
+directly; they cost extra bisections near the offending endpoint.  A
+non-integrable one would cost the whole subdivision budget, so for
+integrate_detecting_divergence a run that keeps bisecting at one endpoint
+integrates dyadic shells toward it instead and stops at once when they do
+not shrink (the idea of QUADPACK ``qags``'s endpoint handling, with Cauchy
+condensation deciding).
 """
 
 from __future__ import annotations
@@ -261,9 +266,47 @@ _ANCHOR_EVERY = 50
 # fsum's partial sums stay below the summed |f| mass and error, so beneath it
 # they cannot overflow and fsum's result does not depend on the cell order.
 _HUGE = 2.0**1000
+# The divergence probe: after this many consecutive splits of a cell touching
+# one endpoint, up to _PROBE_SHELLS dyadic shells toward that endpoint are
+# integrated, one GK15 cell each, and the last _PROBE_TAIL of them decide.
+_PROBE_AFTER = 30
+_PROBE_SHELLS = 40
+_PROBE_TAIL = 8
 
 
-def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> QuadResult:
+def _probe_endpoint(g: RealFn, end: float, direction: float, width: float) -> tuple[float | None, int]:
+    """Cauchy condensation toward ``end``: (+-inf or None, cells integrated).
+
+    The shells are end + direction * [w/2, w] for w = width, width/2, ...,
+    while end + direction * w/2 is distinct from end.  Shell integrals that
+    are finite, non-zero, of one sign and non-decreasing in magnitude (within
+    a few ulps) toward the endpoint mean the integral diverges there; any
+    other outcome, a raised NumericsError included, gives None.
+    """
+    shells: list[float] = []
+    w = width
+    try:
+        for _ in range(_PROBE_SHELLS):
+            near, far = end + direction * 0.5 * w, end + direction * w
+            if near == end:
+                break
+            shells.append(_gk15(g, min(near, far), max(near, far))[0])
+            w *= 0.5
+    except NumericsError:
+        return None, len(shells) + 1
+    tail = shells[-_PROBE_TAIL:]
+    last = tail[-1] if tail else 0.0
+    diverges = (
+        len(tail) == _PROBE_TAIL
+        and all(math.isfinite(s) and s != 0.0 and (s > 0.0) == (last > 0.0) for s in tail)
+        and all(abs(inner) >= abs(outer) * (1.0 - 4.0 * _EPS) for outer, inner in zip(tail, tail[1:]))
+    )
+    return (math.copysign(math.inf, last) if diverges else None), len(shells)
+
+
+def integrate(
+    f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
+) -> QuadResult:
     """Adaptively integrate f over iv to absolute tolerance tol.
 
     Globally adaptive: the cell with the largest error estimate is bisected
@@ -281,6 +324,13 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
     when the integrand cannot be evaluated at an interior point even after
     nudging.  Either carries as ``levels`` the partial (value, error) passed at
     a quarter and at half of the budget: what runs with those budgets end on.
+
+    ``_probe`` is integrate_detecting_divergence's: once a run has split a
+    cell touching the same endpoint _PROBE_AFTER times in a row, it probes
+    that endpoint with _probe_endpoint, and on a verdict returns a value of
+    +-inf with an infinite error estimate.  Any other probe outcome leaves
+    the run as it is without ``_probe``, except that ``evaluations`` then
+    counts the probe's cells too.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -324,7 +374,8 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
         for i in range(n_init):
             push(t_lo + i * width, t_lo + (i + 1) * width)
 
-        splits = anchored = 0
+        splits = anchored = streak = 0
+        streak_side, probed = 0.0, set()
         total_v, total_e, total_r = totals()
         # exact: the running totals are totals(); drift_e and drift_r bound
         # how far the error and mass totals may have drifted from it.
@@ -359,6 +410,17 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
             if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
                 frozen.append((v, e, r))  # the totals do not change
                 continue
+            if _probe:
+                # +1.0: the cell touches t_lo; -1.0: it touches t_hi.
+                side = 1.0 if a == t_lo else -1.0 if b == t_hi else 0.0
+                streak = streak + 1 if side == streak_side else 1
+                streak_side = side
+                if side and streak == _PROBE_AFTER and side not in probed:
+                    probed.add(side)
+                    verdict, cells = _probe_endpoint(g, t_lo if side > 0 else t_hi, side, b - a)
+                    seq += cells
+                    if verdict is not None:
+                        return QuadResult(value=verdict, abs_error_estimate=math.inf, evaluations=15 * seq)
             mid = 0.5 * (a + b)
             v1, e1, r1 = push(a, mid)
             v2, e2, r2 = push(mid, b)
@@ -381,14 +443,19 @@ def integrate(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:
     """Integrate f over iv, returning +-inf when the integral diverges.
 
-    The three refinement levels are one integrate() run's ``levels`` and the
-    result it ended on, which also fills levels the run did not reach.
-    Divergence is declared when across them the error estimate fails to
-    contract while the partial value grows monotonically in magnitude.
-    Anything else re-raises the run's own exception.
+    The run probes an endpoint it has bisected _PROBE_AFTER times in a row:
+    dyadic shells toward it that are finite, of one sign and non-decreasing
+    in magnitude end the run with their sign times inf at once (1,590
+    evaluations for 1/x on (0, 1), not a whole failing run).  Otherwise the run
+    goes on as integrate() would, and a failure is judged on three
+    refinement levels: the run's ``levels`` and the result it ended on,
+    which also fills levels the run did not reach.  Divergence is declared
+    when across them the error estimate fails to contract while the partial
+    value grows monotonically in magnitude.  Anything else re-raises the
+    run's own exception.
     """
     try:
-        return integrate(f, iv, tol).value
+        return integrate(f, iv, tol, _probe=True).value
     except NonConvergence as exc:
         failure, final = exc, (exc.value, exc.abs_error_estimate)
     except NonFinite as exc:

@@ -199,8 +199,11 @@ class TestScenarios:
             assert alone.identity_checks == full.identity_checks
 
     def test_checks_alone_skip_a_failing_bound_report(self):
-        # The bound report of this gamma location scenario does not converge;
-        # its identity checks do, and pass.
+        # Shape 1.754 < 2, so the Fisher information diverges, but at mu0 =
+        # 4.242 the integrand's x - mu0 keeps few digits near the endpoint
+        # and is exactly 0 below ulp(mu0): neither the divergence probe nor
+        # the levels rule sees the divergence, and the bound report ends as
+        # NonConvergence instead of inf.  The identity checks converge, and pass.
         scenario = Scenario("gamma1.75-loc", "gamma", "location", 4.242,
                             structural=(("shape", 1.754),))
         assert run_scenario(scenario).error.startswith("NonConvergence")
@@ -229,7 +232,7 @@ class TestScenarios:
         monkeypatch.setattr(numerics, "_gk15", counting)
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert cells[0] <= 9_714
+        assert cells[0] <= 3_700
 
     def test_wall_time_not_serialized(self):
         result = run_scenario(builtin_scenarios()[0])

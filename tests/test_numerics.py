@@ -412,6 +412,18 @@ def _outcome(detector, f, iv, tol):
         return ("raised", type(exc).__name__, str(exc))
 
 
+def _seen(run):
+    """What a caller sees of one integrate() run, apart from its evaluations,
+    and the evaluations (None when the outcome carries none)."""
+    try:
+        r = run()
+    except NumericsError as exc:
+        payload = dict(vars(exc))
+        evaluations = payload.pop("evaluations", None)
+        return repr(("raised", type(exc).__name__, str(exc), sorted(payload.items()))), evaluations
+    return repr(("value", r.value, r.abs_error_estimate)), r.evaluations
+
+
 class TestDivergenceDetection:
     @pytest.mark.parametrize(
         "f,iv,tol",
@@ -424,9 +436,14 @@ class TestDivergenceDetection:
             (lambda x: math.nan, Interval(0.0, 1.0), 1e-12),
             (lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12),
             (lambda x: math.inf if x < 1e-250 else 1.0 / x, Interval(0.0, 1.0), 1e-12),
+            # divergent at the t -> 1 end of the half-line transform
+            (lambda x: 1.0 / x, Interval.half_line(1.0), 1e-12),
+            (lambda x: -math.exp(-x) / x, Interval.half_line(0.0), 1e-12),
+            # convergent: Gamma(0.1), shell ratio 2^-0.1
+            (lambda y: y**-0.9 * math.exp(-y), Interval.half_line(0.0), 1e-12),
         ],
         ids=["log", "power", "sqrt-singularity", "inf", "minus-inf", "nan", "reciprocal",
-             "reciprocal-overflowing"],
+             "reciprocal-overflowing", "reciprocal-half-line", "negative-log", "power-0.9"],
     )
     def test_same_verdict_as_restarted_levels(self, f, iv, tol):
         assert _outcome(integrate_detecting_divergence, f, iv, tol) == _outcome(_ladder, f, iv, tol)
@@ -439,9 +456,72 @@ class TestDivergenceDetection:
             return 1.0 / x
 
         assert integrate_detecting_divergence(f, Interval(0.0, 1.0), 1e-12) == math.inf
-        # 8 initial cells plus two per split, 15 Kronrod nodes each; 1/x is
-        # finite at every interior node, so there are no nudge retries.
-        assert calls[0] <= 15 * (8 + 2 * config.QUAD.max_subdivisions)
+        # The cell at 0 is split from the first split on, so the probe fires
+        # on the 30th: 8 initial cells, two per earlier split and 40 shells,
+        # 15 Kronrod nodes each; 1/x is finite at every interior node, so
+        # there are no nudge retries.
+        assert calls[0] <= 15 * (8 + 2 * 29 + 40)
+
+    def test_verdict_carries_its_evaluations(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 1.0 / x
+
+        result = integrate(f, Interval(0.0, 1.0), 1e-12, _probe=True)
+        assert result.value == math.inf and result.abs_error_estimate == math.inf
+        assert result.evaluations == calls[0]
+
+    @pytest.mark.parametrize("shape,fisher", [(1.5, math.inf), (2.0, math.inf), (2.5, 2.0)])
+    def test_gamma_location_fisher_information(self, shape, fisher):
+        # oracle: the location Fisher information of Gamma(a) is 1/(a - 2)
+        # for a > 2 and diverges for a <= 2
+        fam = gamma(Location(0.0), shape=shape)
+        score = lambda x: (shape - 1.0) / x - 1.0
+        integrand = lambda x: score(x) ** 2 * fam.pdf(x)
+        got = integrate_detecting_divergence(integrand, fam.support, 1e-12)
+        assert got == pytest.approx(fisher, rel=1e-12)
+        assert _outcome(integrate_detecting_divergence, integrand, fam.support, 1e-12) == _outcome(
+            _ladder, integrand, fam.support, 1e-12
+        )
+
+    def test_shells_stop_where_they_meet_the_endpoint(self):
+        # 1 - w/2 rounds to 1 once w <= 2^-53, so from w = 2^-32 on only the
+        # shells w = 2^-32 ... 2^-52 are distinct from t = 1.
+        _, cells = numerics._probe_endpoint(lambda t: 1.0 / (1.0 - t), 1.0, -1.0, 2.0**-32)
+        assert cells == 21
+
+    @pytest.mark.parametrize(
+        "f,iv",
+        [
+            (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0)),
+            (lambda y: y**-0.9 * math.exp(-y), Interval.half_line(0.0)),
+            # shells below 1e-15 are 0
+            (lambda x: 1.0 / x if x > 1e-15 else 0.0, Interval(0.0, 1.0)),
+            # a shell below 1e-15 is not finite, and the run ends NonFinite
+            (lambda x: math.inf if x < 1e-15 else 1.0 / x, Interval(0.0, 1.0)),
+            # shells toward t = 1 lose their digits before they could decide
+            (lambda x: 1.0 / x, Interval.half_line(1.0)),
+        ],
+        ids=["ratio-0.71", "ratio-0.93", "zero-shell", "nonfinite-shell", "unresolved-shells"],
+    )
+    def test_declined_probe_leaves_the_run_as_it_was(self, monkeypatch, f, iv):
+        probes = []
+        probe = numerics._probe_endpoint
+
+        def recording(*args):
+            probes.append(probe(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(numerics, "_probe_endpoint", recording)
+        plain, plain_evaluations = _seen(lambda: integrate(f, iv, 1e-12))
+        assert probes == []
+        probed, probed_evaluations = _seen(lambda: integrate(f, iv, 1e-12, _probe=True))
+        assert len(probes) == 1 and probes[0][0] is None
+        assert probed == plain
+        if plain_evaluations is not None:
+            assert probed_evaluations == plain_evaluations + 15 * probes[0][1]
 
     def test_log_divergence(self):
         v = integrate_detecting_divergence(
