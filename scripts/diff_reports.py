@@ -18,8 +18,16 @@ outcome differs, and exits 1 on any difference.  When a differing stdout or
 ``--out`` file parses as JSON on both sides, it also prints up to five
 differing leaves as ``path: old -> new``, where old is OTHER_SRC's value.
 
+With ``--leaves FILE`` it also writes every difference to FILE, one JSON
+object ``{"call", "path", "old", "new"}`` per line: the exit code (path
+``rc``), each differing JSON leaf of a stdout or --out file that parses as
+JSON on both sides (path ``stdout.<leaf>`` or ``file.<leaf>``), and each
+differing line of any other stdout, stderr or --out file (path ``stdout:N``,
+``stderr:N`` or ``file:N``).  A call made by one tree only has path null.
+The comparison and the exit code do not depend on it.
+
 Usage:
-    python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3]
+    python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3] [--leaves FILE]
 
 OTHER_SRC is the ``src`` directory of the other tree, for example of an
 export of the parent commit (``git archive HEAD~1 | tar -x -C /tmp/parent``).
@@ -129,24 +137,58 @@ def _shown(value) -> str:
     return "(missing)" if value is _MISSING else json.dumps(value)
 
 
-def json_diff_lines(old: dict, new: dict) -> list[str]:
-    """Up to SHOWN_LEAVES differing leaves of the JSON stdout and --out file of one call."""
-    lines = []
-    for field, decode in (("stdout", lambda v: v), ("file", lambda v: v and bytes.fromhex(v).decode())):
+_DECODE = {"stdout": lambda v: v, "stderr": lambda v: v, "file": lambda v: v and bytes.fromhex(v).decode()}
+
+
+def json_leaves(old: dict, new: dict):
+    """Yield (path, old, new) for every differing JSON leaf of the stdout and
+    --out file of one call, where the field parses as JSON on both sides."""
+    for field in ("stdout", "file"):
         if old[field] == new[field]:
             continue
-        a, b = _parse_json(decode(old[field])), _parse_json(decode(new[field]))
+        a, b = _parse_json(_DECODE[field](old[field])), _parse_json(_DECODE[field](new[field]))
         if a is _MISSING or b is _MISSING:
             continue
-        for path, x, y in itertools.islice(leaf_diffs(a, b), SHOWN_LEAVES - len(lines)):
-            lines.append(f"    {field}{path}: {_shown(x)} -> {_shown(y)}")
-    return lines
+        for path, x, y in leaf_diffs(a, b):
+            yield f"{field}{path}", x, y
+
+
+def json_diff_lines(old: dict, new: dict) -> list[str]:
+    """Up to SHOWN_LEAVES differing leaves of the JSON stdout and --out file of one call."""
+    return [f"    {path}: {_shown(x)} -> {_shown(y)}"
+            for path, x, y in itertools.islice(json_leaves(old, new), SHOWN_LEAVES)]
+
+
+def all_leaves(old: dict, new: dict):
+    """Yield (path, old, new) for everything that differs in one call: the
+    exit code, the JSON leaves of ``json_leaves``, and the differing lines
+    (path ``field:N``, 1-based) of a stdout, stderr or --out file that is not
+    JSON on both sides."""
+    if old["rc"] != new["rc"]:
+        yield "rc", old["rc"], new["rc"]
+    yield from json_leaves(old, new)
+    for field in ("stdout", "stderr", "file"):
+        if old[field] == new[field]:
+            continue
+        a, b = _DECODE[field](old[field]), _DECODE[field](new[field])
+        if field != "stderr" and _parse_json(a) is not _MISSING and _parse_json(b) is not _MISSING:
+            continue  # compared leaf by leaf above
+        lines = itertools.zip_longest((a or "").splitlines(), (b or "").splitlines(), fillvalue=_MISSING)
+        for number, (x, y) in enumerate(lines, start=1):
+            if x != y:
+                yield f"{field}:{number}", x, y
+
+
+def _plain(value):
+    return "(missing)" if value is _MISSING else value
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", nargs="?", help="src directory of the other tree")
     parser.add_argument("--seeds", default="1,2,3", help="sweep-mixed seeds, comma separated")
+    parser.add_argument("--leaves", type=Path, default=None,
+                        help="write every differing leaf here, one JSON object per line")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -174,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
 
     this, other = outcomes["this"], outcomes["other"]
     differing = 0
+    leaves = []
     for key in sorted(set(this) | set(other)):
         a, b = this.get(key), other.get(key)
         if a == b:
@@ -181,10 +224,15 @@ def main(argv: list[str] | None = None) -> int:
         differing += 1
         if a is None or b is None:
             print(f"DIFF {key}: call missing")
+            leaves.append({"call": key, "path": None, "old": b is not None, "new": a is not None})
             continue
         print(f"DIFF {key}: {', '.join(f for f in a if a[f] != b[f])}")
         for line in json_diff_lines(b, a):
             print(line)
+        leaves += [{"call": key, "path": path, "old": _plain(x), "new": _plain(y)}
+                   for path, x, y in all_leaves(b, a)]
+    if args.leaves is not None:
+        args.leaves.write_text("".join(json.dumps(leaf, sort_keys=True) + "\n" for leaf in leaves))
     total = len(set(this) | set(other))
     print(f"{total - differing} of {total} calls identical")
     return 1 if differing else 0

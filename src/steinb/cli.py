@@ -20,8 +20,6 @@ tolerance; --tol overrides both.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import functools
 import io
 import json
@@ -90,6 +88,9 @@ def run_all(
     scenarios: Sequence[Scenario], runner: Callable[[Scenario], ScenarioResult], jobs: int
 ) -> list[ScenarioResult]:
     if jobs > 1:
+        # Imported here: concurrent.futures loads logging, which a serial run never needs.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(runner, scenarios))
     else:
@@ -109,6 +110,8 @@ CSV_COLUMNS = ("scenario", "lower", "variance", "upper", "flags", "comparators",
 
 
 def emit_csv(results: Sequence[ScenarioResult]) -> str:
+    import csv  # only this format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -293,9 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: a parse leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioFileError as exc:

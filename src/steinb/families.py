@@ -202,7 +202,13 @@ class ContinuousFamily(_Structural):
     log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
     structural: tuple[tuple[str, float], ...] = ()
 
+    # g(.; theta0), bound once: pdf runs once per integrand evaluation.
+    _density: RealFn = field(init=False, repr=False, compare=False)
+
     is_discrete: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_density", self.role.density(self.base_density, self.role.value))
 
     @property
     def support(self) -> Interval:
@@ -210,12 +216,12 @@ class ContinuousFamily(_Structural):
         return self.role.support(self.base_support)
 
     def pdf(self, x: float) -> float:
-        return self.role.density(self.base_density, x, self.role.value)
+        return self._density(x)
 
 
 def density_at(fam: ContinuousFamily, x: float, theta: float) -> float:
     """g(x; theta) under the family's parameter role; 0 outside the support."""
-    return fam.role.density(fam.base_density, x, theta)
+    return fam.role.density(fam.base_density, theta)(x)
 
 
 # --- factories ---

@@ -3,6 +3,9 @@ truth variances, and scenario orchestration.
 
 An identity check integrates T(f0) against the family's own law and passes
 when the expectation vanishes to tolerance (1e-8 continuous, 1e-9 discrete).
+A continuous family's suite is one vector quadrature on a shared mesh: the
+density, base coordinate and score are evaluated once per node for every
+test function (a single check is the same run with one test function).
 Falsification checks evaluate the same operator under a perturbed law of the
 same support and are expected to produce a clearly nonzero value: evidence
 for, not a proof of, the converse characterization.
@@ -18,12 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Sequence
 
 from . import config
 from .bounds import BoundReport, bound_report
 from .families import (
     FAMILIES,
+    ContinuousFamily,
     FamilyEntry,
     Family,
     TestFunction,
@@ -36,15 +40,15 @@ from .families import (
     polynomial,
     product,
 )
-from .numerics import NumericsError, TruncationUnsafe
+from .numerics import NumericsError, QuadResult, TruncationUnsafe
 from .operators import (
     BoundaryViolation,
-    SteinOperator,
     UnsupportedRole,
     hermite_test_function,
     make_operator,
     require_score,
 )
+from .vectorquad import integrate_vector
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
 DISCRETE_IDENTITY_TOL = 1e-9
@@ -86,27 +90,75 @@ class ScenarioResult:
 # --------------------------------------------------------------------------
 # Operator expectations.
 
+# f0 values at a base coordinate y: (f0(y) for each f0, f0'(y) for each f0),
+# or None where every one of them and its derivative vanishes.
+Bank = Callable[[float], Optional[tuple[Sequence[float], Sequence[float]]]]
 
-def operator_expectation(
-    op: SteinOperator,
-    *,
-    law: Family | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """E[T(f0)(X)] under ``law`` (default: the operator's own family), with
-    any Dirac atom folded in as coefficient * density(atom location).
 
-    Series run to a tolerance of at most 1e-13."""
-    target = law if law is not None else op.family
-    value = expectation(target, op, min(tol, 1e-13) if target.is_discrete else tol)
-    if op.atom is not None:
-        value += op.atom.coefficient * target.pdf(op.atom.location)
-    return value
+def _bank(f0s: Sequence[TestFunction]) -> Bank:
+    """The bank of arbitrary test functions: each evaluated on its own."""
+    pairs = [(f0.h, f0.h_prime) for f0 in f0s]
+    return lambda y: ([h(y) for h, _ in pairs], [hp(y) for _, hp in pairs])
+
+
+def operator_integrals(
+    fam: ContinuousFamily, law: ContinuousFamily, bank: Bank, n: int, tol: float = 1e-12
+) -> list[QuadResult]:
+    """The integrals of T(f0) g_law for the n test functions of ``bank``, with
+    T the continuous family's operator, in one vector quadrature: the law's
+    density, y, dy/dtheta and the score are evaluated once per node for all
+    n.  Any Dirac atom is not included."""
+    terms = fam.role.stein_terms(fam)
+    pdf = law.pdf
+    zeros = [0.0] * n
+
+    def integrand(x: float) -> Sequence[float]:
+        w = pdf(x)
+        if w == 0.0:
+            return zeros
+        t = terms(x)
+        if t is None:
+            return zeros
+        y, dy, phi = t
+        values = bank(y)
+        if values is None:
+            return zeros
+        return [(hp * dy + h * phi) * w for h, hp in zip(*values)]
+
+    return integrate_vector(integrand, n, law.support, tol)
+
+
+def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family, bank: Bank | None) -> list[float]:
+    """E[T(f0)(X)] under ``law`` for each f0, with any Dirac atom folded in as
+    coefficient * density(atom location).  Continuous: one operator_integrals
+    run (``bank`` evaluates the f0s, by default one by one).  Discrete: one
+    series per f0, to a tolerance of 1e-13."""
+    if fam.is_discrete:
+        return [expectation(law, make_operator(fam, f0), 1e-13) for f0 in f0s]
+    results = operator_integrals(fam, law, bank if bank is not None else _bank(f0s), len(f0s))
+    values = [r.value for r in results]
+    for j, f0 in enumerate(f0s):
+        atom = fam.role.atom(fam, f0)
+        if atom is not None:
+            values[j] += atom.coefficient * law.pdf(atom.location)
+    return values
+
+
+def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: float | None,
+            bank: Bank | None = None) -> list[IdentityCheck]:
+    label = fam.name if law is None else f"{fam.name}|under:{law.name}"
+    default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
+    values = _expectations(fam, f0s, fam if law is None else law, bank)
+    return [
+        IdentityCheck(family=label, role=fam.role.kind, test_function=f0.name,
+                      expectation_value=value, tolerance=tol if tol is not None else default)
+        for f0, value in zip(f0s, values)
+    ]
 
 
 def check_identity(fam: Family, f0: TestFunction, *, tol: float | None = None) -> IdentityCheck:
     """E[T(f0)(X)] = 0 under the family's own law, to the stated tolerance."""
-    return _identity_check(fam, f0, fam, fam.name, tol)
+    return _checks(fam, [f0], None, tol)[0]
 
 
 def falsify_identity(
@@ -118,19 +170,7 @@ def falsify_identity(
 ) -> IdentityCheck:
     """Evaluate the family's operator under a different law of the same
     support; a nonzero expectation is falsification evidence."""
-    return _identity_check(fam, f0, wrong_law, f"{fam.name}|under:{wrong_law.name}", tol)
-
-
-def _identity_check(fam: Family, f0: TestFunction, law: Family, label: str,
-                    tol: float | None) -> IdentityCheck:
-    default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
-    return IdentityCheck(
-        family=label,
-        role=fam.role.kind,
-        test_function=f0.name,
-        expectation_value=operator_expectation(make_operator(fam, f0), law=law),
-        tolerance=tol if tol is not None else default,
-    )
+    return _checks(fam, [f0], wrong_law, tol)[0]
 
 
 def _entry(fam: Family) -> FamilyEntry:
@@ -153,6 +193,38 @@ IDENTITY_EXTRAS: dict[tuple[str, str], tuple[TestFunction, ...]] = {
     ("gaussian", "location"): tuple(hermite_test_function(n) for n in (1, 2, 3)),
 }
 
+DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
+
+
+def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank]:
+    """The builtin test functions, and a bank that evaluates them together:
+    the bump once per point, x^k and k x^(k-1) by recurrence."""
+    window = bump(bulk_radius(fam) + 2.0)
+    extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
+    f0s = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(DEGREE + 1)]
+    f0s.extend(product(f0, window) for f0 in extras)
+    b_h, b_hp = window.h, window.h_prime
+    extra_pairs = [(e.h, e.h_prime) for e in extras]
+
+    def bank(y: float) -> tuple[list[float], list[float]] | None:
+        b = b_h(y)
+        if b == 0.0:
+            return None  # the bump's derivative vanishes with it
+        bp = b_hp(y)
+        hs, hps = [], []
+        power, slope = 1.0, 0.0  # y^k and k y^(k-1)
+        for k in range(1, DEGREE + 2):
+            hs.append(power * b)
+            hps.append(slope * b + power * bp)
+            power, slope = power * y, k * power
+        for e_h, e_hp in extra_pairs:
+            e = e_h(y)
+            hs.append(e * b)
+            hps.append(e_hp(y) * b + e * bp)
+        return hs, hps
+
+    return f0s, bank
+
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:
     """Polynomials x^k (k <= 4) times a smooth bump covering the family's
@@ -162,15 +234,15 @@ def builtin_test_functions(fam: Family) -> list[TestFunction]:
     skew image), so the bump is centered at the base origin and sized from
     the family's bulk radius.
     """
-    radius = bulk_radius(fam)
-    window = bump(radius + 2.0)
-    out = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(5)]
-    out.extend(product(f0, window) for f0 in IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ()))
-    return out
+    return _builtin_suite(fam)[0]
 
 
-def identity_suite(fam: Family, *, tol: float | None = None) -> list[IdentityCheck]:
-    return [check_identity(fam, f0, tol=tol) for f0 in builtin_test_functions(fam)]
+def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None = None) -> list[IdentityCheck]:
+    """The identity checks of every builtin test function, under the family's
+    own law or, for falsification evidence, under ``law``.  A continuous
+    family's checks come from one vector quadrature."""
+    f0s, bank = _builtin_suite(fam)
+    return _checks(fam, f0s, law, tol, bank)
 
 
 # --------------------------------------------------------------------------
@@ -301,13 +373,7 @@ def _contained(
         fam = scenario.build_family()
         h = scenario.build_test_function()
         wrong_law = scenario.build_law()
-        if wrong_law is None:
-            checks = tuple(identity_suite(fam, tol=scenario.identity_tol))
-        else:
-            checks = tuple(
-                falsify_identity(fam, f0, wrong_law, tol=scenario.identity_tol)
-                for f0 in builtin_test_functions(fam)
-            )
+        checks = tuple(identity_suite(fam, tol=scenario.identity_tol, law=wrong_law))
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
             report=report(fam, h),

@@ -24,7 +24,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import config
 
@@ -102,6 +102,7 @@ class QuadResult:
     value: float
     abs_error_estimate: float
     evaluations: int
+    mass: float = math.inf   # integral of |f| (summed resabs), which floors the reachable tolerance
 
     def __post_init__(self) -> None:
         if self.abs_error_estimate < 0:
@@ -170,13 +171,17 @@ def _eval_raw(f: RealFn, x: float) -> float:
         return math.nan
 
 
+def _nudge(x: float, lo: float, hi: float) -> float:
+    """Where to retry a node of [lo, hi] at which the integrand was not finite:
+    slightly toward the cell midpoint."""
+    step = 1e-9 * (hi - lo)
+    return x + (step if x < 0.5 * (lo + hi) else -step)
+
+
 def _nudged(f: RealFn, x: float, lo: float, hi: float) -> float:
     """Singularity-avoidance nudge for a node where f was not finite: retry
-    slightly toward the cell midpoint, or raise NonFinite."""
-    mid = 0.5 * (lo + hi)
-    step = 1e-9 * (hi - lo)
-    x2 = x + (step if x < mid else -step)
-    value2 = _eval_raw(f, x2)
+    at _nudge(x), or raise NonFinite."""
+    value2 = _eval_raw(f, _nudge(x, lo, hi))
     if math.isfinite(value2):
         return value2
     raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2)
@@ -203,6 +208,12 @@ def _gk15(f: RealFn, lo: float, hi: float) -> tuple[float, float, float]:
         except ValueError:
             y = math.nan
         fv.append(y if math.isfinite(y) else _nudged(f, x, lo, hi))
+    return _rule(fv, half)
+
+
+def _rule(fv: Sequence[float], half: float) -> tuple[float, float, float]:
+    """The dqk15 arithmetic on the values at _NODES of a cell of half-width
+    half: (kronrod value, error estimate, integral of |f|)."""
     # p_i, m_i: f at center + half * _XGK[i] and center - half * _XGK[i].
     # Each sum runs left to right, in the order of dqk15's loops.
     fc, p0, p1, p2, p3, p4, p5, p6, m0, m1, m2, m3, m4, m5, m6 = fv
@@ -304,6 +315,13 @@ def _probe_endpoint(g: RealFn, end: float, direction: float, width: float) -> tu
     return (math.copysign(math.inf, last) if diverges else None), len(shells)
 
 
+def _target(tol: float, mass: float) -> float:
+    # Accumulated |f| mass bounds what double precision can resolve; an
+    # absolute tol below that floor counts as met once the estimate reaches
+    # the floor (the estimate stays honest either way).
+    return max(tol, 100.0 * _EPS * mass)
+
+
 def integrate(
     f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
 ) -> QuadResult:
@@ -356,12 +374,6 @@ def integrate(
         total_r = math.fsum([c[6] for c in heap] + [r for _, _, r in frozen])
         return total_v, total_e, total_r
 
-    def target(total_r: float) -> float:
-        # Accumulated |f| mass bounds what double precision can resolve; an
-        # absolute tol below that floor counts as met once the estimate
-        # reaches the floor (the estimate stays honest either way).
-        return max(tol, 100.0 * _EPS * total_r)
-
     def level_due() -> bool:
         # Reached the state a run with a quarter, then half, of this budget stops in.
         return len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4
@@ -385,12 +397,12 @@ def integrate(
             # reports nothing and whose go-on decision no drift could change.
             usable = exact or not (
                 level_due() or splits >= budget or not heap or splits - anchored >= _ANCHOR_EVERY
-                or not total_e - drift_e > target(total_r + drift_r)
+                or not total_e - drift_e > _target(tol, total_r + drift_r)
             )
             if not usable or not (abs(total_v) < _HUGE and total_e < _HUGE and total_r < _HUGE):
                 total_v, total_e, total_r = totals()
                 exact, drift_e, drift_r, anchored = True, 0.0, 0.0, splits
-            if not total_e > target(total_r):
+            if not total_e > _target(tol, total_r):
                 break
             while level_due():
                 levels.append((total_v, total_e))
@@ -437,7 +449,7 @@ def integrate(
         exc.levels = tuple(levels)
         raise
 
-    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=15 * seq)
+    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=15 * seq, mass=total_r)
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:

@@ -1,17 +1,17 @@
 """Parametric Stein operators, score profiles, and exchanging pairs.
 
 Every operator here is the quotient  d/dtheta (f(x;theta) g(x;theta)) / g(x;theta0)
-specialized to a parameter role.  Each role (``roles.py``) registers its
-closed form:
+specialized to a parameter role (``roles.py``).  The continuous roles share
+one closed form, with y the base coordinate and phi the score:
 
-    location   T(x) = -f0'(y) - f0(y) L(y),            y = x - mu0
-    scale      T(x) = f0(y)/sigma0 + x f0'(y) + x f0(y) L(y),   y = sigma0 x
-    SAS skew   T(x) = C f0'(S) + (S/C + C L(S)) f0(S)
+    continuous T(x) = f0'(y) dy/dtheta + f0(y) phi(x)
+               dy/dtheta = -1 (location, y = x - mu0), x (scale, y = sigma0 x),
+               C (SAS skew, y = S; (S, C) the sinh-arcsinh pair)
     discrete   T(x) = D+ ( f0(x) d/dtheta[g(x;theta)/g(0;theta)] ) / g(x;theta0)
 
-with L = g0'/g0 and D+ the forward difference.  A generic evaluation of the
-quotient by central differencing in theta is provided alongside, so every
-closed form can be cross-checked against the defining formula.
+with D+ the forward difference.  A generic evaluation of the quotient by
+central differencing in theta is provided alongside, so every closed form
+can be cross-checked against the defining formula.
 
 Where the density is positive at a support edge that moves with the parameter
 (``positive_at_moving_edge``: exponential location), the operator carries a

@@ -17,14 +17,22 @@ Discrete families register g(x;theta) on {0, ..., N} and the derivative of
 g(x;theta)/g(0;theta) in theta; their operator is the forward-difference
 analogue.
 
+Every continuous operator has one form (the paper's general mechanism):
+
+    T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x),    y = y(x; theta0),
+
+with phi = d/dtheta log g the score; ``_ContinuousRole.operator`` is it, with
+the Dirac atom of a moving support edge where g > 0 (exponential location).
+
 Each role class is the single home of its math: kind and parameter value,
-bulk centre, support map and density, the base coordinate map y(x; theta)
-(increasing in x for every continuous role, so tails in x are base tails),
-whether g is positive at a support edge that moves with theta, the
-closed-form operator (with a Dirac atom at such an edge), the score
-phi = d/dtheta log g and its derivative, f-tilde, and the generic quotient
-by central differencing in theta, against which every closed form is
-checked.  Adding a role is one class here, in ROLE_KINDS.
+bulk centre, support map and density g(.; theta), the base coordinate map
+y(x; theta) (increasing in x for every continuous role, so tails in x are
+base tails) and its theta-derivative dy/dtheta (-1, x and C), whether g is
+positive at a support edge that moves with theta, the score and its
+derivative, f-tilde, and the generic quotient by central differencing in
+theta, against which every operator is checked.  Adding a continuous role
+is one class here, in ROLE_KINDS, with ``to_base``, ``dy_dtheta``, ``score``
+and ``density``.
 """
 
 from __future__ import annotations
@@ -69,18 +77,63 @@ class _Role:
 
 
 class _ContinuousRole(_Role):
-    """What the continuous roles share: the generic quotient and L, L'."""
+    """What the continuous roles share: the operator, the generic quotient and L, L'."""
 
     center: ClassVar[float] = 0.0   # where the family's bulk sits
+
+    def stein_terms(self, fam: Any) -> Callable[[float], Optional[tuple[float, float, float]]]:
+        """x -> (y, dy/dtheta, phi(x)) at theta0, or None off the support: what
+        T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x) needs besides f0."""
+        phi = self.score(fam)[0]
+        theta0, to_base, dy_dtheta = self.value, self.to_base, self.dy_dtheta
+        lo, hi = fam.base_support.lo, fam.base_support.hi
+
+        def terms(x: float) -> Optional[tuple[float, float, float]]:
+            y = to_base(x, theta0)
+            if y < lo or y > hi:
+                return None
+            dy = dy_dtheta(x)
+            if dy == 0.0:
+                # Only at x = 0 under scale, where phi = 1/sigma0 + x L(sigma0 x):
+                # the term linear in x vanishes, and L is not evaluated at a
+                # closed support edge where it may blow up.
+                return y, dy, 1.0 / theta0
+            return y, dy, phi(x)
+
+        return terms
+
+    def operator(self, fam: Any, f0: Any) -> ClosedForm:
+        """T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x), 0 off the support, with
+        the Dirac atom of ``atom``."""
+        terms = self.stein_terms(fam)
+        h, h_prime = f0.h, f0.h_prime
+
+        def op(x: float) -> float:
+            t = terms(x)
+            if t is None:
+                return 0.0
+            y, dy, phi = t
+            return h_prime(y) * dy + h(y) * phi
+
+        return op, self.atom(fam, f0)
+
+    def atom(self, fam: Any, f0: Any) -> Optional[Atom]:
+        """The Dirac term f0(y) dy/dtheta at a support edge that moves with
+        theta while g is positive there (exponential location, where dy/dx = 1
+        so the edge moves at -dy/dtheta); None elsewhere."""
+        if not self.positive_at_moving_edge(fam):
+            return None
+        edge = self.support(fam.base_support).lo
+        return Atom(location=edge, coefficient=f0.h(fam.base_support.lo) * self.dy_dtheta(edge))
 
     def quotient(self, fam: Any, f0: Any, x: float, step: float) -> float:
         """d/dtheta (f g)/g at theta0 by central differencing."""
         g0, theta0 = fam.base_density, self.value
 
         def fg(theta: float) -> float:
-            return f0.h(self.to_base(x, theta)) * self.density(g0, x, theta)
+            return f0.h(self.to_base(x, theta)) * self.density(g0, theta)(x)
 
-        g0x = self.density(g0, x, theta0)
+        g0x = self.density(g0, theta0)(x)
         return (fg(theta0 + step) - fg(theta0 - step)) / (2.0 * step * g0x)
 
     @staticmethod
@@ -109,33 +162,18 @@ class Location(_ContinuousRole):
     def support(self, base: Interval) -> Interval:
         return Interval(base.lo + self.mu0, base.hi + self.mu0)
 
-    def density(self, g0: RealFn, x: float, theta: float) -> float:
-        return g0(x - theta)
+    def density(self, g0: RealFn, theta: float) -> RealFn:
+        return lambda x: g0(x - theta)
 
     def to_base(self, x: float, theta: float) -> float:
         return x - theta
 
+    def dy_dtheta(self, x: float) -> float:
+        return -1.0
+
     def positive_at_moving_edge(self, fam: Any) -> bool:
         lo = fam.base_support.lo
         return math.isfinite(lo) and fam.base_density(lo) > 0
-
-    def operator(self, fam: Any, f0: Any) -> ClosedForm:
-        """-(f0 g0)'(x - mu0) / g0(x - mu0), plus a Dirac atom when the density
-        is positive at the finite left support edge (exponential case)."""
-        mu0 = self.mu0
-        L = fam.log_density_derivative
-        lo = fam.base_support.lo
-
-        def op(x: float) -> float:
-            y = x - mu0
-            if y < lo or y > fam.base_support.hi:
-                return 0.0
-            return -f0.h_prime(y) - f0.h(y) * L(y)
-
-        atom = None
-        if self.positive_at_moving_edge(fam):
-            atom = Atom(location=mu0 + lo, coefficient=-f0.h(lo))
-        return op, atom
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         L, Lp = self._log_derivatives(fam)
@@ -166,30 +204,16 @@ class Scale(_ContinuousRole):
         return Interval(lo / s if math.isfinite(lo) else lo,
                         hi / s if math.isfinite(hi) else hi)
 
-    def density(self, g0: RealFn, x: float, theta: float) -> float:
+    def density(self, g0: RealFn, theta: float) -> RealFn:
         if not theta > 0:
             raise InvalidParameter(f"scale parameter must be > 0, got {theta}")
-        return theta * g0(theta * x)
+        return lambda x: theta * g0(theta * x)
 
     def to_base(self, x: float, theta: float) -> float:
         return theta * x
 
-    def operator(self, fam: Any, f0: Any) -> ClosedForm:
-        """d/dy (y f0(sigma0 y) g0(sigma0 y)) / (sigma0 g0(sigma0 x)) in closed form."""
-        sigma0 = self.sigma0
-        L = fam.log_density_derivative
-        lo, hi = fam.base_support.lo, fam.base_support.hi
-
-        def op(x: float) -> float:
-            y = sigma0 * x
-            if y < lo or y > hi:
-                return 0.0
-            base = f0.h(y) / sigma0
-            if x == 0.0:  # the linear-in-x terms vanish; skips L at a closed edge where it may blow up
-                return base
-            return base + x * f0.h_prime(y) + x * f0.h(y) * L(y)
-
-        return op, None
+    def dy_dtheta(self, x: float) -> float:
+        return x
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         L, Lp = self._log_derivatives(fam)
@@ -217,23 +241,18 @@ class SkewSAS(_ContinuousRole):
     def support(self, base: Interval) -> Interval:
         return base  # SAS skewing keeps the real line
 
-    def density(self, g0: RealFn, x: float, theta: float) -> float:
-        s, c = sas_transform(x, theta)
-        return c / math.sqrt(1.0 + x * x) * g0(s)
+    def density(self, g0: RealFn, theta: float) -> RealFn:
+        def g(x: float) -> float:
+            s, c = sas_transform(x, theta)
+            return c / math.sqrt(1.0 + x * x) * g0(s)
+
+        return g
 
     def to_base(self, x: float, theta: float) -> float:
         return sas_transform(x, theta)[0]
 
-    def operator(self, fam: Any, f0: Any) -> ClosedForm:
-        """C f0'(S) + (S/C + C L(S)) f0(S) with (S, C) the sinh-arcsinh pair at delta0."""
-        d0 = self.delta0
-        L = fam.log_density_derivative
-
-        def op(x: float) -> float:
-            s, c = sas_transform(x, d0)
-            return c * f0.h_prime(s) + (s / c + c * L(s)) * f0.h(s)
-
-        return op, None
+    def dy_dtheta(self, x: float) -> float:
+        return sas_transform(x, self.delta0)[1]
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         L, Lp = self._log_derivatives(fam)

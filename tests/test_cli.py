@@ -231,3 +231,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "identity-suite" in proc.stdout
+
+    def test_parser_is_built_on_first_use_only(self):
+        # Built lazily, so a fresh interpreter holds no warm cache; then reused.
+        code = (
+            "import steinb.cli as cli\n"
+            "before = cli._parser.cache_info().currsize\n"
+            "cli.main(['paper-table', '--list']); cli.main(['paper-table', '--list'])\n"
+            "print(before, cli._parser.cache_info().currsize, cli._parser.cache_info().hits)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["bounds", "--format", "xml"], []])
+    def test_reused_parser_answers_alike(self, capsys, argv):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            seen.append((info.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]

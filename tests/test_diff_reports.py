@@ -1,0 +1,38 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "diff_reports.py"
+_spec = importlib.util.spec_from_file_location("diff_reports", SCRIPT)
+diff_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_reports)
+
+
+def _outcome(rc=0, stdout="", stderr="", file=None):
+    return {"rc": rc, "stdout": stdout, "stderr": stderr,
+            "file": None if file is None else json.dumps(file).encode().hex()}
+
+
+def test_every_difference_is_a_leaf():
+    old = _outcome(0, "a 1.0 True\nb 2.0 True\n", "", [{"identity_checks": [{"value": 1e-17, "pass": True}]}])
+    new = _outcome(1, "a 1.0 True\nb 3.0 True\nc\n", "warn\n",
+                   [{"identity_checks": [{"value": 2e-17, "pass": True}], "extra": 1}])
+    assert list(diff_reports.all_leaves(old, new)) == [
+        ("rc", 0, 1),
+        ("file[0].identity_checks[0].value", 1e-17, 2e-17),
+        ("file[0].extra", diff_reports._MISSING, 1),
+        ("stdout:2", "b 2.0 True", "b 3.0 True"),
+        ("stdout:3", diff_reports._MISSING, "c"),
+        ("stderr:1", diff_reports._MISSING, "warn"),
+    ]
+
+
+def test_json_stdout_is_compared_leaf_by_leaf():
+    old, new = _outcome(stdout='{"x": [1, 2]}'), _outcome(stdout='{"x": [1, 5]}')
+    assert list(diff_reports.all_leaves(old, new)) == [("stdout.x[1]", 2, 5)]
+    assert diff_reports.json_diff_lines(old, new) == ["    stdout.x[1]: 2 -> 5"]
+
+
+def test_identical_calls_have_no_leaves():
+    same = _outcome(0, "x\n", "", {"a": 1})
+    assert list(diff_reports.all_leaves(same, dict(same))) == []

@@ -116,6 +116,14 @@ class TestDensityExamples:
         with pytest.raises(InvalidParameter):
             density_at(fam, 1.0, -2.0)
 
+    @pytest.mark.parametrize("fam", [gaussian(Location(-0.4), sigma=1.3), gaussian(Scale(0.7)),
+                                     sas_gaussian(0.6), exponential(Scale(2.0)),
+                                     gamma(Location(1.5), shape=2.5), quartic(0.3)],
+                             ids=lambda f: f"{f.name}-{f.role}")
+    def test_bound_density_is_the_role_density_at_theta0(self, fam):
+        for x in [i / 7.0 - 4 for i in range(57)]:
+            assert fam.pdf(x) == density_at(fam, x, fam.role.value)
+
 
 class TestSasTransform:
     @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steinb import numerics
+from steinb import numerics, vectorquad
+from steinb.cli import load_scenarios
 from steinb.families import (
     Location,
     ONE,
@@ -25,17 +28,22 @@ from steinb.families import (
 from steinb.harness import (
     DivergentMoment,
     Scenario,
+    _bank,
+    _builtin_suite,
     builtin_scenarios,
     builtin_test_functions,
     check_identity,
     falsify_identity,
     ground_truth_variance,
     identity_suite,
+    operator_integrals,
     perturbed_law,
     result_to_dict,
     run_checks,
     run_scenario,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 ALL_FAMILIES = [
     gaussian(Location(0.0)),
@@ -75,6 +83,88 @@ class TestCheckIdentity:
         # because the expectation routine adds it back
         check = check_identity(exponential(Location(0.0)), ONE)
         assert abs(check.expectation_value) < 1e-10
+
+
+@pytest.fixture
+def count_cells(monkeypatch):
+    """Count the GK15 cells of both quadrature kernels from here on (the bulk
+    radius cache cleared, so every count starts cold); call it for the count."""
+    bulk_radius.cache_clear()
+    cells = [0]
+    scalar, vector = numerics._gk15, vectorquad._gk15_vector
+
+    def counting_scalar(f, lo, hi):
+        cells[0] += 1
+        return scalar(f, lo, hi)
+
+    def counting_vector(f, n, lo, hi):
+        cells[0] += 1
+        return vector(f, n, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gk15", counting_scalar)
+    monkeypatch.setattr(vectorquad, "_gk15_vector", counting_vector)
+    return lambda: cells[0]
+
+
+def _parity_scenarios():
+    sweep = importlib.util.spec_from_file_location("perfbench_sweep", REPO / "perfbench" / "sweep.py")
+    module = importlib.util.module_from_spec(sweep)
+    sweep.loader.exec_module(module)
+    scenarios = builtin_scenarios() + load_scenarios(REPO / "scripts" / "scenarios_demo.jsonl")
+    for seed in (1, 2, 3):
+        scenarios += [Scenario.from_dict(item["scenario"]) for item in module.generate(seed)]
+    return scenarios
+
+
+def _target(result):
+    return max(1e-12, 100 * 2.0**-52 * result.mass)
+
+
+def test_suite_matches_one_run_per_test_function():
+    # The shared mesh and one run per f0 approximate the same integrals: they
+    # agree within the sum of both runs' targets max(tol, 100 eps mass), and
+    # no check passes on one path and fails on the other.  Where they do not
+    # agree, the one-f0 run missed its own target: under the family's own
+    # law the exact value is 0, and the shared mesh must be within its target
+    # of it.
+    compared, single_run_misses = 0, []
+    for scenario in _parity_scenarios():
+        fam = scenario.build_family()
+        if fam.is_discrete:
+            continue  # one series per f0 on both paths
+        law = scenario.build_law() or fam
+        f0s, bank = _builtin_suite(fam)
+        atoms = [fam.role.atom(fam, f0) for f0 in f0s]
+        atom_mass = [0.0 if a is None else a.coefficient * law.pdf(a.location) for a in atoms]
+        checks = identity_suite(fam, tol=scenario.identity_tol, law=scenario.build_law())
+        suite = operator_integrals(fam, law, bank, len(f0s))
+        assert [c.expectation_value for c in checks] == [r.value + m for r, m in zip(suite, atom_mass)]
+        for f0, check, shared, extra in zip(f0s, checks, suite, atom_mass):
+            alone = operator_integrals(fam, law, _bank([f0]), 1)[0]
+            assert check.passed == (abs(alone.value + extra) <= check.tolerance), (scenario.scenario_id, f0.name)
+            compared += 1
+            if abs(shared.value - alone.value) <= _target(shared) + _target(alone):
+                continue
+            assert scenario.law_value is None, (scenario.scenario_id, f0.name)
+            assert abs(alone.value + extra) > _target(alone) and abs(shared.value + extra) <= _target(shared)
+            single_run_misses.append((scenario.scenario_id, f0.name))
+    assert compared > 1_700
+    # Both seen: gaussian scale, where one f0's own mesh ends 3.5e-11 and
+    # 6.7e-12 from 0 with error estimates of 9.7e-13 and 5.4e-13.
+    assert len(single_run_misses) <= 2, single_run_misses
+
+
+def test_single_checks_are_one_component_runs():
+    # check_identity and falsify_identity take the suite's path with n = 1.
+    for fam in ALL_FAMILIES:
+        if fam.is_discrete:
+            continue
+        law = perturbed_law(fam) if fam.role.atom(fam, ONE) is None else fam
+        for f0 in builtin_test_functions(fam)[:2] + [linear()]:
+            atom = fam.role.atom(fam, f0)
+            for check, under in ((check_identity(fam, f0), fam), (falsify_identity(fam, f0, law), law)):
+                extra = 0.0 if atom is None else atom.coefficient * under.pdf(atom.location)
+                assert check.expectation_value == operator_integrals(fam, under, _bank([f0]), 1)[0].value + extra
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.name}-{f.role}")
@@ -217,22 +307,21 @@ class TestScenarios:
         assert result.identity_checks == ()
         assert result.error == run_scenario(Scenario("exp-loc", "exponential", "location", 0.0)).error
 
-    def test_builtin_matrix_gk15_cells(self, monkeypatch):
-        # An upper bound on the quadrature work of the builtin matrix: the
-        # count when it was pinned.  Lower it when refinement gets cheaper;
-        # never raise it silently.
-        bulk_radius.cache_clear()
-        cells = [0]
-        kernel = numerics._gk15
+    # Upper bounds on quadrature work, in GK15 cells of either kernel: the
+    # counts when they were pinned.  Lower them when refinement gets
+    # cheaper; never raise them silently.
 
-        def counting(f, lo, hi):
-            cells[0] += 1
-            return kernel(f, lo, hi)
-
-        monkeypatch.setattr(numerics, "_gk15", counting)
+    def test_builtin_matrix_gk15_cells(self, count_cells):
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert cells[0] <= 3_700
+        assert count_cells() <= 2_698
+
+    def test_builtin_identity_suite_gk15_cells(self, count_cells):
+        # One shared mesh per suite; at one run per test function these
+        # suites took 1,434 cells.
+        for scenario in builtin_scenarios():
+            run_checks(scenario)
+        assert count_cells() <= 432
 
     def test_wall_time_not_serialized(self):
         result = run_scenario(builtin_scenarios()[0])

@@ -25,6 +25,7 @@ from steinb.numerics import (
     scan_grid,
     sum_series,
 )
+from steinb.vectorquad import integrate_vector
 
 SQRT_PI = 1.7724538509055159  # oracle: math.sqrt(math.pi)
 
@@ -365,6 +366,81 @@ class TestRunningTotals:
         assert result.value == math.fsum(v for v, _, _ in leaves)
         assert result.abs_error_estimate == math.fsum(e for _, e, _ in leaves)
         assert result.evaluations == 15 * len(cells)
+
+
+def _without_levels(quad, f, iv, tol):
+    """_quad_outcome, less the ``levels`` that only integrate() records."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    try:
+        r = quad(counted, iv, tol)
+        seen = ("value", r.value, r.abs_error_estimate, r.evaluations)
+    except Exception as exc:
+        seen = ("raised", type(exc).__name__, str(exc),
+                sorted((k, v) for k, v in vars(exc).items() if k != "levels"))
+    return repr((seen, calls[0]))
+
+
+def _one_component(f, iv, tol):
+    return integrate_vector(lambda x: [f(x)], 1, iv, tol)[0]
+
+
+class TestVectorKernel:
+    @pytest.mark.parametrize("f,iv,tol,budget", REFERENCE_CASES, ids=REFERENCE_IDS)
+    def test_one_component_runs_as_integrate(self, monkeypatch, f, iv, tol, budget):
+        # Same transforms, rule, heap order, stops, budget and exceptions.
+        if budget is not None:
+            _set_budget(monkeypatch, budget)
+        assert _without_levels(_one_component, f, iv, tol) == _without_levels(integrate, f, iv, tol)
+
+    @pytest.mark.parametrize("iv", [Interval.real_line(), Interval.half_line(0.5),
+                                    Interval(-math.inf, 2.0), Interval(0.0, 1.0)],
+                             ids=["real-line", "right-half", "left-half", "bounded"])
+    def test_components_match_separate_runs(self, iv):
+        fs = [
+            lambda x: math.exp(-x * x),
+            lambda x: x**4 * math.exp(-x * x),
+            lambda x: math.sin(50 * x) * math.exp(-abs(x)),
+            lambda x: math.exp(-abs(x)) / (1.0 + x * x),
+        ]
+        shared = integrate_vector(lambda x: [f(x) for f in fs], len(fs), iv)
+        alone = [integrate(f, iv) for f in fs]
+        assert {r.evaluations for r in shared} == {shared[0].evaluations}
+        assert shared[0].evaluations <= sum(r.evaluations for r in alone)
+        for a, b in zip(shared, alone):
+            targets = sum(max(1e-12, 100 * numerics._EPS * r.mass) for r in (a, b))
+            assert a.abs_error_estimate <= max(1e-12, 100 * numerics._EPS * a.mass)
+            assert abs(a.value - b.value) <= targets
+
+    def test_finite_components_keep_their_node_values(self):
+        # The center node of the initial cell [0, 0.25] of [-1, 1] is 0.125.
+        plain = integrate_vector(lambda x: [x * x, 1.0], 2, Interval(-1.0, 1.0))
+        nudged = integrate_vector(lambda x: [x * x, math.inf if x == 0.125 else 1.0], 2, Interval(-1.0, 1.0))
+        assert nudged[0] == plain[0]
+        assert nudged[1].value == pytest.approx(2.0, abs=1e-14)
+
+    def test_a_component_that_stays_non_finite_raises(self):
+        with pytest.raises(NonFinite) as info:
+            integrate_vector(lambda x: [1.0, math.nan], 2, Interval(0.0, 1.0))
+        assert math.isnan(info.value.observed)
+
+    def test_nonconvergence_names_the_first_unmet_component(self, monkeypatch):
+        _set_budget(monkeypatch, 20)
+        with pytest.raises(NonConvergence) as info:
+            integrate_vector(lambda x: [1.0, 1.0 / x, 1.0 / x], 3, Interval(0.0, 1.0))
+        alone = _without_levels(integrate, lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12)
+        assert str(info.value) in alone and repr(info.value.value) in alone
+        assert info.value.levels == ()
+
+    def test_arguments_are_checked(self):
+        with pytest.raises(ValueError):
+            integrate_vector(lambda x: [1.0], 1, Interval(0.0, 1.0), tol=0.0)
+        with pytest.raises(ValueError):
+            integrate_vector(lambda x: [], 0, Interval(0.0, 1.0))
 
 
 def _ladder(f, iv, tol=config.QUAD.request_tol):

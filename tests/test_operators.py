@@ -15,10 +15,14 @@ from steinb.families import (
     gaussian,
     geometric,
     linear,
+    make_family,
     poisson,
+    quartic,
     sas_gaussian,
+    sas_transform,
     square,
 )
+from steinb.harness import builtin_test_functions
 from steinb.numerics import Verdict, derivative
 from steinb.operators import (
     Atom,
@@ -174,6 +178,74 @@ def test_closed_form_matches_generic_quotient(fam, f0):
         closed = op(x)
         generic = generic_operator_value(fam, f0, x)
         assert abs(closed - generic) <= 1e-6 * (1.0 + abs(closed))
+
+
+def _closed_form(fam, f0):
+    """The per-role closed forms the one continuous operator replaced, kept as
+    its reference: location, scale and SAS skew as written for each role."""
+    role, L = fam.role, fam.log_density_derivative
+    lo, hi = fam.base_support.lo, fam.base_support.hi
+    if isinstance(role, Location):
+        def op(x):
+            y = x - role.mu0
+            if y < lo or y > hi:
+                return 0.0
+            return -f0.h_prime(y) - f0.h(y) * L(y)
+    elif isinstance(role, Scale):
+        def op(x):
+            y = role.sigma0 * x
+            if y < lo or y > hi:
+                return 0.0
+            base = f0.h(y) / role.sigma0
+            if x == 0.0:
+                return base
+            return base + x * f0.h_prime(y) + x * f0.h(y) * L(y)
+    else:
+        def op(x):
+            s, c = sas_transform(x, role.delta0)
+            return c * f0.h_prime(s) + (s / c + c * L(s)) * f0.h(s)
+    return op
+
+
+CONTINUOUS_OPERATOR_CASES = [
+    gaussian(Location(0.0)),
+    gaussian(Location(-1.3), sigma=2.0),
+    gaussian(Scale(1.0)),
+    gaussian(Scale(0.4), sigma=1.7),
+    sas_gaussian(0.0),
+    sas_gaussian(0.6),
+    make_family("gaussian", "skew", -0.3),
+    exponential(Location(0.0)),
+    exponential(Location(2.5)),
+    exponential(Scale(1.0)),
+    exponential(Scale(3.0)),
+    gamma(Scale(1.0), shape=3.0),
+    gamma(Scale(0.5), shape=1.5),
+    gamma(Location(0.0), shape=3.0),
+    gamma(Location(-2.0), shape=2.4),
+    quartic(0.7),
+]
+
+
+@pytest.mark.parametrize("fam", CONTINUOUS_OPERATOR_CASES, ids=lambda f: f"{f.name}-{f.role}")
+def test_one_operator_matches_the_role_closed_forms(fam):
+    # T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x) regroups the scale closed
+    # form's terms, so it agrees to rounding: within 1e-14 of the terms'
+    # magnitude.  Location and skew keep their arithmetic exactly.
+    f0s = [ONE, linear(), square(), *builtin_test_functions(fam)]
+    grid = comparison_grid(fam, 200)
+    if isinstance(fam.role, Scale):
+        grid.append(0.0)  # the x = 0 guard
+    for f0 in f0s:
+        op, reference = make_operator(fam, f0), _closed_form(fam, f0)
+        assert op.atom == fam.role.atom(fam, f0)
+        for x in grid:
+            y = fam.role.to_base(x, fam.role.value)
+            scale = abs(f0.h_prime(y)) * max(1.0, abs(x)) + abs(f0.h(y)) * abs(fam.role.score(fam)[0](x)) \
+                if x != 0.0 else abs(f0.h(y))
+            assert abs(op(x) - reference(x)) <= 1e-14 * max(scale, 1e-300), (f0.name, x)
+            if not isinstance(fam.role, Scale):  # the same operations, in the same order
+                assert op(x) == reference(x), (f0.name, x)
 
 
 class TestScoreProfile:
