@@ -7,6 +7,8 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
 - ``bounds --format json`` and ``bounds --format csv``, on the builtin matrix
   and on ``scripts/scenarios_demo.jsonl``;
 - ``check --out`` and ``fisher --format json``, on the same two inputs;
+- ``check --tol 1e-6 --out`` and ``bounds --tol 1e-6`` on the builtin matrix,
+  so a looser quadrature tolerance is compared too;
 - ``paper-table --out``;
 - every sweep-mixed scenario (``perfbench/sweep.py``) of each seed in
   ``--seeds``, written as a one-line file, under ``check --out`` and
@@ -71,6 +73,10 @@ def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str
             (f"{label}/check", ["check", *inputs, "--out", str(out)]),
             (f"{label}/fisher", ["fisher", *inputs, "--format", "json"]),
         ]
+    calls += [
+        ("builtin/check-tol", ["check", "--tol", "1e-6", "--out", str(out)]),
+        ("builtin/bounds-tol", ["bounds", "--tol", "1e-6"]),
+    ]
     calls.append(("paper-table", ["paper-table", "--out", str(out)]))
     sweep = _load_sweep()
     for seed in seeds:

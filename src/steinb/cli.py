@@ -169,7 +169,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    results = run_all(_scenarios(args), run_checks, args.jobs)
+    runner = functools.partial(run_checks, tol=config.resolve_tol(args.tol))
+    results = run_all(_scenarios(args), runner, args.jobs)
     all_pass = True
     print(f"{'scenario':24s} {'f0':22s} {'E[T f0]':>14s}  pass")
     for res in results:

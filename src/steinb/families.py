@@ -380,8 +380,8 @@ def pmf_at(fam: DiscreteFamily, x: int, theta: float) -> float:
 
 def poisson(lam: float) -> DiscreteFamily:
     """Poisson(lambda) on the nonnegative integers."""
-    if not lam > 0:
-        raise InvalidParameter(f"poisson rate must be > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise InvalidParameter(f"poisson rate must be finite and > 0, got {lam}")
 
     def pmf_fn(x: int, theta: float) -> float:
         return math.exp(-theta + x * math.log(theta) - math.lgamma(x + 1))
@@ -443,7 +443,7 @@ def geometric(p: float) -> DiscreteFamily:
 
 def binomial(n: int, p: float) -> DiscreteFamily:
     """Binomial(n, p) on {0, ..., n}; n is structural, p the parameter of interest."""
-    if n < 1 or int(n) != n:
+    if not 1 <= n < math.inf or int(n) != n:
         raise InvalidParameter(f"binomial count must be a positive integer, got {n}")
     if not 0 < p < 1:
         raise InvalidParameter(f"binomial parameter must lie in (0, 1), got {p}")
@@ -538,9 +538,9 @@ FAMILIES: dict[str, FamilyEntry] = {
         perturb=lambda fam: geometric(fam.role.theta0 / 2.0),
     ),
     "binomial": FamilyEntry(
-        build=lambda role, n: binomial(int(n), role.theta0),
+        build=lambda role, n: binomial(n, role.theta0),
         kinds=("theta",),
-        perturb=lambda fam: binomial(int(fam.structural_value("n")), fam.role.theta0 / 2.0),
+        perturb=lambda fam: binomial(fam.structural_value("n"), fam.role.theta0 / 2.0),
         required=("n",),
     ),
 }

@@ -6,6 +6,8 @@ when the expectation vanishes to tolerance (1e-8 continuous, 1e-9 discrete).
 A continuous family's suite is one vector quadrature on a shared mesh: the
 density, base coordinate and score are evaluated once per node for every
 test function (a single check is the same run with one test function).
+The quadrature tolerance ``quad_tol`` (the CLI's --tol) sets that run's
+target; a discrete suite sums its series to min(quad_tol, 1e-13).
 Falsification checks evaluate the same operator under a perturbed law of the
 same support and are expected to produce a clearly nonzero value: evidence
 for, not a proof of, the converse characterization.
@@ -102,7 +104,7 @@ def _bank(f0s: Sequence[TestFunction]) -> Bank:
 
 
 def operator_integrals(
-    fam: ContinuousFamily, law: ContinuousFamily, bank: Bank, n: int, tol: float = 1e-12
+    fam: ContinuousFamily, law: ContinuousFamily, bank: Bank, n: int, tol: float = config.QUAD.request_tol
 ) -> list[QuadResult]:
     """The integrals of T(f0) g_law for the n test functions of ``bank``, with
     T the continuous family's operator, in one vector quadrature: the law's
@@ -128,14 +130,15 @@ def operator_integrals(
     return integrate_vector(integrand, n, law.support, tol)
 
 
-def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family, bank: Bank | None) -> list[float]:
+def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family, bank: Bank | None,
+                  quad_tol: float) -> list[float]:
     """E[T(f0)(X)] under ``law`` for each f0, with any Dirac atom folded in as
     coefficient * density(atom location).  Continuous: one operator_integrals
-    run (``bank`` evaluates the f0s, by default one by one).  Discrete: one
-    series per f0, to a tolerance of 1e-13."""
+    run to quad_tol (``bank`` evaluates the f0s, by default one by one).
+    Discrete: one series per f0, to min(quad_tol, 1e-13)."""
     if fam.is_discrete:
-        return [expectation(law, make_operator(fam, f0), 1e-13) for f0 in f0s]
-    results = operator_integrals(fam, law, bank if bank is not None else _bank(f0s), len(f0s))
+        return [expectation(law, make_operator(fam, f0), min(quad_tol, 1e-13)) for f0 in f0s]
+    results = operator_integrals(fam, law, bank if bank is not None else _bank(f0s), len(f0s), quad_tol)
     values = [r.value for r in results]
     for j, f0 in enumerate(f0s):
         atom = fam.role.atom(fam, f0)
@@ -145,10 +148,10 @@ def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family, bank: B
 
 
 def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: float | None,
-            bank: Bank | None = None) -> list[IdentityCheck]:
+            quad_tol: float, bank: Bank | None = None) -> list[IdentityCheck]:
     label = fam.name if law is None else f"{fam.name}|under:{law.name}"
     default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
-    values = _expectations(fam, f0s, fam if law is None else law, bank)
+    values = _expectations(fam, f0s, fam if law is None else law, bank, quad_tol)
     return [
         IdentityCheck(family=label, role=fam.role.kind, test_function=f0.name,
                       expectation_value=value, tolerance=tol if tol is not None else default)
@@ -158,7 +161,7 @@ def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: f
 
 def check_identity(fam: Family, f0: TestFunction, *, tol: float | None = None) -> IdentityCheck:
     """E[T(f0)(X)] = 0 under the family's own law, to the stated tolerance."""
-    return _checks(fam, [f0], None, tol)[0]
+    return _checks(fam, [f0], None, tol, config.QUAD.request_tol)[0]
 
 
 def falsify_identity(
@@ -167,10 +170,11 @@ def falsify_identity(
     wrong_law: Family,
     *,
     tol: float | None = None,
+    quad_tol: float = config.QUAD.request_tol,
 ) -> IdentityCheck:
     """Evaluate the family's operator under a different law of the same
     support; a nonzero expectation is falsification evidence."""
-    return _checks(fam, [f0], wrong_law, tol)[0]
+    return _checks(fam, [f0], wrong_law, tol, quad_tol)[0]
 
 
 def _entry(fam: Family) -> FamilyEntry:
@@ -237,12 +241,14 @@ def builtin_test_functions(fam: Family) -> list[TestFunction]:
     return _builtin_suite(fam)[0]
 
 
-def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None = None) -> list[IdentityCheck]:
+def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None = None,
+                   quad_tol: float = config.QUAD.request_tol) -> list[IdentityCheck]:
     """The identity checks of every builtin test function, under the family's
     own law or, for falsification evidence, under ``law``.  A continuous
-    family's checks come from one vector quadrature."""
+    family's checks come from one vector quadrature to quad_tol; ``tol`` is
+    the pass/fail threshold."""
     f0s, bank = _builtin_suite(fam)
-    return _checks(fam, f0s, law, tol, bank)
+    return _checks(fam, f0s, law, tol, quad_tol, bank)
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +302,9 @@ class Scenario:
             sorted((k, float(v)) for k, v in raw.items() if k not in known)
         )
         tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise TypeError(f"tolerances must be an object, got {tolerances!r}")
+        identity_tol = tolerances.get("identity")
         law = raw.get("law", {})
         return cls(
             scenario_id=str(raw["id"]),
@@ -304,7 +313,7 @@ class Scenario:
             value=float(role["value"]),
             structural=structural,
             test_function=tf,
-            identity_tol=tolerances.get("identity"),
+            identity_tol=None if identity_tol is None else float(identity_tol),
             law_value=float(law["value"]) if "value" in law else None,
         )
 
@@ -351,29 +360,30 @@ def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) ->
             variance = math.inf
         return bound_report(fam, h, tol=tol, variance_truth=variance)
 
-    return _contained(scenario, report)
+    return _contained(scenario, report, tol)
 
 
-def run_checks(scenario: Scenario) -> ScenarioResult:
+def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
     """The identity checks of ``run_scenario`` without its bound report
     (``report`` stays None), failures recorded the same way.  A family/role
     pair that has no bound report at all (``require_score``) is still an
     error row, as under ``run_scenario``."""
-    return _contained(scenario, lambda fam, h: require_score(fam))
+    return _contained(scenario, lambda fam, h: require_score(fam), tol)
 
 
 def _contained(
-    scenario: Scenario, report: Callable[[Family, TestFunction], BoundReport | None]
+    scenario: Scenario, report: Callable[[Family, TestFunction], BoundReport | None], quad_tol: float
 ) -> ScenarioResult:
-    """Build the scenario, run its identity checks (under the deliberately
-    wrong law when it names one), then ``report``; a SCENARIO_ERRORS
-    exception anywhere becomes the result's error."""
+    """Build the scenario, run its identity checks to quadrature tolerance
+    quad_tol (under the deliberately wrong law when it names one), then
+    ``report``; a SCENARIO_ERRORS exception anywhere becomes the result's
+    error."""
     started = time.perf_counter()
     try:
         fam = scenario.build_family()
         h = scenario.build_test_function()
         wrong_law = scenario.build_law()
-        checks = tuple(identity_suite(fam, tol=scenario.identity_tol, law=wrong_law))
+        checks = tuple(identity_suite(fam, tol=scenario.identity_tol, law=wrong_law, quad_tol=quad_tol))
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
             report=report(fam, h),

@@ -8,8 +8,9 @@ Improper integrals are reduced to finite ones by smooth changes of variable:
     (-inf, b]    :  x = b - t / (1 - t),  t in [0, 1)
 
 The transformed integrand is then handled by a globally adaptive 15-point
-Gauss-Kronrod rule (worst-interval-first bisection).  Kronrod nodes are
-interior points, so integrable endpoint singularities are never sampled
+Gauss-Kronrod rule (worst-interval-first bisection) in ``_adapt``, the one
+adaptive loop, which ``vectorquad.integrate_vector`` shares.  Kronrod nodes
+are interior points, so integrable endpoint singularities are never sampled
 directly; they cost extra bisections near the offending endpoint.  A
 non-integrable one would cost the whole subdivision budget, so for
 integrate_detecting_divergence a run that keeps bisecting at one endpoint
@@ -21,6 +22,7 @@ condensation deciding).
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -322,61 +324,71 @@ def _target(tol: float, mass: float) -> float:
     return max(tol, 100.0 * _EPS * mass)
 
 
-def integrate(
-    f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
-) -> QuadResult:
-    """Adaptively integrate f over iv to absolute tolerance tol.
+# A heap entry is (-largest error, seq, lo, hi) followed by the cell's results.
+_HEAD = 4
 
-    Globally adaptive: the cell with the largest error estimate is bisected
-    until the summed error estimate meets the tolerance.  The sums of value,
-    error and |f| mass are kept as running totals, so a split costs O(1)
-    plus a heap push.  Every decision and every reported number still uses
-    the exact ``math.fsum`` over all cells: the totals are re-summed every
-    50 splits, at the ``levels`` marks, whenever they are huge or not
-    finite, whenever their bound on accumulated rounding cannot decide the
-    stopping test, and before any return or raise.
+
+def _adapt(
+    cell: Callable[[float, float], Sequence[float]], n: int, t_lo: float, t_hi: float,
+    tol: float, probe: RealFn | None,
+) -> list[QuadResult]:
+    """Adaptively integrate n integrands over [t_lo, t_hi] on one shared mesh.
+
+    ``cell(a, b)`` is one Gauss-Kronrod pass over [a, b] for all n: the
+    value, error estimate and integral of |f| of component j at 3j, 3j + 1
+    and 3j + 2.  Globally adaptive: the cell with the largest error estimate
+    of any component is bisected until every component j meets its own
+    target max(tol, 100 eps mass_j).  The per-component sums of value, error
+    and |f| mass are kept as running totals, so a split costs O(n) plus a
+    heap push.  Every decision and every reported number still uses the
+    exact ``math.fsum`` over all cells: the totals are re-summed every 50
+    splits, at the ``levels`` marks, whenever they are huge or not finite,
+    whenever their bound on accumulated rounding cannot show that some
+    component must go on, and before any return or raise.
 
     Raises NonConvergence when the subdivision budget (``config.QUAD.max_subdivisions``,
-    read at call time) is exhausted with the error estimate still above
-    tolerance (the partial result rides along on the exception), and NonFinite
-    when the integrand cannot be evaluated at an interior point even after
-    nudging.  Either carries as ``levels`` the partial (value, error) passed at
-    a quarter and at half of the budget: what runs with those budgets end on.
+    read at call time) is exhausted with an error estimate still above its
+    target (the first such component's partial result rides along on the
+    exception), and NonFinite when the integrand cannot be evaluated at an
+    interior point even after nudging.  Either carries as ``levels`` the
+    partial (value, error) of the first component above its target at a
+    quarter and at half of the budget: what runs with those budgets end on.
+    The results share one ``evaluations`` count.
 
-    ``_probe`` is integrate_detecting_divergence's: once a run has split a
-    cell touching the same endpoint _PROBE_AFTER times in a row, it probes
-    that endpoint with _probe_endpoint, and on a verdict returns a value of
-    +-inf with an infinite error estimate.  Any other probe outcome leaves
-    the run as it is without ``_probe``, except that ``evaluations`` then
-    counts the probe's cells too.
+    ``probe``, the scalar integrand of integrate_detecting_divergence: once
+    a run has split a cell touching the same endpoint _PROBE_AFTER times in
+    a row, it probes that endpoint with _probe_endpoint, and on a verdict
+    returns a value of +-inf with an infinite error estimate.  Any other
+    probe outcome leaves the run as it is without ``probe``, except that
+    ``evaluations`` then counts the probe's cells too.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     budget = config.QUAD.max_subdivisions
-    g, t_lo, t_hi = _transformed(f, iv)
+    # Where each component's value, error and mass sit in a heap entry; the
+    # totals and their drift bounds are laid out the same way.
+    stop = _HEAD + 3 * n
+    slots = [(v, v + 1, v + 2) for v in range(_HEAD, stop, 3)]
 
     seq = 0  # cells made, 15 evaluations each
-    # heap entries: (-err, seq, lo, hi, value, err, resabs)
-    heap: list[tuple[float, int, float, float, float, float, float]] = []
-    frozen: list[tuple[float, float, float]] = []  # cells below splitting resolution
+    heap: list[tuple[float, ...]] = []
+    frozen: list[tuple[float, ...]] = []  # entries of cells below splitting resolution
     levels: list[tuple[float, float]] = []
+    mark = budget // 4  # splits at which the next level is taken
 
-    def push(a: float, b: float) -> tuple[float, float, float]:
+    def push(a: float, b: float) -> tuple[float, ...]:
         nonlocal seq
-        v, e, r = _gk15(g, a, b)
-        heapq.heappush(heap, (-e, seq, a, b, v, e, r))
+        c = cell(a, b)
+        entry = (-(c[1] if n == 1 else max(c[1::3])), seq, a, b) + c
+        heapq.heappush(heap, entry)
         seq += 1
-        return v, e, r
+        return entry
 
-    def totals() -> tuple[float, float, float]:
-        total_v = math.fsum([c[4] for c in heap] + [v for v, _, _ in frozen])
-        total_e = math.fsum([c[5] for c in heap] + [e for _, e, _ in frozen])
-        total_r = math.fsum([c[6] for c in heap] + [r for _, _, r in frozen])
-        return total_v, total_e, total_r
-
-    def level_due() -> bool:
-        # Reached the state a run with a quarter, then half, of this budget stops in.
-        return len(levels) < 2 and splits >= budget * (len(levels) + 1) // 4
+    def totals() -> list[float]:
+        cells = heap + frozen
+        return [0.0] * _HEAD + [math.fsum([c[i] for c in cells]) for i in range(_HEAD, stop)]
 
     # An integrand that itself integrates may raise a NumericsError of its
     # own; it leaves this run with this run's levels.
@@ -388,68 +400,90 @@ def integrate(
 
         splits = anchored = streak = 0
         streak_side, probed = 0.0, set()
-        total_v, total_e, total_r = totals()
-        # exact: the running totals are totals(); drift_e and drift_r bound
-        # how far the error and mass totals may have drifted from it.
-        exact, drift_e, drift_r = True, 0.0, 0.0
+        tot = totals()
+        # exact: tot is totals(); drift bounds how far each error and mass
+        # total may have drifted from it; huge: some total is huge or not finite.
+        exact, huge, drift = True, False, [0.0] * stop
         while True:
+            # k: the first component above its target; on running totals, the
+            # first one above it however far they have drifted.
+            for k, e, r in slots:
+                if tot[e] - drift[e] > _target(tol, tot[r] + drift[r]):
+                    break
+            else:
+                k = None
             # The running totals stand in for totals() only on a step that
-            # reports nothing and whose go-on decision no drift could change.
-            usable = exact or not (
-                level_due() or splits >= budget or not heap or splits - anchored >= _ANCHOR_EVERY
-                or not total_e - drift_e > _target(tol, total_r + drift_r)
-            )
-            if not usable or not (abs(total_v) < _HUGE and total_e < _HUGE and total_r < _HUGE):
-                total_v, total_e, total_r = totals()
-                exact, drift_e, drift_r, anchored = True, 0.0, 0.0, splits
-            if not total_e > _target(tol, total_r):
-                break
-            while level_due():
-                levels.append((total_v, total_e))
-            if not math.isfinite(total_v):
-                raise NonConvergence("partial integral overflowed", total_v, total_e, 15 * seq)
-            if splits >= budget:
-                raise NonConvergence(
-                    f"error {total_e:.3e} above tol {tol:.3e} after {splits} subdivisions",
-                    total_v, total_e, 15 * seq,
-                )
-            if not heap:
-                raise NonConvergence(
-                    "interval exhausted below resolution with error above tol",
-                    total_v, total_e, 15 * seq,
-                )
-            _, _, a, b, v, e, r = heapq.heappop(heap)
-            if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
-                frozen.append((v, e, r))  # the totals do not change
+            # reports nothing and goes on whatever their drift.
+            if not exact and (k is None or huge or splits - anchored >= _ANCHOR_EVERY
+                              or splits >= mark or splits >= budget or not heap):
+                tot = totals()
+                exact, huge, drift, anchored = True, False, [0.0] * stop, splits
                 continue
-            if _probe:
+            if k is None:
+                break
+            if exact:
+                while splits >= mark:
+                    levels.append((tot[k], tot[k + 1]))
+                    mark = budget * (len(levels) + 1) // 4 if len(levels) < 2 else math.inf
+                for v, e, _ in slots:
+                    if not math.isfinite(tot[v]):
+                        raise NonConvergence("partial integral overflowed", tot[v], tot[e], 15 * seq)
+                if splits >= budget:
+                    raise NonConvergence(
+                        f"error {tot[k + 1]:.3e} above tol {tol:.3e} after {splits} subdivisions",
+                        tot[k], tot[k + 1], 15 * seq,
+                    )
+                if not heap:
+                    raise NonConvergence(
+                        "interval exhausted below resolution with error above tol",
+                        tot[k], tot[k + 1], 15 * seq,
+                    )
+            parent = heapq.heappop(heap)
+            a, b = parent[2], parent[3]
+            if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
+                frozen.append(parent)  # the totals do not change
+                continue
+            if probe is not None:
                 # +1.0: the cell touches t_lo; -1.0: it touches t_hi.
                 side = 1.0 if a == t_lo else -1.0 if b == t_hi else 0.0
                 streak = streak + 1 if side == streak_side else 1
                 streak_side = side
                 if side and streak == _PROBE_AFTER and side not in probed:
                     probed.add(side)
-                    verdict, cells = _probe_endpoint(g, t_lo if side > 0 else t_hi, side, b - a)
+                    verdict, cells = _probe_endpoint(probe, t_lo if side > 0 else t_hi, side, b - a)
                     seq += cells
                     if verdict is not None:
-                        return QuadResult(value=verdict, abs_error_estimate=math.inf, evaluations=15 * seq)
+                        return [QuadResult(value=verdict, abs_error_estimate=math.inf, evaluations=15 * seq)]
             mid = 0.5 * (a + b)
-            v1, e1, r1 = push(a, mid)
-            v2, e2, r2 = push(mid, b)
+            left, right = push(a, mid), push(mid, b)
             splits += 1
-            total_v += v1 + v2 - v
-            total_e += e1 + e2 - e
-            total_r += r1 + r2 - r
-            # Each update rounds at most three times; twice eps per unit of
-            # the magnitudes involved bounds that with room to spare.
-            drift_e += 2.0 * _EPS * (e1 + e2 + e + abs(total_e))
-            drift_r += 2.0 * _EPS * (r1 + r2 + r + abs(total_r))
+            for v, e, r in slots:
+                tot[v] += left[v] + right[v] - parent[v]
+                tot[e] += left[e] + right[e] - parent[e]
+                tot[r] += left[r] + right[r] - parent[r]
+                # Each update rounds at most three times; twice eps per unit
+                # of the magnitudes involved bounds that with room to spare.
+                drift[e] += 2.0 * _EPS * (left[e] + right[e] + parent[e] + abs(tot[e]))
+                drift[r] += 2.0 * _EPS * (left[r] + right[r] + parent[r] + abs(tot[r]))
+                if not (abs(tot[v]) < _HUGE and tot[e] < _HUGE and tot[r] < _HUGE):
+                    huge = True
             exact = False
     except NumericsError as exc:
         exc.levels = tuple(levels)
         raise
 
-    return QuadResult(value=total_v, abs_error_estimate=total_e, evaluations=15 * seq, mass=total_r)
+    return [QuadResult(value=tot[v], abs_error_estimate=tot[e], evaluations=15 * seq, mass=tot[r])
+            for v, e, r in slots]
+
+
+def integrate(
+    f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
+) -> QuadResult:
+    """Adaptively integrate f over iv to absolute tolerance tol: _adapt with
+    one component, after _transformed's change of variable.  ``_probe`` is
+    integrate_detecting_divergence's: _adapt then probes the endpoints."""
+    g, t_lo, t_hi = _transformed(f, iv)
+    return _adapt(functools.partial(_gk15, g), 1, t_lo, t_hi, tol, g if _probe else None)[0]
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:

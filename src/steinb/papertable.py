@@ -185,8 +185,8 @@ def _falsification(ctx: _Shared) -> tuple[Any, bool]:
         except Exception:
             falsify_ok = False
             continue
-        control = falsify_identity(fam, builtin_test_functions(fam)[1], fam)
-        strongest = max(abs(c.expectation_value) for c in identity_suite(fam, law=wrong))
+        control = falsify_identity(fam, builtin_test_functions(fam)[1], fam, quad_tol=ctx.tol)
+        strongest = max(abs(c.expectation_value) for c in identity_suite(fam, law=wrong, quad_tol=ctx.tol))
         weakest = min(weakest, strongest / control.tolerance)
         falsify_ok = falsify_ok and control.passed and strongest > 10.0 * control.tolerance
     return weakest, falsify_ok

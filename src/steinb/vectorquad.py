@@ -1,11 +1,11 @@
-"""Several integrals on one shared adaptive mesh.
+"""The row kernel: GK15 for an integrand that returns n floats per point.
 
-``integrate_vector`` is ``numerics.integrate`` for an integrand that returns
-n floats per point: one globally adaptive GK15 run whose every node is
-evaluated once for all n integrals, the design of DCUHRE (Berntsen, Espelid
-and Genz 1991) in one dimension.  It uses integrate's variable changes,
-nodes, dqk15 rule, budget and exceptions; only the mesh is shared.  The
-identity checks run a whole suite of test functions through it.
+``integrate_vector`` hands it to ``numerics._adapt``, the adaptive loop of
+``numerics.integrate``, so n integrals share one mesh and every node is
+evaluated once for all of them, the design of DCUHRE (Berntsen, Espelid and
+Genz 1991) in one dimension.  The identity checks run a whole suite of test
+functions through it.  A scalar integrand keeps ``numerics._gk15``: passing
+it through the row kernel would double the cost of a cell.
 
 (A module of its own: when no bytecode cache exists, compiling these lines
 inside ``numerics.py`` raises the peak memory of every import.)
@@ -13,29 +13,14 @@ inside ``numerics.py`` raises the peak memory of every import.)
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from typing import Callable, Sequence
 
 from . import config
-from .numerics import (
-    _ANCHOR_EVERY,
-    _EPS,
-    _HUGE,
-    _NODES,
-    Interval,
-    NonConvergence,
-    NonFinite,
-    QuadResult,
-    _nudge,
-    _rule,
-    _target,
-)
+from .numerics import _NODES, Interval, NonFinite, QuadResult, _adapt, _nudge, _rule
 
 VectorFn = Callable[[float], Sequence[float]]   # n floats per point
-# One cell's results: value, error estimate and integral of |f| of component j
-# at 3j, 3j + 1 and 3j + 2 (a flat tuple keeps a deep mesh small).
-Cell = tuple[float, ...]
 
 
 def _eval_row(f: VectorFn, n: int, x: float) -> Sequence[float]:
@@ -62,9 +47,10 @@ def _nudged_row(f: VectorFn, n: int, row: Sequence[float], x: float, lo: float, 
     return row
 
 
-def _gk15_vector(f: VectorFn, n: int, lo: float, hi: float) -> Cell:
+def _gk15_vector(f: VectorFn, n: int, lo: float, hi: float) -> tuple[float, ...]:
     """numerics._gk15 for n components: each node is evaluated once and the
-    rule applied to each component's 15 values."""
+    rule applied to each component's 15 values.  The value, error estimate
+    and integral of |f| of component j are at 3j, 3j + 1 and 3j + 2."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
@@ -102,97 +88,8 @@ def _transformed_vector(f: VectorFn, iv: Interval) -> tuple[VectorFn, float, flo
 def integrate_vector(
     f: VectorFn, n: int, iv: Interval, tol: float = config.QUAD.request_tol
 ) -> list[QuadResult]:
-    """Integrate each of the n components of f over iv to absolute tolerance tol.
-
-    The cell with the largest error estimate of any component is bisected
-    until every component j meets its own target max(tol, 100 eps mass_j),
-    mass_j being the integral of its |f|.  Running totals per component
-    decide whether to go on; they are re-summed exactly with ``math.fsum``
-    every 50 splits, whenever they are huge or not finite, whenever they say
-    every component is done, and before any return or raise.
-
-    Raises as integrate() does, on the same budget (``config.QUAD.max_subdivisions``,
-    read at call time): NonFinite when a component cannot be evaluated at an
-    interior point even after nudging, NonConvergence naming and carrying
-    the first component above its target.  No ``levels`` are recorded, since
-    there is no divergence detection here.  The results share one
-    ``evaluations`` count.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    budget = config.QUAD.max_subdivisions
+    """Integrate each of the n components of f over iv to absolute tolerance
+    tol: numerics._adapt with the row kernel, after _transformed_vector's
+    change of variable.  Stops, raises and reports as there."""
     g, t_lo, t_hi = _transformed_vector(f, iv)
-    components = range(n)
-
-    seq = 0  # cells made, 15 evaluations each
-    # heap entries: (-largest error, seq, lo, hi, cell)
-    heap: list[tuple[float, int, float, float, Cell]] = []
-    frozen: list[Cell] = []  # cells below splitting resolution
-
-    def push(a: float, b: float) -> Cell:
-        nonlocal seq
-        cell = _gk15_vector(g, n, a, b)
-        heapq.heappush(heap, (-max(cell[1::3]), seq, a, b, cell))
-        seq += 1
-        return cell
-
-    def totals() -> tuple[list[float], list[float], list[float]]:
-        cells = [c[4] for c in heap] + frozen
-        return tuple([math.fsum(cell[3 * j + k] for cell in cells) for j in components]
-                     for k in range(3))
-
-    def unmet() -> int | None:
-        """The first component above its target, or None."""
-        return next((j for j in components if errors[j] > _target(tol, masses[j])), None)
-
-    def sane() -> bool:
-        return all(abs(v) < _HUGE and e < _HUGE and r < _HUGE for v, e, r in zip(values, errors, masses))
-
-    n_init = 8
-    width = (t_hi - t_lo) / n_init
-    for i in range(n_init):
-        push(t_lo + i * width, t_lo + (i + 1) * width)
-
-    splits = anchored = 0
-    values, errors, masses = totals()
-    exact = True
-    while True:
-        j = unmet()
-        if not exact and (j is None or splits - anchored >= _ANCHOR_EVERY or splits >= budget
-                          or not heap or not sane()):
-            values, errors, masses = totals()
-            exact, anchored = True, splits
-            j = unmet()
-        if j is None:
-            break
-        overflowed = next((i for i in components if not math.isfinite(values[i])), None)
-        if overflowed is not None:
-            raise NonConvergence("partial integral overflowed", values[overflowed], errors[overflowed], 15 * seq)
-        if splits >= budget:
-            raise NonConvergence(
-                f"error {errors[j]:.3e} above tol {tol:.3e} after {splits} subdivisions",
-                values[j], errors[j], 15 * seq,
-            )
-        if not heap:
-            raise NonConvergence(
-                "interval exhausted below resolution with error above tol",
-                values[j], errors[j], 15 * seq,
-            )
-        _, _, a, b, parent = heapq.heappop(heap)
-        if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
-            frozen.append(parent)  # the totals do not change
-            continue
-        mid = 0.5 * (a + b)
-        left, right = push(a, mid), push(mid, b)
-        splits += 1
-        for i in components:
-            v, e, r = 3 * i, 3 * i + 1, 3 * i + 2
-            values[i] += left[v] + right[v] - parent[v]
-            errors[i] += left[e] + right[e] - parent[e]
-            masses[i] += left[r] + right[r] - parent[r]
-        exact = False
-
-    return [QuadResult(value=v, abs_error_estimate=e, evaluations=15 * seq, mass=r)
-            for v, e, r in zip(values, errors, masses)]
+    return _adapt(functools.partial(_gk15_vector, g, n), n, t_lo, t_hi, tol, None)

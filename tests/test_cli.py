@@ -67,6 +67,33 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFileError):
             load_scenarios_text(line + line)
 
+    @pytest.mark.parametrize("tolerances", ['5', '{"identity": "loose"}', '{"identity": [1e-6]}'])
+    def test_malformed_tolerances_are_parse_errors(self, tmp_path, capsys, tolerances):
+        p = tmp_path / "scn.jsonl"
+        p.write_text('{"id": "a", "family": "poisson", "role": {"kind": "theta", "value": 1.0}, '
+                     f'"tolerances": {tolerances}}}\n')
+        assert main(["check", str(p)]) == 2
+        assert f"{p}:1:" in capsys.readouterr().err
+
+    def test_identity_tolerance_is_read_as_a_number(self, tmp_path, capsys):
+        p = tmp_path / "scn.jsonl"
+        p.write_text('{"id": "a", "family": "poisson", "role": {"kind": "theta", "value": 1.0}, '
+                     '"tolerances": {"identity": "1e-6"}}\n')
+        assert load_scenarios(p)[0].identity_tol == 1e-6
+        assert main(["check", str(p)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "p", "family": "poisson", "role": {"kind": "theta", "value": Infinity}}',
+        '{"id": "b", "family": "binomial", "role": {"kind": "theta", "value": 0.5}, "n": Infinity}',
+        '{"id": "b", "family": "binomial", "role": {"kind": "theta", "value": 0.5}, "n": NaN}',
+    ], ids=["poisson-rate-inf", "binomial-n-inf", "binomial-n-nan"])
+    def test_non_finite_family_constants_are_validation_errors(self, tmp_path, capsys, line):
+        p = tmp_path / "scn.jsonl"
+        p.write_text(line + "\n")
+        assert main(["check", str(p)]) == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestEmission:
     def test_json_roundtrip(self, sqrt_results):
@@ -211,6 +238,26 @@ class TestCommands:
         code = main(["paper-table", "--tol", "1e-3"])
         assert code in (0, 1)
         capsys.readouterr()
+
+    def test_tol_reaches_the_identity_checks(self, tmp_path, monkeypatch, capsys, count_cells):
+        p = tmp_path / "scn.jsonl"
+        p.write_text('{"id": "gauss-loc", "family": "gaussian", "role": {"kind": "location", "value": 0.0}}\n')
+        out = tmp_path / "checks.json"
+        seen = {}
+        for label, argv, env in (("default", [], None), ("flag", ["--tol", "1e-6"], None),
+                                 ("env", [], "1e-6")):
+            if env is None:
+                monkeypatch.delenv("STEINB_TOL", raising=False)
+            else:
+                monkeypatch.setenv("STEINB_TOL", env)
+            before = count_cells()
+            assert main(["check", str(p), "--out", str(out), *argv]) == 0
+            seen[label] = (capsys.readouterr().out, out.read_text(), count_cells() - before)
+        values = {label: [c["value"] for c in json.loads(text)[0]["identity_checks"]]
+                  for label, (_, text, _) in seen.items()}
+        assert values["flag"] != values["default"]
+        assert seen["flag"][2] < seen["default"][2]
+        assert seen["env"] == seen["flag"]
 
     def test_tol_flag_beats_env(self, demo_file, tmp_path, monkeypatch):
         from steinb import config

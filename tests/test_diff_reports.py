@@ -36,3 +36,10 @@ def test_json_stdout_is_compared_leaf_by_leaf():
 def test_identical_calls_have_no_leaves():
     same = _outcome(0, "x\n", "", {"a": 1})
     assert list(diff_reports.all_leaves(same, dict(same))) == []
+
+
+def test_builtin_calls_cover_a_loose_tolerance(tmp_path):
+    calls = dict(diff_reports.requests([], tmp_path, tmp_path / "report.out"))
+    assert len(calls) == 11  # 4 per input, the paper table and 2 at --tol 1e-6
+    assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
+    assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]

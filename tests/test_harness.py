@@ -6,14 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steinb import numerics, vectorquad
 from steinb.cli import load_scenarios
 from steinb.families import (
     Location,
     ONE,
     Scale,
     binomial,
-    bulk_radius,
     exponential,
     gamma,
     gaussian,
@@ -83,27 +81,6 @@ class TestCheckIdentity:
         # because the expectation routine adds it back
         check = check_identity(exponential(Location(0.0)), ONE)
         assert abs(check.expectation_value) < 1e-10
-
-
-@pytest.fixture
-def count_cells(monkeypatch):
-    """Count the GK15 cells of both quadrature kernels from here on (the bulk
-    radius cache cleared, so every count starts cold); call it for the count."""
-    bulk_radius.cache_clear()
-    cells = [0]
-    scalar, vector = numerics._gk15, vectorquad._gk15_vector
-
-    def counting_scalar(f, lo, hi):
-        cells[0] += 1
-        return scalar(f, lo, hi)
-
-    def counting_vector(f, n, lo, hi):
-        cells[0] += 1
-        return vector(f, n, lo, hi)
-
-    monkeypatch.setattr(numerics, "_gk15", counting_scalar)
-    monkeypatch.setattr(vectorquad, "_gk15_vector", counting_vector)
-    return lambda: cells[0]
 
 
 def _parity_scenarios():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from steinb import config, numerics
+from steinb import config, numerics, vectorquad
 from steinb.families import Location, Scale, exponential, gamma, gaussian, quartic, sas_gaussian
 from steinb.numerics import (
     Interval,
@@ -338,6 +338,37 @@ REFERENCE_IDS = [
 ]
 
 
+FSUM_CASES = [
+    (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-14),
+    (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-14),
+    (lambda x: math.exp(-x * x) * math.cos(3 * x), Interval.real_line(), 1e-12),
+    (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-10),
+]
+
+
+def _assert_totals_are_leaf_fsums(monkeypatch, module, kernel, run):
+    """Record every cell of ``module.kernel`` during ``run()``: the value,
+    error and mass of each result must be the fsum of its component over
+    the leaves of the mesh."""
+    cells = {}
+    original = getattr(module, kernel)
+
+    def recording(*args):
+        lo, hi = args[-2:]
+        cells[lo, hi] = original(*args)
+        return cells[lo, hi]
+
+    monkeypatch.setattr(module, kernel, recording)
+    results = run()
+    leaves = [c for (lo, hi), c in cells.items() if (lo, 0.5 * (lo + hi)) not in cells]
+    assert len(cells) > 8  # at least one split
+    for j, result in enumerate(results):
+        assert result.value == math.fsum(c[3 * j] for c in leaves)
+        assert result.abs_error_estimate == math.fsum(c[3 * j + 1] for c in leaves)
+        assert result.mass == math.fsum(c[3 * j + 2] for c in leaves)
+        assert result.evaluations == 15 * len(cells)
+
+
 class TestRunningTotals:
     @pytest.mark.parametrize("f,iv,tol,budget", REFERENCE_CASES, ids=REFERENCE_IDS)
     def test_same_outcome_as_per_split_fsum(self, monkeypatch, f, iv, tol, budget):
@@ -345,44 +376,9 @@ class TestRunningTotals:
             _set_budget(monkeypatch, budget)
         assert _quad_outcome(integrate, f, iv, tol) == _quad_outcome(_reference_integrate, f, iv, tol)
 
-    @pytest.mark.parametrize("f,iv,tol", [
-        (lambda x: math.sin(50 * x), Interval(0.0, 2 * math.pi), 1e-14),
-        (lambda x: x * math.exp(-x * x), Interval.real_line(), 1e-14),
-        (lambda x: math.exp(-x * x) * math.cos(3 * x), Interval.real_line(), 1e-12),
-        (lambda x: math.exp(-x) / math.sqrt(x), Interval.half_line(0.0), 1e-10),
-    ])
+    @pytest.mark.parametrize("f,iv,tol", FSUM_CASES)
     def test_final_totals_equal_a_full_fsum(self, monkeypatch, f, iv, tol):
-        cells = {}
-        kernel = numerics._gk15
-
-        def recording(g, lo, hi):
-            cells[lo, hi] = kernel(g, lo, hi)
-            return cells[lo, hi]
-
-        monkeypatch.setattr(numerics, "_gk15", recording)
-        result = integrate(f, iv, tol)
-        leaves = [c for (lo, hi), c in cells.items() if (lo, 0.5 * (lo + hi)) not in cells]
-        assert len(cells) > 8  # at least one split
-        assert result.value == math.fsum(v for v, _, _ in leaves)
-        assert result.abs_error_estimate == math.fsum(e for _, e, _ in leaves)
-        assert result.evaluations == 15 * len(cells)
-
-
-def _without_levels(quad, f, iv, tol):
-    """_quad_outcome, less the ``levels`` that only integrate() records."""
-    calls = [0]
-
-    def counted(x):
-        calls[0] += 1
-        return f(x)
-
-    try:
-        r = quad(counted, iv, tol)
-        seen = ("value", r.value, r.abs_error_estimate, r.evaluations)
-    except Exception as exc:
-        seen = ("raised", type(exc).__name__, str(exc),
-                sorted((k, v) for k, v in vars(exc).items() if k != "levels"))
-    return repr((seen, calls[0]))
+        _assert_totals_are_leaf_fsums(monkeypatch, numerics, "_gk15", lambda: [integrate(f, iv, tol)])
 
 
 def _one_component(f, iv, tol):
@@ -395,7 +391,14 @@ class TestVectorKernel:
         # Same transforms, rule, heap order, stops, budget and exceptions.
         if budget is not None:
             _set_budget(monkeypatch, budget)
-        assert _without_levels(_one_component, f, iv, tol) == _without_levels(integrate, f, iv, tol)
+        assert _quad_outcome(_one_component, f, iv, tol) == _quad_outcome(integrate, f, iv, tol)
+
+    @pytest.mark.parametrize("f,iv,tol", FSUM_CASES)
+    def test_final_totals_equal_a_full_fsum(self, monkeypatch, f, iv, tol):
+        # Two components on the row kernel: f and cos(x) f.
+        _assert_totals_are_leaf_fsums(
+            monkeypatch, vectorquad, "_gk15_vector",
+            lambda: integrate_vector(lambda x: [f(x), math.cos(x) * f(x)], 2, iv, tol))
 
     @pytest.mark.parametrize("iv", [Interval.real_line(), Interval.half_line(0.5),
                                     Interval(-math.inf, 2.0), Interval(0.0, 1.0)],
@@ -432,9 +435,11 @@ class TestVectorKernel:
         _set_budget(monkeypatch, 20)
         with pytest.raises(NonConvergence) as info:
             integrate_vector(lambda x: [1.0, 1.0 / x, 1.0 / x], 3, Interval(0.0, 1.0))
-        alone = _without_levels(integrate, lambda x: 1.0 / x, Interval(0.0, 1.0), 1e-12)
-        assert str(info.value) in alone and repr(info.value.value) in alone
-        assert info.value.levels == ()
+        with pytest.raises(NonConvergence) as alone:
+            integrate(lambda x: 1.0 / x, Interval(0.0, 1.0))
+        assert str(info.value) == str(alone.value)
+        assert (info.value.value, info.value.abs_error_estimate) == (alone.value.value, alone.value.abs_error_estimate)
+        assert len(info.value.levels) == 2 and info.value.levels == alone.value.levels
 
     def test_arguments_are_checked(self):
         with pytest.raises(ValueError):
