@@ -28,6 +28,11 @@ differing line of any other stdout, stderr or --out file (path ``stdout:N``,
 ``stderr:N`` or ``file:N``).  A call made by one tree only has path null.
 The comparison and the exit code do not depend on it.
 
+After the per-call lines it always prints how many differing leaves (as
+``--leaves`` writes them) fall in each path class: the path with every list
+index written ``[*]`` and the line number of a ``field:N`` path dropped, for
+example ``file[*].identity_checks[*].value: 3,084``.
+
 Usage:
     python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3] [--leaves FILE]
 
@@ -38,12 +43,14 @@ export of the parent commit (``git archive HEAD~1 | tar -x -C /tmp/parent``).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import importlib.util
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -185,6 +192,20 @@ def all_leaves(old: dict, new: dict):
                 yield f"{field}:{number}", x, y
 
 
+def path_class(path: str | None) -> str:
+    """The class of a leaf path: list indices as [*], a line number dropped
+    (``stdout:12`` -> ``stdout``), a call made by one tree only as ``(call)``."""
+    if path is None:
+        return "(call)"
+    return re.sub(r"\[\d+\]", "[*]", re.sub(r":\d+$", "", path))
+
+
+def class_counts(leaves: list[dict]) -> list[str]:
+    """One line per path class of ``leaves``, most leaves first."""
+    counts = collections.Counter(path_class(leaf["path"]) for leaf in leaves)
+    return [f"{cls}: {n:,}" for cls, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
+
+
 def _plain(value):
     return "(missing)" if value is _MISSING else value
 
@@ -239,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
                    for path, x, y in all_leaves(b, a)]
     if args.leaves is not None:
         args.leaves.write_text("".join(json.dumps(leaf, sort_keys=True) + "\n" for leaf in leaves))
+    for line in class_counts(leaves):
+        print(line)
     total = len(set(this) | set(other))
     print(f"{total - differing} of {total} calls identical")
     return 1 if differing else 0

@@ -248,8 +248,8 @@ def _gaussian_base(width: float) -> dict[str, object]:
 def gaussian(role: ParamRole, *, sigma: float = 1.0) -> ContinuousFamily:
     """Normal base density of standard deviation ``sigma`` (default standard normal)."""
     _require_kind("gaussian", role.kind)
-    if not sigma > 0:
-        raise InvalidParameter(f"gaussian width must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise InvalidParameter(f"gaussian width must be finite and > 0, got {sigma}")
     return ContinuousFamily(
         name="gaussian", role=role, structural=(("sigma", float(sigma)),), **_gaussian_base(sigma)
     )
@@ -287,8 +287,8 @@ def gamma(role: ParamRole, *, shape: float) -> ContinuousFamily:
     """
     _require_kind("gamma", role.kind)
     a = float(shape)
-    if not a > 0:
-        raise InvalidParameter(f"gamma shape must be > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise InvalidParameter(f"gamma shape must be finite and > 0, got {a}")
     if isinstance(role, Location) and not a > 1:
         raise InvalidParameter(f"gamma location role needs shape > 1, got {a}")
     lg = math.lgamma(a)

@@ -3,14 +3,20 @@ truth variances, and scenario orchestration.
 
 An identity check integrates T(f0) against the family's own law and passes
 when the expectation vanishes to tolerance (1e-8 continuous, 1e-9 discrete).
-A continuous family's suite is one vector quadrature on a shared mesh: the
-density, base coordinate and score are evaluated once per node for every
-test function (a single check is the same run with one test function).
-The quadrature tolerance ``quad_tol`` (the CLI's --tol) sets that run's
-target; a discrete suite sums its series to min(quad_tol, 1e-13).
+A continuous family's suite is one vector quadrature on a shared mesh in the
+family's base coordinate y, where the role contributes dy/dtheta and the
+score as functions of y and the weight is the base density g0(y): the
+weight, the role's terms and every test function are evaluated once per
+node.  It runs over the builtin bump's window [-R, R] (intersected with the
+base support), outside which every builtin test function vanishes; a single
+check, whose f0 has no known window, is the same run with one test function
+over the whole base support.  The quadrature tolerance ``quad_tol`` (the
+CLI's --tol) sets that run's target; a discrete suite sums its series to
+min(quad_tol, 1e-13).
 Falsification checks evaluate the same operator under a perturbed law of the
-same support and are expected to produce a clearly nonzero value: evidence
-for, not a proof of, the converse characterization.
+same support, on the same path with the weight law.pdf(x(y)) dx/dy, and are
+expected to produce a clearly nonzero value: evidence for, not a proof of,
+the converse characterization.
 
 Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
 compact bump whose radius covers all but 1e-8 of the family's mass, plus
@@ -42,7 +48,7 @@ from .families import (
     polynomial,
     product,
 )
-from .numerics import NumericsError, QuadResult, TruncationUnsafe
+from .numerics import Interval, NumericsError, QuadResult, TruncationUnsafe
 from .operators import (
     BoundaryViolation,
     UnsupportedRole,
@@ -104,54 +110,71 @@ def _bank(f0s: Sequence[TestFunction]) -> Bank:
 
 
 def operator_integrals(
-    fam: ContinuousFamily, law: ContinuousFamily, bank: Bank, n: int, tol: float = config.QUAD.request_tol
+    fam: ContinuousFamily, law: ContinuousFamily | None, bank: Bank, n: int, radius: float = math.inf,
+    tol: float = config.QUAD.request_tol,
 ) -> list[QuadResult]:
     """The integrals of T(f0) g_law for the n test functions of ``bank``, with
-    T the continuous family's operator, in one vector quadrature: the law's
-    density, y, dy/dtheta and the score are evaluated once per node for all
-    n.  Any Dirac atom is not included."""
-    terms = fam.role.stein_terms(fam)
-    pdf = law.pdf
+    T the continuous family's operator, in one vector quadrature over the
+    base coordinate y:
+
+        integral of [f0'(y) dy/dtheta + f0(y) phi] w(y) dy
+
+    over [-radius, radius] (where the bank's test functions live) intersected
+    with the base support.  The weight w is g0(y) under the family's own law
+    (``law`` None) and law.pdf(x(y)) dx/dy under another.  The weight, the
+    role's terms and the bank are evaluated once per node for all n.  Any
+    Dirac atom is not included."""
+    role = fam.role
+    terms = role.base_terms(fam)
+    if law is None:
+        weight = fam.base_density
+    else:
+        pdf, from_base = law.pdf, role.from_base
+
+        def weight(y: float) -> float:
+            x, dx_dy = from_base(y)
+            return pdf(x) * dx_dy
+
     zeros = [0.0] * n
 
-    def integrand(x: float) -> Sequence[float]:
-        w = pdf(x)
+    def integrand(y: float) -> Sequence[float]:
+        w = weight(y)
         if w == 0.0:
             return zeros
-        t = terms(x)
-        if t is None:
-            return zeros
-        y, dy, phi = t
         values = bank(y)
         if values is None:
             return zeros
+        dy, phi = terms(y)
         return [(hp * dy + h * phi) * w for h, hp in zip(*values)]
 
-    return integrate_vector(integrand, n, law.support, tol)
+    base = fam.base_support
+    return integrate_vector(integrand, n, Interval(max(-radius, base.lo), min(radius, base.hi)), tol)
 
 
-def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family, bank: Bank | None,
-                  quad_tol: float) -> list[float]:
-    """E[T(f0)(X)] under ``law`` for each f0, with any Dirac atom folded in as
-    coefficient * density(atom location).  Continuous: one operator_integrals
-    run to quad_tol (``bank`` evaluates the f0s, by default one by one).
-    Discrete: one series per f0, to min(quad_tol, 1e-13)."""
+def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family | None, bank: Bank | None,
+                  radius: float, quad_tol: float) -> list[float]:
+    """E[T(f0)(X)] under ``law`` (None: the family's own) for each f0, with
+    any Dirac atom folded in as coefficient * density(atom location).
+    Continuous: one operator_integrals run over [-radius, radius] to quad_tol
+    (``bank`` evaluates the f0s, by default one by one).  Discrete: one
+    series per f0, to min(quad_tol, 1e-13)."""
+    under = fam if law is None else law
     if fam.is_discrete:
-        return [expectation(law, make_operator(fam, f0), min(quad_tol, 1e-13)) for f0 in f0s]
-    results = operator_integrals(fam, law, bank if bank is not None else _bank(f0s), len(f0s), quad_tol)
-    values = [r.value for r in results]
+        return [expectation(under, make_operator(fam, f0), min(quad_tol, 1e-13)) for f0 in f0s]
+    bank = bank if bank is not None else _bank(f0s)
+    values = [r.value for r in operator_integrals(fam, law, bank, len(f0s), radius, quad_tol)]
     for j, f0 in enumerate(f0s):
         atom = fam.role.atom(fam, f0)
         if atom is not None:
-            values[j] += atom.coefficient * law.pdf(atom.location)
+            values[j] += atom.coefficient * under.pdf(atom.location)
     return values
 
 
 def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: float | None,
-            quad_tol: float, bank: Bank | None = None) -> list[IdentityCheck]:
+            quad_tol: float, bank: Bank | None = None, radius: float = math.inf) -> list[IdentityCheck]:
     label = fam.name if law is None else f"{fam.name}|under:{law.name}"
     default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
-    values = _expectations(fam, f0s, fam if law is None else law, bank, quad_tol)
+    values = _expectations(fam, f0s, law, bank, radius, quad_tol)
     return [
         IdentityCheck(family=label, role=fam.role.kind, test_function=f0.name,
                       expectation_value=value, tolerance=tol if tol is not None else default)
@@ -200,10 +223,12 @@ IDENTITY_EXTRAS: dict[tuple[str, str], tuple[TestFunction, ...]] = {
 DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
 
 
-def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank]:
-    """The builtin test functions, and a bank that evaluates them together:
-    the bump once per point, x^k and k x^(k-1) by recurrence."""
-    window = bump(bulk_radius(fam) + 2.0)
+def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
+    """The builtin test functions, a bank that evaluates them together (the
+    bump once per point, x^k and k x^(k-1) by recurrence), and the bump's
+    radius, outside which every one of them vanishes."""
+    radius = bulk_radius(fam) + 2.0
+    window = bump(radius)
     extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
     f0s = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(DEGREE + 1)]
     f0s.extend(product(f0, window) for f0 in extras)
@@ -227,7 +252,7 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank]:
             hps.append(e_hp(y) * b + e * bp)
         return hs, hps
 
-    return f0s, bank
+    return f0s, bank, radius
 
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:
@@ -247,8 +272,8 @@ def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None 
     own law or, for falsification evidence, under ``law``.  A continuous
     family's checks come from one vector quadrature to quad_tol; ``tol`` is
     the pass/fail threshold."""
-    f0s, bank = _builtin_suite(fam)
-    return _checks(fam, f0s, law, tol, quad_tol, bank)
+    f0s, bank, radius = _builtin_suite(fam)
+    return _checks(fam, f0s, law, tol, quad_tol, bank, radius)
 
 
 # --------------------------------------------------------------------------

@@ -23,16 +23,23 @@ Every continuous operator has one form (the paper's general mechanism):
 
 with phi = d/dtheta log g the score; ``_ContinuousRole.operator`` is it, with
 the Dirac atom of a moving support edge where g > 0 (exponential location).
+Since g(x; theta0) dx = g0(y) dy, E[T f0(X)] = d/dtheta of the integral of
+f0 g0 over y, and the identity checks integrate it in y: each role also
+contributes its base-coordinate terms, ``base_terms`` (dy/dtheta and phi as
+functions of y alone: (-1, -L(y)), (y/sigma0, (1 + y L(y))/sigma0) and
+(c, y/c + c L(y)) with c = sqrt(1 + y^2)), and ``from_base`` (x(y) and
+dx/dy at theta0, for the density of another law).
 
 Each role class is the single home of its math: kind and parameter value,
 bulk centre, support map and density g(.; theta), the base coordinate map
 y(x; theta) (increasing in x for every continuous role, so tails in x are
-base tails) and its theta-derivative dy/dtheta (-1, x and C), whether g is
-positive at a support edge that moves with theta, the score and its
-derivative, f-tilde, and the generic quotient by central differencing in
-theta, against which every operator is checked.  Adding a continuous role
-is one class here, in ROLE_KINDS, with ``to_base``, ``dy_dtheta``, ``score``
-and ``density``.
+base tails), its inverse and its theta-derivative dy/dtheta (-1, x and C)
+in x and in y, whether g is positive at a support edge that moves with
+theta, the score and its derivative, f-tilde, and the generic quotient by
+central differencing in theta, against which every operator is checked.
+Adding a continuous role is one class here, in ROLE_KINDS, with
+``to_base``, ``from_base``, ``dy_dtheta``, ``score``, ``base_terms`` and
+``density``.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ class Atom:
 
 
 ClosedForm = tuple[RealFn, Optional[Atom]]
+BaseTerms = Callable[[float], tuple[float, float]]   # y -> (dy/dtheta, phi) at theta0
 
 
 def sas_transform(x: float, delta: float) -> tuple[float, float]:
@@ -80,6 +88,10 @@ class _ContinuousRole(_Role):
     """What the continuous roles share: the operator, the generic quotient and L, L'."""
 
     center: ClassVar[float] = 0.0   # where the family's bulk sits
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise InvalidParameter(f"{self.kind} parameter must be finite, got {self.value}")
 
     def stein_terms(self, fam: Any) -> Callable[[float], Optional[tuple[float, float, float]]]:
         """x -> (y, dy/dtheta, phi(x)) at theta0, or None off the support: what
@@ -168,8 +180,15 @@ class Location(_ContinuousRole):
     def to_base(self, x: float, theta: float) -> float:
         return x - theta
 
+    def from_base(self, y: float) -> tuple[float, float]:
+        return y + self.mu0, 1.0
+
     def dy_dtheta(self, x: float) -> float:
         return -1.0
+
+    def base_terms(self, fam: Any) -> BaseTerms:
+        L = fam.log_density_derivative
+        return lambda y: (-1.0, -L(y))
 
     def positive_at_moving_edge(self, fam: Any) -> bool:
         lo = fam.base_support.lo
@@ -192,8 +211,8 @@ class Scale(_ContinuousRole):
     kind: ClassVar[str] = "scale"
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise InvalidParameter(f"scale parameter must be > 0, got {self.sigma0}")
+        if not 0 < self.sigma0 < math.inf:
+            raise InvalidParameter(f"scale parameter must be finite and > 0, got {self.sigma0}")
 
     @property
     def value(self) -> float:
@@ -212,8 +231,23 @@ class Scale(_ContinuousRole):
     def to_base(self, x: float, theta: float) -> float:
         return theta * x
 
+    def from_base(self, y: float) -> tuple[float, float]:
+        return y / self.sigma0, 1.0 / self.sigma0
+
     def dy_dtheta(self, x: float) -> float:
         return x
+
+    def base_terms(self, fam: Any) -> BaseTerms:
+        L, s0 = fam.log_density_derivative, self.sigma0
+
+        def terms(y: float) -> tuple[float, float]:
+            if y == 0.0:
+                # The term linear in y vanishes, and L is not evaluated at a
+                # closed support edge where it may blow up.
+                return 0.0, 1.0 / s0
+            return y / s0, (1.0 + y * L(y)) / s0
+
+        return terms
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         L, Lp = self._log_derivatives(fam)
@@ -251,8 +285,21 @@ class SkewSAS(_ContinuousRole):
     def to_base(self, x: float, theta: float) -> float:
         return sas_transform(x, theta)[0]
 
+    def from_base(self, y: float) -> tuple[float, float]:
+        u = math.asinh(y) - self.delta0
+        return math.sinh(u), math.cosh(u) / math.hypot(1.0, y)
+
     def dy_dtheta(self, x: float) -> float:
         return sas_transform(x, self.delta0)[1]
+
+    def base_terms(self, fam: Any) -> BaseTerms:
+        L = fam.log_density_derivative
+
+        def terms(y: float) -> tuple[float, float]:
+            c = math.hypot(1.0, y)  # C = sqrt(1 + S^2)
+            return c, y / c + c * L(y)
+
+        return terms
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         L, Lp = self._log_derivatives(fam)

@@ -87,7 +87,12 @@ class TestScenarioFile:
         '{"id": "p", "family": "poisson", "role": {"kind": "theta", "value": Infinity}}',
         '{"id": "b", "family": "binomial", "role": {"kind": "theta", "value": 0.5}, "n": Infinity}',
         '{"id": "b", "family": "binomial", "role": {"kind": "theta", "value": 0.5}, "n": NaN}',
-    ], ids=["poisson-rate-inf", "binomial-n-inf", "binomial-n-nan"])
+        '{"id": "e", "family": "exponential", "role": {"kind": "scale", "value": Infinity}}',
+        '{"id": "g", "family": "gaussian", "role": {"kind": "location", "value": Infinity}}',
+        '{"id": "a", "family": "gamma", "role": {"kind": "scale", "value": 1.0}, "shape": Infinity}',
+        '{"id": "s", "family": "sas-gaussian", "role": {"kind": "skew", "value": -Infinity}}',
+    ], ids=["poisson-rate-inf", "binomial-n-inf", "binomial-n-nan", "exponential-scale-inf",
+            "gaussian-location-inf", "gamma-shape-inf", "sas-skew-minus-inf"])
     def test_non_finite_family_constants_are_validation_errors(self, tmp_path, capsys, line):
         p = tmp_path / "scn.jsonl"
         p.write_text(line + "\n")

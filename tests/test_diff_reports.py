@@ -43,3 +43,23 @@ def test_builtin_calls_cover_a_loose_tolerance(tmp_path):
     assert len(calls) == 11  # 4 per input, the paper table and 2 at --tol 1e-6
     assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
     assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]
+
+
+def test_leaves_are_counted_by_path_class():
+    leaves = [
+        {"call": "a", "path": "file[0].identity_checks[3].value", "old": 1e-17, "new": 2e-17},
+        {"call": "b", "path": "file[12].identity_checks[0].value", "old": 0.0, "new": 1e-17},
+        {"call": "b", "path": "stdout:4", "old": "x", "new": "y"},
+        {"call": "c", "path": "stdout:17", "old": "x", "new": "z"},
+        {"call": "c", "path": "file[0].identity_checks[1].value", "old": 3e-12, "new": 8e-15},
+        {"call": "d", "path": "rc", "old": 0, "new": 1},
+        {"call": "e", "path": None, "old": True, "new": False},
+    ]
+    assert diff_reports.class_counts(leaves) == [
+        "file[*].identity_checks[*].value: 3",
+        "stdout: 2",
+        "(call): 1",
+        "rc: 1",
+    ]
+    assert diff_reports.class_counts([{"call": "a", "path": "rc", "old": 0, "new": 1}] * 3084) == ["rc: 3,084"]
+    assert diff_reports.class_counts([]) == []
