@@ -14,6 +14,9 @@ h = x^2 at rate 1 gives 25 > 11.  The shifted form below yields 9 <= 11.)
 
 Also here: the log-concavity Poincare constant and COMPARATORS, the classical
 bounds (Chernoff, Cacoullos, Klaassen) and fixed report flags per (family, role).
+
+A report carries the ground-truth variance, both bounds, comparators and flags,
+and nothing else; ``tightness_residual`` is the paper table's equality diagnostic.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .families import (
     expectation,
     expectation_or_inf,
 )
-from .numerics import golden_section_minimize, scan_grid
+from .numerics import TruncationUnsafe, golden_section_minimize, scan_grid
 from .operators import (
     BoundaryViolation,
     ScoreProfile,
@@ -47,6 +50,10 @@ class NotStronglyUnimodal(Exception):
 
 class NotApplicable(Exception):
     """No comparator bounds are catalogued for this family/role."""
+
+
+class DivergentMoment(Exception):
+    """E[h^2] does not exist for this family/test function."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,12 @@ class PoincareConstant:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower bound, ground-truth variance, upper bound, and diagnostics."""
+    """Lower bound, ground-truth variance (+inf when E[h^2] diverges), upper
+    bound, comparators and flags of one (family, test function) pair."""
 
     lower: float
     variance_truth: float
     upper: float                      # +inf allowed
-    tightness_residual: float         # min over (alpha, beta) of E[(h - a*phi - b)^2] / Var[h]
     comparators: tuple[Comparator, ...] = ()
     flags: tuple[str, ...] = ()
     upper_witness: float | None = None   # where monotonicity failed, if it did
@@ -290,7 +297,19 @@ def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> li
 
 
 # --------------------------------------------------------------------------
-# Report assembly.
+# Ground truth and report assembly.
+
+
+def ground_truth_variance(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> float:
+    """Var[h(X)] by quadrature/series; raises DivergentMoment when E[h^2] diverges."""
+    try:
+        second = expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
+        if math.isinf(second):
+            raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
+        first = expectation_or_inf(fam, h.h, tol)
+    except TruncationUnsafe as exc:
+        raise DivergentMoment(str(exc)) from exc
+    return second - first * first
 
 
 def tightness_residual(
@@ -300,7 +319,9 @@ def tightness_residual(
 
     min over (alpha, beta) of E[(h - alpha*phi - beta)^2] / Var[h]; zero
     exactly when h is proportional to phi up to an additive constant, which
-    is the equality case of both bounds.
+    is the equality case of both bounds.  Only the paper table's equality
+    rows compute it.  By the exchange identity E[h phi] = -E[h' f-tilde] it
+    is, up to quadrature error, max(lower_slack / variance, 0) of the report.
     """
     if variance <= 1e-300:
         return 0.0
@@ -323,16 +344,16 @@ def bound_report(
     h: TestFunction,
     *,
     tol: float = 1e-12,
-    variance_truth: float | None = None,
     with_comparators: bool = True,
 ) -> BoundReport:
-    """Assemble lower / variance / upper plus comparators and flags for one
-    (family, test function) pair."""
+    """Assemble variance / lower / upper plus comparators and flags for one
+    (family, test function) pair; the variance runs first, so its error wins."""
+    try:
+        variance = ground_truth_variance(fam, h, tol=tol)
+    except DivergentMoment:
+        variance = math.inf
     flags: list[str] = []
     prof = score_profile(fam, tol=tol)
-
-    if variance_truth is None:
-        variance_truth = expectation(fam, lambda x: h.h(x) ** 2, tol) - expectation(fam, h.h, tol) ** 2
 
     lower = lower_bound(fam, h=h, tol=tol, profile=prof)
     if math.isinf(prof.fisher):
@@ -354,8 +375,6 @@ def bound_report(
                 flags.append("upper-divergent")
     flags.extend(_comparator_entry(fam).flags)
 
-    residual = tightness_residual(fam, h, prof, variance_truth, tol=tol)
-
     comparators: tuple[Comparator, ...] = ()
     if with_comparators:
         try:
@@ -365,9 +384,8 @@ def bound_report(
 
     return BoundReport(
         lower=lower,
-        variance_truth=variance_truth,
+        variance_truth=variance,
         upper=upper,
-        tightness_residual=residual,
         comparators=comparators,
         flags=tuple(flags),
         upper_witness=witness,

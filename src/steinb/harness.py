@@ -1,5 +1,5 @@
-"""End-to-end verification: identity checks, falsification evidence, ground
-truth variances, and scenario orchestration.
+"""End-to-end verification: identity checks, falsification evidence and
+scenario orchestration.
 
 An identity check integrates T(f0) against the family's own law and passes
 when the expectation vanishes to tolerance (1e-8 continuous, 1e-9 discrete).
@@ -20,8 +20,7 @@ the converse characterization.
 
 Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
 compact bump whose radius covers all but 1e-8 of the family's mass, plus
-Hermite-weighted variants for the Gaussian location family.  Ground truth is
-always quadrature or series summation.
+Hermite-weighted variants for the Gaussian location family.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from . import config
-from .bounds import BoundReport, bound_report
+# DivergentMoment and ground_truth_variance are re-exported here.
+from .bounds import BoundReport, DivergentMoment, bound_report, ground_truth_variance
 from .families import (
     FAMILIES,
     ContinuousFamily,
@@ -42,13 +42,12 @@ from .families import (
     bulk_radius,
     bump,
     expectation,
-    expectation_or_inf,
     make_family,
     named_test_function,
     polynomial,
     product,
 )
-from .numerics import Interval, NumericsError, QuadResult, TruncationUnsafe
+from .numerics import Interval, NumericsError, QuadResult
 from .operators import (
     BoundaryViolation,
     UnsupportedRole,
@@ -60,10 +59,6 @@ from .vectorquad import integrate_vector
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
 DISCRETE_IDENTITY_TOL = 1e-9
-
-
-class DivergentMoment(Exception):
-    """E[h^2] does not exist for this family/test function."""
 
 
 # What a scenario may end in instead of a report: recorded as a typed error
@@ -277,22 +272,6 @@ def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None 
 
 
 # --------------------------------------------------------------------------
-# Ground truth.
-
-
-def ground_truth_variance(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> float:
-    """Var[h(X)] by quadrature/series; raises DivergentMoment when E[h^2] diverges."""
-    try:
-        second = expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
-        if math.isinf(second):
-            raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
-        first = expectation_or_inf(fam, h.h, tol)
-    except TruncationUnsafe as exc:
-        raise DivergentMoment(str(exc)) from exc
-    return second - first * first
-
-
-# --------------------------------------------------------------------------
 # Scenarios.
 
 
@@ -377,15 +356,7 @@ class Scenario:
 def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
     """Identity checks plus a bound report for one scenario; failures are
     recorded on the result rather than raised, so a matrix always completes."""
-
-    def report(fam: Family, h: TestFunction) -> BoundReport:
-        try:
-            variance = ground_truth_variance(fam, h, tol=tol)
-        except DivergentMoment:
-            variance = math.inf
-        return bound_report(fam, h, tol=tol, variance_truth=variance)
-
-    return _contained(scenario, report, tol)
+    return _contained(scenario, tol, with_report=True)
 
 
 def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
@@ -393,25 +364,25 @@ def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> S
     (``report`` stays None), failures recorded the same way.  A family/role
     pair that has no bound report at all (``require_score``) is still an
     error row, as under ``run_scenario``."""
-    return _contained(scenario, lambda fam, h: require_score(fam), tol)
+    return _contained(scenario, tol, with_report=False)
 
 
-def _contained(
-    scenario: Scenario, report: Callable[[Family, TestFunction], BoundReport | None], quad_tol: float
-) -> ScenarioResult:
-    """Build the scenario, run its identity checks to quadrature tolerance
-    quad_tol (under the deliberately wrong law when it names one), then
-    ``report``; a SCENARIO_ERRORS exception anywhere becomes the result's
-    error."""
+def _contained(scenario: Scenario, quad_tol: float, *, with_report: bool) -> ScenarioResult:
+    """Build the scenario, reject a family/role pair with no score
+    (``require_score``) before any quadrature, run its identity checks to
+    quadrature tolerance quad_tol (under the deliberately wrong law when it
+    names one), then, ``with_report``, its bound report; a SCENARIO_ERRORS
+    exception anywhere becomes the result's error."""
     started = time.perf_counter()
     try:
         fam = scenario.build_family()
         h = scenario.build_test_function()
         wrong_law = scenario.build_law()
+        require_score(fam)
         checks = tuple(identity_suite(fam, tol=scenario.identity_tol, law=wrong_law, quad_tol=quad_tol))
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
-            report=report(fam, h),
+            report=bound_report(fam, h, tol=quad_tol) if with_report else None,
             identity_checks=checks,
             wall_time=time.perf_counter() - started,
         )

@@ -18,7 +18,9 @@ from .bounds import (
     NotStronglyUnimodal,
     bound_report,
     discrete_lower_bound,
+    ground_truth_variance,
     poincare_constant,
+    tightness_residual,
 )
 from .families import (
     Family,
@@ -42,7 +44,6 @@ from .harness import (
     builtin_scenarios,
     builtin_test_functions,
     falsify_identity,
-    ground_truth_variance,
     identity_suite,
     perturbed_law,
     run_scenario,
@@ -154,10 +155,14 @@ def _exp_sqrt_chain(ctx: _Shared) -> tuple[Any, bool]:
 def _equality(row_id: str, scenario_id: str, expect_upper: bool) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
         rep = ctx.results[scenario_id].report
-        ok = abs(rep.lower - rep.variance_truth) <= 1e-7 and rep.tightness_residual <= 1e-9
+        scenario = next(s for s in builtin_scenarios() if s.scenario_id == scenario_id)
+        fam = scenario.build_family()
+        residual = tightness_residual(fam, scenario.build_test_function(), score_profile(fam, tol=ctx.tol),
+                                      rep.variance_truth, tol=ctx.tol)
+        ok = abs(rep.lower - rep.variance_truth) <= 1e-7 and residual <= 1e-9
         if expect_upper:
             ok = ok and abs(rep.upper - rep.variance_truth) <= 1e-7
-        return (rep.lower, rep.variance_truth, rep.upper if expect_upper else None, rep.tightness_residual), ok
+        return (rep.lower, rep.variance_truth, rep.upper if expect_upper else None, residual), ok
 
     return RowSpec(row_id, f"Equality case {scenario_id}: h proportional to the score",
                    "|lower - Var| <= 1e-7" + (", |upper - Var| <= 1e-7" if expect_upper else "")

@@ -10,7 +10,12 @@ import math
 
 import pytest
 
-from steinb.bounds import NotStronglyUnimodal, discrete_lower_bound, poincare_constant
+from steinb.bounds import (
+    NotStronglyUnimodal,
+    discrete_lower_bound,
+    poincare_constant,
+    tightness_residual,
+)
 from steinb.families import (
     Location,
     Scale,
@@ -104,7 +109,9 @@ def test_criterion_5_equality_cases(matrix, scenario_id, expect_upper):
     assert abs(rep.lower - rep.variance_truth) <= 1e-7
     if expect_upper:
         assert abs(rep.upper - rep.variance_truth) <= 1e-7
-    assert rep.tightness_residual <= 1e-9
+    scenario = next(s for s in builtin_scenarios() if s.scenario_id == scenario_id)
+    fam, h = scenario.build_family(), scenario.build_test_function()
+    assert tightness_residual(fam, h, score_profile(fam), rep.variance_truth) <= 1e-9
     _ok(f"criterion 5: equality case {scenario_id}")
 
 

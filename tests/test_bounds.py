@@ -14,6 +14,7 @@ from steinb.bounds import (
     literature_bounds,
     lower_bound,
     poincare_constant,
+    tightness_residual,
     upper_bound,
 )
 from steinb.families import (
@@ -254,11 +255,26 @@ class TestBoundReport:
             assert abs(rep.lower - rep.variance_truth) <= 1e-7
             if expect_upper:
                 assert abs(rep.upper - rep.variance_truth) <= 1e-7
-            assert rep.tightness_residual <= 1e-9
+            assert tightness_residual(fam, h, score_profile(fam), rep.variance_truth) <= 1e-9
 
     def test_tightness_residual_detects_mismatch(self):
-        rep = bound_report(exponential(Scale(1.0)), sqrt_fn())
-        assert rep.tightness_residual > 1e-3
+        fam, h = exponential(Scale(1.0)), sqrt_fn()
+        rep = bound_report(fam, h)
+        assert tightness_residual(fam, h, score_profile(fam), rep.variance_truth) > 1e-3
+
+    def test_tightness_residual_is_the_lower_bounds_slack(self):
+        # The exchange identity E[h phi] = -E[h' f-tilde] makes the lower
+        # bound Cov(h, phi)^2 / Var(phi), so the residual (its own three
+        # integrals) is the report's relative lower slack; a drift in
+        # f-tilde or phi breaks the equality.
+        for scenario in builtin_scenarios():
+            fam, h = scenario.build_family(), scenario.build_test_function()
+            rep = bound_report(fam, h, with_comparators=False)
+            if not (math.isfinite(rep.variance_truth) and rep.variance_truth > 0.0):
+                continue
+            residual = tightness_residual(fam, h, score_profile(fam), rep.variance_truth)
+            expected = max(rep.lower_slack / rep.variance_truth, 0.0)
+            assert residual == pytest.approx(expected, rel=0.0, abs=1e-12), scenario.scenario_id
 
     def test_vacuous_flag(self):
         rep = bound_report(gamma(Location(0.0), shape=1.5), linear())

@@ -348,10 +348,16 @@ class TestScenarios:
         assert len(checks.identity_checks) == 5
         assert all(c.passed for c in checks.identity_checks)
 
-    def test_checks_alone_reject_a_role_without_score(self):
-        result = run_checks(Scenario("exp-loc", "exponential", "location", 0.0))
-        assert result.identity_checks == ()
-        assert result.error == run_scenario(Scenario("exp-loc", "exponential", "location", 0.0)).error
+    def test_checks_alone_reject_a_role_without_score(self, count_cells):
+        # The pair is rejected before its identity suite, so neither path
+        # spends a quadrature cell on checks it would discard.
+        for law_value in (None, 0.5):
+            scenario = Scenario("exp-loc", "exponential", "location", 0.0, law_value=law_value)
+            result = run_checks(scenario)
+            assert result.identity_checks == ()
+            assert result.error.startswith("UnsupportedRole")
+            assert result.error == run_scenario(scenario).error
+        assert count_cells() == 0
 
     # Upper bounds on quadrature work, in GK15 cells of either kernel: the
     # counts when they were pinned.  Lower them when refinement gets
@@ -360,7 +366,7 @@ class TestScenarios:
     def test_builtin_matrix_gk15_cells(self, count_cells):
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert count_cells() <= 2_582
+        assert count_cells() <= 2_018
 
     def test_builtin_identity_suite_gk15_cells(self, count_cells):
         # One shared mesh per suite, in base coordinates over the bump's
