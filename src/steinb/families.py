@@ -4,7 +4,8 @@ Continuous families are stored as a base density g0 together with its
 logarithmic derivative L = g0'/g0 (and L' where known); the parameter of
 interest enters through the family's role (``roles.py``).  Discrete
 families live on {0, ..., N} with N independent of the parameter and
-register the derivative of g(x; theta)/g(0; theta) in theta.
+register g(x; theta) and the score d/dtheta log g(x; theta0), from which
+their operator is built.
 
 Every continuous family also carries the closed-form tails of its base law,
 from which ``bulk_radius`` reads the mass outside a window.  Every catalogue
@@ -355,7 +356,6 @@ class DiscreteFamily(_Structural):
     role: DiscreteTheta
     support_max: float                                   # int or math.inf
     pmf_fn: Callable[[int, float], float]
-    theta_ratio_derivative: Callable[[int, float], float]   # d/dtheta of g(x;theta)/g(0;theta)
     exchange_fn: RealFn                                  # f-tilde for f0 = 1, continuous in x
     score_fn: RealFn                                     # d/dtheta log g(x;theta0), continuous in x
     theta_domain: Interval = field(default=Interval(-math.inf, math.inf))
@@ -386,12 +386,6 @@ def poisson(lam: float) -> DiscreteFamily:
     def pmf_fn(x: int, theta: float) -> float:
         return math.exp(-theta + x * math.log(theta) - math.lgamma(x + 1))
 
-    def trd(x: int, theta: float) -> float:
-        # d/dtheta of theta^x / x!  ==  theta^(x-1) / (x-1)!
-        if x < 1:
-            return 0.0
-        return math.exp((x - 1) * math.log(theta) - math.lgamma(x))
-
     def tail(k: int, theta: float = lam) -> float | None:
         # Ratio bound: terms decay at least geometrically once k+2 > 2*theta.
         r = theta / (k + 2)
@@ -405,7 +399,6 @@ def poisson(lam: float) -> DiscreteFamily:
         role=DiscreteTheta(float(lam)),
         support_max=math.inf,
         pmf_fn=pmf_fn,
-        theta_ratio_derivative=trd,
         exchange_fn=lambda x, theta=float(lam): -x / theta,
         score_fn=lambda x, theta=float(lam): x / theta - 1.0,
         theta_domain=Interval(0.0, math.inf),
@@ -422,18 +415,11 @@ def geometric(p: float) -> DiscreteFamily:
     def pmf_fn(x: int, theta: float) -> float:
         return math.exp(x * math.log1p(-theta)) * theta
 
-    def trd(x: int, theta: float) -> float:
-        # d/dtheta of (1-theta)^x
-        if x < 1:
-            return 0.0
-        return -x * math.exp((x - 1) * math.log1p(-theta))
-
     return DiscreteFamily(
         name="geometric",
         role=DiscreteTheta(float(p)),
         support_max=math.inf,
         pmf_fn=pmf_fn,
-        theta_ratio_derivative=trd,
         exchange_fn=lambda x, theta=float(p): x / (theta * (1.0 - theta)),
         score_fn=lambda x, theta=float(p): 1.0 / theta - x / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),
@@ -454,18 +440,11 @@ def binomial(n: int, p: float) -> DiscreteFamily:
             return 0.0
         return math.comb(n, x) * theta**x * (1.0 - theta) ** (n - x)
 
-    def trd(x: int, theta: float) -> float:
-        # d/dtheta of C(n,x) theta^x (1-theta)^{-x}
-        if x < 1 or x > n:
-            return 0.0
-        return math.comb(n, x) * x * theta ** (x - 1) * (1.0 - theta) ** (-x - 1)
-
     return DiscreteFamily(
         name="binomial",
         role=DiscreteTheta(float(p)),
         support_max=float(n),
         pmf_fn=pmf_fn,
-        theta_ratio_derivative=trd,
         exchange_fn=lambda x, theta=float(p): -x / theta,
         score_fn=lambda x, theta=float(p): x / theta - (n - x) / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),

@@ -4,14 +4,17 @@ Every operator here is the quotient  d/dtheta (f(x;theta) g(x;theta)) / g(x;thet
 specialized to a parameter role (``roles.py``).  The continuous roles share
 one closed form, with y the base coordinate and phi the score:
 
-    continuous T(x) = f0'(y) dy/dtheta + f0(y) phi(x)
-               dy/dtheta = -1 (location, y = x - mu0), x (scale, y = sigma0 x),
-               C (SAS skew, y = S; (S, C) the sinh-arcsinh pair)
-    discrete   T(x) = D+ ( f0(x) d/dtheta[g(x;theta)/g(0;theta)] ) / g(x;theta0)
+    continuous T(x) = f0'(y) dy/dtheta + f0(y) phi
+               dy/dtheta = -1 (location, y = x - mu0), y/sigma0 (scale,
+               y = sigma0 x), C = sqrt(1 + y^2) (SAS skew, y = S; (S, C)
+               the sinh-arcsinh pair), each with phi as a function of y
+    discrete   T(x) = D+ ( f0(x) g(x;theta0) (phi(x) - phi(0)) ) / g(x;theta0)
 
-with D+ the forward difference.  A generic evaluation of the quotient by
-central differencing in theta is provided alongside, so every closed form
-can be cross-checked against the defining formula.
+with D+ the forward difference.  The discrete form is g(0; theta0) times
+D+ ( f0(x) d/dtheta[g(x;theta)/g(0;theta)] ) / g(x;theta0), the defining
+quotient.  A generic evaluation of the quotient by central differencing in
+theta (scaled the same way) is provided alongside, so every closed form can
+be cross-checked against the defining formula.
 
 Where the density is positive at a support edge that moves with the parameter
 (``positive_at_moving_edge``: exponential location), the operator carries a
@@ -92,8 +95,9 @@ def make_operator(fam: Family, f0: TestFunction) -> SteinOperator:
 
 
 def generic_operator_value(fam: Family, f0: TestFunction, x: float, step: float = 1e-5) -> float:
-    """d/dtheta(f g)/g at theta0 by central differencing; the ground truth
-    every registered closed form is checked against."""
+    """d/dtheta(f g)/g at theta0 by central differencing (times g(0; theta0)
+    for a discrete family); the ground truth every registered closed form is
+    checked against."""
     return fam.role.quotient(fam, f0, x, step)
 
 

@@ -13,33 +13,35 @@ density g0 with L = g0'/g0 (and L' where known):
 
 with S_delta(x) = sinh(asinh(x) + delta) and C_delta its cosh companion; the
 test function moves with the same base coordinate, f(x;theta) = f0(y).
-Discrete families register g(x;theta) on {0, ..., N} and the derivative of
-g(x;theta)/g(0;theta) in theta; their operator is the forward-difference
-analogue.
+Discrete families register g(x;theta) on {0, ..., N} and the score phi;
+their operator is the forward-difference analogue, built from those two
+and scaled by g(0; theta0) > 0:
+
+    T f0(k) = (w(k+1) - w(k)) / g(k),    w(j) = f0(j) g(j) (phi(j) - phi(0)).
 
 Every continuous operator has one form (the paper's general mechanism):
 
-    T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x),    y = y(x; theta0),
+    T f0(x) = f0'(y) dy/dtheta + f0(y) phi,    y = y(x; theta0),
 
-with phi = d/dtheta log g the score; ``_ContinuousRole.operator`` is it, with
-the Dirac atom of a moving support edge where g > 0 (exponential location).
-Since g(x; theta0) dx = g0(y) dy, E[T f0(X)] = d/dtheta of the integral of
-f0 g0 over y, and the identity checks integrate it in y: each role also
-contributes its base-coordinate terms, ``base_terms`` (dy/dtheta and phi as
-functions of y alone: (-1, -L(y)), (y/sigma0, (1 + y L(y))/sigma0) and
-(c, y/c + c L(y)) with c = sqrt(1 + y^2)), and ``from_base`` (x(y) and
-dx/dy at theta0, for the density of another law).
+with phi = d/dtheta log g the score.  Each role gives dy/dtheta and phi as
+functions of y alone, its ``base_terms``: (-1, -L(y)),
+(y/sigma0, (1 + y L(y))/sigma0) and (c, y/c + c L(y)) with
+c = sqrt(1 + y^2).  ``_ContinuousRole.operator`` evaluates them at
+y = y(x; theta0), with the Dirac atom of a moving support edge where g > 0
+(exponential location).  Since g(x; theta0) dx = g0(y) dy,
+E[T f0(X)] = d/dtheta of the integral of f0 g0 over y, and the identity
+checks integrate the same terms in y, with ``from_base`` (x(y) and dx/dy
+at theta0) for the density of another law.
 
 Each role class is the single home of its math: kind and parameter value,
 bulk centre, support map and density g(.; theta), the base coordinate map
 y(x; theta) (increasing in x for every continuous role, so tails in x are
-base tails), its inverse and its theta-derivative dy/dtheta (-1, x and C)
-in x and in y, whether g is positive at a support edge that moves with
-theta, the score and its derivative, f-tilde, and the generic quotient by
-central differencing in theta, against which every operator is checked.
-Adding a continuous role is one class here, in ROLE_KINDS, with
-``to_base``, ``from_base``, ``dy_dtheta``, ``score``, ``base_terms`` and
-``density``.
+base tails) and its inverse, the base-coordinate terms, whether g is
+positive at a support edge that moves with theta, the score and its
+derivative in x, f-tilde, and the generic quotient by central differencing
+in theta, against which every operator is checked.  Adding a continuous
+role is one class here, in ROLE_KINDS, with ``to_base``, ``from_base``,
+``base_terms``, ``score`` and ``density``.
 """
 
 from __future__ import annotations
@@ -93,38 +95,19 @@ class _ContinuousRole(_Role):
         if not math.isfinite(self.value):
             raise InvalidParameter(f"{self.kind} parameter must be finite, got {self.value}")
 
-    def stein_terms(self, fam: Any) -> Callable[[float], Optional[tuple[float, float, float]]]:
-        """x -> (y, dy/dtheta, phi(x)) at theta0, or None off the support: what
-        T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x) needs besides f0."""
-        phi = self.score(fam)[0]
-        theta0, to_base, dy_dtheta = self.value, self.to_base, self.dy_dtheta
-        lo, hi = fam.base_support.lo, fam.base_support.hi
-
-        def terms(x: float) -> Optional[tuple[float, float, float]]:
-            y = to_base(x, theta0)
-            if y < lo or y > hi:
-                return None
-            dy = dy_dtheta(x)
-            if dy == 0.0:
-                # Only at x = 0 under scale, where phi = 1/sigma0 + x L(sigma0 x):
-                # the term linear in x vanishes, and L is not evaluated at a
-                # closed support edge where it may blow up.
-                return y, dy, 1.0 / theta0
-            return y, dy, phi(x)
-
-        return terms
-
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
-        """T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x), 0 off the support, with
-        the Dirac atom of ``atom``."""
-        terms = self.stein_terms(fam)
+        """T f0(x) = f0'(y) dy/dtheta + f0(y) phi at y = y(x; theta0), from the
+        role's ``base_terms``; 0 off the support, with the Dirac atom of ``atom``."""
+        terms = self.base_terms(fam)
+        theta0, to_base = self.value, self.to_base
+        lo, hi = fam.base_support.lo, fam.base_support.hi
         h, h_prime = f0.h, f0.h_prime
 
         def op(x: float) -> float:
-            t = terms(x)
-            if t is None:
+            y = to_base(x, theta0)
+            if y < lo or y > hi:
                 return 0.0
-            y, dy, phi = t
+            dy, phi = terms(y)
             return h_prime(y) * dy + h(y) * phi
 
         return op, self.atom(fam, f0)
@@ -135,8 +118,9 @@ class _ContinuousRole(_Role):
         so the edge moves at -dy/dtheta); None elsewhere."""
         if not self.positive_at_moving_edge(fam):
             return None
-        edge = self.support(fam.base_support).lo
-        return Atom(location=edge, coefficient=f0.h(fam.base_support.lo) * self.dy_dtheta(edge))
+        lo = fam.base_support.lo
+        dy = self.base_terms(fam)(lo)[0]
+        return Atom(location=self.support(fam.base_support).lo, coefficient=f0.h(lo) * dy)
 
     def quotient(self, fam: Any, f0: Any, x: float, step: float) -> float:
         """d/dtheta (f g)/g at theta0 by central differencing."""
@@ -182,9 +166,6 @@ class Location(_ContinuousRole):
 
     def from_base(self, y: float) -> tuple[float, float]:
         return y + self.mu0, 1.0
-
-    def dy_dtheta(self, x: float) -> float:
-        return -1.0
 
     def base_terms(self, fam: Any) -> BaseTerms:
         L = fam.log_density_derivative
@@ -233,9 +214,6 @@ class Scale(_ContinuousRole):
 
     def from_base(self, y: float) -> tuple[float, float]:
         return y / self.sigma0, 1.0 / self.sigma0
-
-    def dy_dtheta(self, x: float) -> float:
-        return x
 
     def base_terms(self, fam: Any) -> BaseTerms:
         L, s0 = fam.log_density_derivative, self.sigma0
@@ -288,9 +266,6 @@ class SkewSAS(_ContinuousRole):
     def from_base(self, y: float) -> tuple[float, float]:
         u = math.asinh(y) - self.delta0
         return math.sinh(u), math.cosh(u) / math.hypot(1.0, y)
-
-    def dy_dtheta(self, x: float) -> float:
-        return sas_transform(x, self.delta0)[1]
 
     def base_terms(self, fam: Any) -> BaseTerms:
         L = fam.log_density_derivative
@@ -346,28 +321,35 @@ class DiscreteTheta(_Role):
         return fam.pmf_fn(int(x), theta)
 
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
-        """D+ ( f0 * d/dtheta[g(.;theta)/g(0;theta)] )(x) / g(x; theta0).
+        """(w(k+1) - w(k)) / g(k) with w(j) = f0(j) g(j) (phi(j) - phi(0)) at theta0.
 
-        Matches the defining quotient exactly; note this fixes the geometric
-        operator's overall sign by the derivative of (1-p)^x in p, which is the
-        negative of the form usually quoted (operators are equivalent up to
-        scaling).
+        As d/dtheta [g(j;theta)/g(0;theta)] = g(j)/g(0) (phi(j) - phi(0)),
+        this is g(0; theta0) > 0 times the defining quotient.  w(j) is the
+        same float in T f0(j-1) and T f0(j), so E[T f0] telescopes.  Note the
+        defining quotient fixes the geometric operator's overall sign by the
+        derivative of (1-p)^x in p, which is the negative of the form usually
+        quoted (operators are equivalent up to scaling).
         """
-        theta0 = self.theta0
-        nmax = fam.support_max
+        theta0, nmax = self.theta0, fam.support_max
+        pmf, phi, h = fam.pmf_fn, fam.score_fn, f0.h
+        phi_at_0 = phi(0)
+
+        def w(j: int, g: float) -> float:
+            return h(j) * g * (phi(j) - phi_at_0)
 
         def op(x: float) -> float:
             k = int(round(x))
             if k < 0 or k > nmax:
                 return 0.0
-            w1 = f0.h(k + 1) * fam.theta_ratio_derivative(k + 1, theta0) if k + 1 <= nmax else 0.0
-            w0 = f0.h(k) * fam.theta_ratio_derivative(k, theta0)
-            return (w1 - w0) / self.mass(fam, k, theta0)
+            g = pmf(k, theta0)
+            w1 = w(k + 1, pmf(k + 1, theta0)) if k + 1 <= nmax else 0.0
+            return (w1 - w(k, g)) / g
 
         return op, None
 
     def quotient(self, fam: Any, f0: Any, x: float, step: float) -> float:
-        """D+ of f0 times the central difference of g(.;theta)/g(0;theta), over g."""
+        """g(0; theta0) times D+ of f0 times the central difference of
+        g(.;theta)/g(0;theta), over g: the operator's scaling, without the score."""
         theta0 = self.theta0
         k = int(round(x))
 
@@ -378,7 +360,7 @@ class DiscreteTheta(_Role):
             ratio_m = self.mass(fam, j, theta0 - step) / self.mass(fam, 0, theta0 - step)
             return f0.h(j) * (ratio_p - ratio_m) / (2.0 * step)
 
-        return (w(k + 1) - w(k)) / self.mass(fam, k, theta0)
+        return (w(k + 1) - w(k)) * self.mass(fam, 0, theta0) / self.mass(fam, k, theta0)
 
     def score(self, fam: Any) -> tuple[RealFn, RealFn]:
         phi = fam.score_fn

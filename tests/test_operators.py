@@ -141,20 +141,24 @@ class TestSkewOperator:
 
 
 class TestDiscreteOperator:
+    # The operator is g(0; theta0) times the defining quotient:
+    # e^-1 (-e) for Poisson(1), 0.5 (-2) for geometric(0.5) and 0.25 (-32)
+    # for binomial(2, 0.5).
+
     def test_poisson(self):
         op = make_operator(poisson(1.0), ONE)
-        assert op(2.0) == pytest.approx(-math.e, abs=1e-12)
+        assert op(2.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_geometric_sign_follows_defining_quotient(self):
         # The defining quotient fixes the sign as d/dp (1-p)^x < 0; the often
-        # quoted form is its negative.
+        # quoted form is its negative.  Scaling by g(0; p) > 0 keeps it.
         op = make_operator(geometric(0.5), ONE)
-        assert op(0.0) == pytest.approx(-2.0, abs=1e-12)
+        assert op(0.0) == pytest.approx(-1.0, abs=1e-12)
         assert op(0.0) == pytest.approx(generic_operator_value(geometric(0.5), ONE, 0.0), rel=1e-7)
 
     def test_binomial(self):
         op = make_operator(binomial(2, 0.5), ONE)
-        assert op(2.0) == pytest.approx(-32.0, abs=1e-10)
+        assert op(2.0) == pytest.approx(-8.0, abs=1e-10)
 
 
 ALL_NINE = [
@@ -170,7 +174,11 @@ ALL_NINE = [
 ]
 
 
-@pytest.mark.parametrize("fam", ALL_NINE, ids=lambda f: f"{f.name}-{f.role}")
+# Poisson rates 38 and 60: a discrete operator that kept a factor
+# 1/g(0; theta0) = e^theta drifted from the quotient by a relative 5.6e4 and
+# 4.9e4.  (Not geometric(0.05): the central-difference reference itself
+# misses 1e-6 there.)
+@pytest.mark.parametrize("fam", ALL_NINE + [poisson(38.0), poisson(60.0)], ids=lambda f: f"{f.name}-{f.role}")
 @pytest.mark.parametrize("f0", [ONE, linear(), square()], ids=lambda t: t.name)
 def test_closed_form_matches_generic_quotient(fam, f0):
     op = make_operator(fam, f0)
@@ -229,13 +237,15 @@ CONTINUOUS_OPERATOR_CASES = [
 
 @pytest.mark.parametrize("fam", CONTINUOUS_OPERATOR_CASES, ids=lambda f: f"{f.name}-{f.role}")
 def test_one_operator_matches_the_role_closed_forms(fam):
-    # T f0(x) = f0'(y) dy/dtheta + f0(y) phi(x) regroups the scale closed
-    # form's terms, so it agrees to rounding: within 1e-14 of the terms'
-    # magnitude.  Location and skew keep their arithmetic exactly.
+    # T f0(x) = f0'(y) dy/dtheta + f0(y) phi, with dy/dtheta and phi read in
+    # y, regroups the scale closed form's terms and computes the skew C as
+    # hypot(1, S) rather than cosh(asinh x + delta), so both agree to
+    # rounding: within 1e-14 of the terms' magnitude.  Location keeps its
+    # arithmetic exactly.
     f0s = [ONE, linear(), square(), *builtin_test_functions(fam)]
     grid = comparison_grid(fam, 200)
     if isinstance(fam.role, Scale):
-        grid.append(0.0)  # the x = 0 guard
+        grid.append(0.0)  # the y = 0 guard
     for f0 in f0s:
         op, reference = make_operator(fam, f0), _closed_form(fam, f0)
         assert op.atom == fam.role.atom(fam, f0)
@@ -244,7 +254,7 @@ def test_one_operator_matches_the_role_closed_forms(fam):
             scale = abs(f0.h_prime(y)) * max(1.0, abs(x)) + abs(f0.h(y)) * abs(fam.role.score(fam)[0](x)) \
                 if x != 0.0 else abs(f0.h(y))
             assert abs(op(x) - reference(x)) <= 1e-14 * max(scale, 1e-300), (f0.name, x)
-            if not isinstance(fam.role, Scale):  # the same operations, in the same order
+            if isinstance(fam.role, Location):  # the same operations, in the same order
                 assert op(x) == reference(x), (f0.name, x)
 
 
