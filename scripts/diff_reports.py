@@ -31,7 +31,12 @@ The comparison and the exit code do not depend on it.
 After the per-call lines it always prints how many differing leaves (as
 ``--leaves`` writes them) fall in each path class: the path with every list
 index written ``[*]`` and the line number of a ``field:N`` path dropped, for
-example ``file[*].identity_checks[*].value: 3,084``.
+example ``file[*].identity_checks[*].value: 3,084``.  Then, for each call
+class and path class, it prints the leaf count and the largest relative
+move |new - old| / max(|old|, |new|) of the leaves that are finite numbers
+on both sides, or strings that parse as such ("-" when none is).  A call class is a sweep key with its seed and
+scenario index dropped (``sweep/seed1/gamma-scale-002/bounds`` is
+``sweep/gamma-scale/bounds``); other keys are their own class.
 
 Usage:
     python3 scripts/diff_reports.py OTHER_SRC [--seeds 1,2,3] [--leaves FILE]
@@ -49,6 +54,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -206,6 +212,46 @@ def class_counts(leaves: list[dict]) -> list[str]:
     return [f"{cls}: {n:,}" for cls, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
 
 
+def call_class(call: str) -> str:
+    """A sweep key without its seed and scenario index; any other key as it is."""
+    match = re.fullmatch(r"sweep/seed\d+/(.+)-\d+/([^/]+)", call)
+    return f"sweep/{match[1]}/{match[2]}" if match else call
+
+
+def _finite(value) -> float | None:
+    """A number, or a string that is one (the paper table prints its values
+    as strings), as a finite float; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def relative_move(old, new) -> float | None:
+    """|new - old| / max(|old|, |new|) when both are finite numbers, else None."""
+    a, b = _finite(old), _finite(new)
+    if a is None or b is None:
+        return None
+    return 0.0 if a == b else abs(b - a) / max(abs(a), abs(b))
+
+
+def class_moves(leaves: list[dict]) -> list[str]:
+    """One line per (call class, path class) of ``leaves``, sorted: the leaf
+    count and the largest relative move of its numeric leaves."""
+    groups: dict[tuple[str, str], list] = {}
+    for leaf in leaves:
+        group = groups.setdefault((call_class(leaf["call"]), path_class(leaf["path"])), [0, None])
+        group[0] += 1
+        move = relative_move(leaf["old"], leaf["new"])
+        if move is not None and (group[1] is None or move > group[1]):
+            group[1] = move
+    return [f"{call} {cls}: {n:,} leaves, largest relative move {'-' if worst is None else f'{worst:.1e}'}"
+            for (call, cls), (n, worst) in sorted(groups.items())]
+
+
 def _plain(value):
     return "(missing)" if value is _MISSING else value
 
@@ -260,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
                    for path, x, y in all_leaves(b, a)]
     if args.leaves is not None:
         args.leaves.write_text("".join(json.dumps(leaf, sort_keys=True) + "\n" for leaf in leaves))
-    for line in class_counts(leaves):
+    for line in class_counts(leaves) + class_moves(leaves):
         print(line)
     total = len(set(this) | set(other))
     print(f"{total - differing} of {total} calls identical")

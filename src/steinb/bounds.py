@@ -251,14 +251,14 @@ def _exponential_uppers(fam: Family, h: TestFunction, tol: float) -> list[Compar
 
 def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) -> list[Comparator]:
     """Klaassen's lower bound for the gamma law of shape a and rate b (1 under location)
-    starting at mu0 (role center; 0 under scale)."""
-    a, mu0 = fam.structural_value("shape"), fam.role.center
+    starting at mu0, the support's left edge (0 under scale); a vacuous bound is +0.0."""
+    a, mu0 = fam.structural_value("shape"), fam.support.lo
     e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
     e_xhp = expectation_or_inf(fam, lambda x: (x - mu0) * h.h_prime(x), tol)
     if math.isinf(e_hp) or math.isinf(e_xhp):
         value = 0.0
     else:
-        value = max((a - 2.0) / b**2 * e_hp**2, e_xhp**2 / a)
+        value = max(0.0, (a - 2.0) / b**2 * e_hp**2, e_xhp**2 / a)
     return [Comparator("klaassen_gamma_lower", "lower", value)]
 
 

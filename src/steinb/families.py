@@ -8,7 +8,9 @@ register g(x; theta) and the score d/dtheta log g(x; theta0), from which
 their operator is built.
 
 Every continuous family also carries the closed-form tails of its base law,
-from which ``bulk_radius`` reads the mass outside a window.  Every catalogue
+from which ``bulk_radius`` reads the base mass outside [-r, r].  Expectations
+of a continuous family are integrals in the base coordinate y against g0,
+with x = x(y) from the role.  Every catalogue
 family is one entry of FAMILIES: its factory and a different law on the same
 support (falsification evidence).
 
@@ -360,7 +362,6 @@ class DiscreteFamily(_Structural):
     score_fn: RealFn                                     # d/dtheta log g(x;theta0), continuous in x
     theta_domain: Interval = field(default=Interval(-math.inf, math.inf))
     structural: tuple[tuple[str, float], ...] = ()
-    mass_tail_bound: Callable[[int], float | None] | None = None
     mode: int = 0                                        # where g(.; theta0) peaks
 
     is_discrete: ClassVar[bool] = True
@@ -386,14 +387,6 @@ def poisson(lam: float) -> DiscreteFamily:
     def pmf_fn(x: int, theta: float) -> float:
         return math.exp(-theta + x * math.log(theta) - math.lgamma(x + 1))
 
-    def tail(k: int, theta: float = lam) -> float | None:
-        # Ratio bound: terms decay at least geometrically once k+2 > 2*theta.
-        r = theta / (k + 2)
-        if r >= 0.5:
-            return None
-        term = math.exp(-theta + (k + 1) * math.log(theta) - math.lgamma(k + 2))
-        return term / (1.0 - r)
-
     return DiscreteFamily(
         name="poisson",
         role=DiscreteTheta(float(lam)),
@@ -402,7 +395,6 @@ def poisson(lam: float) -> DiscreteFamily:
         exchange_fn=lambda x, theta=float(lam): -x / theta,
         score_fn=lambda x, theta=float(lam): x / theta - 1.0,
         theta_domain=Interval(0.0, math.inf),
-        mass_tail_bound=tail,
         mode=math.floor(lam),
     )
 
@@ -423,7 +415,6 @@ def geometric(p: float) -> DiscreteFamily:
         exchange_fn=lambda x, theta=float(p): x / (theta * (1.0 - theta)),
         score_fn=lambda x, theta=float(p): 1.0 / theta - x / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),
-        mass_tail_bound=lambda k, theta=float(p): (1.0 - theta) ** (k + 1),
     )
 
 
@@ -449,7 +440,6 @@ def binomial(n: int, p: float) -> DiscreteFamily:
         score_fn=lambda x, theta=float(p): x / theta - (n - x) / (1.0 - theta),
         theta_domain=Interval(0.0, 1.0),
         structural=(("n", float(n)),),
-        mass_tail_bound=lambda k: 0.0 if k >= n else None,
         mode=min(math.floor((n + 1) * p), n),
     )
 
@@ -553,23 +543,26 @@ def _require_kind(name: str, kind: str) -> None:
 
 
 def _weighted(fam: ContinuousFamily, fn: RealFn) -> RealFn:
-    """The integrand fn * pdf, zero wherever the density is."""
-    def integrand(x: float) -> float:
-        w = fam.pdf(x)
+    """The integrand in the base coordinate: fn(x(y)) g0(y), zero wherever g0
+    is, so that its integral over the base support is E[fn(X)]."""
+    g0, from_base = fam.base_density, fam.role.from_base
+
+    def integrand(y: float) -> float:
+        w = g0(y)
         if w == 0.0:
             return 0.0
-        return fn(x) * w
+        return fn(from_base(y)[0]) * w
 
     return integrand
 
 
 def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
-    """E[fn(X)] by quadrature (continuous) or series (discrete)."""
+    """E[fn(X)] by quadrature in the base coordinate (continuous) or series (discrete)."""
     if fam.is_discrete:
         if math.isfinite(fam.support_max):
             return math.fsum(fn(x) * fam.pmf(x) for x in range(int(fam.support_max) + 1))
-        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, None, tol, quiet_from=fam.mode)
-    return integrate(_weighted(fam, fn), fam.support, tol).value
+        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, tol, quiet_from=fam.mode)
+    return integrate(_weighted(fam, fn), fam.base_support, tol).value
 
 
 def expectation_or_inf(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
@@ -577,19 +570,19 @@ def expectation_or_inf(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
     +-inf instead of raising NonConvergence."""
     if fam.is_discrete:
         return expectation(fam, fn, tol)
-    return integrate_detecting_divergence(_weighted(fam, fn), fam.support, tol)
+    return integrate_detecting_divergence(_weighted(fam, fn), fam.base_support, tol)
 
 
 @functools.lru_cache(maxsize=None)
 def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
-    """Radius R with at most eps of the mass outside center +- R.
+    """Radius R with at most eps of the mass outside [-R, R] in the base
+    coordinate y (continuous) or outside {0, ..., R - 1} (discrete).
 
-    The center is mu0 for location families and 0 otherwise; for families on
-    a half-line the radius also covers the distance from the center to the
-    finite endpoint, so a bump of this radius straddles the whole bulk.
-    R is found by doubling from 1, then 30 bisection steps; continuous
-    families read the mass outside from their closed-form base tails,
-    discrete ones sum the pmf.
+    The operators evaluate test functions at y, so a bump of this radius,
+    centred at y = 0, straddles the whole bulk under every role.  R is found
+    by doubling from 1, then 30 bisection steps; continuous families read
+    the mass outside from their closed-form base tails at +-r, discrete ones
+    sum the pmf.
     """
     if fam.is_discrete:
         total = 0.0
@@ -602,13 +595,8 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
             x += 1
         return float(cap)
 
-    role, center = fam.role, fam.role.center
-
     def tail_outside(r: float) -> float:
-        # Every continuous role maps x to the base coordinate increasingly,
-        # so the mass beyond center +- r is a pair of closed-form base tails.
-        return (fam.base_sf(role.to_base(center + r, role.value))
-                + fam.base_cdf(role.to_base(center - r, role.value)))
+        return fam.base_sf(r) + fam.base_cdf(-r)
 
     r = 1.0
     while tail_outside(r) > eps:

@@ -19,8 +19,9 @@ expected to produce a clearly nonzero value: evidence for, not a proof of,
 the converse characterization.
 
 Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
-compact bump whose radius covers all but 1e-8 of the family's mass, plus
-Hermite-weighted variants for the Gaussian location family.
+compact bump, plus Hermite-weighted variants for the Gaussian location
+family.  All are functions of y, and the bump's window [-R, R] is sized in y:
+R is the bulk radius plus 2, so at most 1e-8 of the base mass lies outside.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
 def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
     """The builtin test functions, a bank that evaluates them together (the
     bump once per point, x^k and k x^(k-1) by recurrence), and the bump's
-    radius, outside which every one of them vanishes."""
+    radius in y, outside which every one of them vanishes."""
     radius = bulk_radius(fam) + 2.0
     window = bump(radius)
     extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
@@ -255,8 +256,8 @@ def builtin_test_functions(fam: Family) -> list[TestFunction]:
     bulk, then the family/role's IDENTITY_EXTRAS times the same bump.
 
     Operators evaluate f0 in base coordinates (x - mu0, sigma0 * x, or the
-    skew image), so the bump is centered at the base origin and sized from
-    the family's bulk radius.
+    skew image), so the bump is centred at y = 0 and sized from the bulk
+    radius, which reads the base tails at +-r.
     """
     return _builtin_suite(fam)[0]
 

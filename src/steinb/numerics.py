@@ -67,7 +67,7 @@ class NonFinite(NumericsError):
 
 
 class TruncationUnsafe(NumericsError):
-    """A series hit the term cap without meeting either stop rule."""
+    """A series hit the term cap without meeting its stop rule."""
 
 
 @dataclass(frozen=True)
@@ -536,17 +536,15 @@ def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.
 def sum_series(
     f: Callable[[int], float],
     start: int = 0,
-    tail_bound: Callable[[int], float | None] | None = None,
     tol: float = config.SERIES.tol,
     quiet_from: int = 0,
 ) -> float:
     """Sum f(start) + f(start+1) + ... for an absolutely convergent series.
 
-    Stops when the supplied tail bound drops below tol, or heuristically when
-    64 consecutive terms are each below tol * 1e-3 in absolute value and the
-    index has reached ``quiet_from`` (pass the mode of a pmf in the terms, so
-    a negligible left tail does not end the sum).  Hitting the term cap
-    ``config.SERIES.max_terms`` (read at call time) first raises
+    Stops when 64 consecutive terms are each below tol * 1e-3 in absolute
+    value and the index has reached ``quiet_from`` (pass the mode of a pmf in
+    the terms, so a negligible left tail does not end the sum).  Hitting the
+    term cap ``config.SERIES.max_terms`` (read at call time) first raises
     TruncationUnsafe.
     """
     if tol <= 0:
@@ -561,10 +559,6 @@ def sum_series(
         if not math.isfinite(term):
             raise NonFinite(f"series term not finite at {x}", point=float(x), observed=term)
         terms.append(term)
-        if tail_bound is not None:
-            tb = tail_bound(x)
-            if tb is not None and abs(tb) < tol:
-                return math.fsum(terms)
         quiet = quiet + 1 if abs(term) < threshold else 0
         if quiet >= config.SERIES.quiet_run and x >= quiet_from:
             return math.fsum(terms)

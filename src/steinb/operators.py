@@ -19,6 +19,12 @@ be cross-checked against the defining formula.
 Where the density is positive at a support edge that moves with the parameter
 (``positive_at_moving_edge``: exponential location), the operator carries a
 Dirac atom -f0(edge) there, which expectation routines must add back.
+
+A continuous family's Fisher information is the integral of phi(y)^2 g0(y)
+over the base support, and its comparison grid and exchanging-pair endpoint
+checks sit at x(y) of points in y (``from_base``).  The score and f-tilde in
+x, which the monotonicity scan, the zero crossing and the bounds read, are
+the role's, derived from its base terms.
 """
 
 from __future__ import annotations
@@ -27,17 +33,18 @@ import math
 from dataclasses import dataclass
 from .families import (
     ONE,
+    ContinuousFamily,
     Family,
     TestFunction,
     bulk_radius,
     expectation,
-    expectation_or_inf,
 )
 from .numerics import (
     Interval,
     MonotonicityCertificate,
     RealFn,
     bisect_root,
+    integrate_detecting_divergence,
     monotonicity_scan,
     scan_grid,
 )
@@ -103,17 +110,17 @@ def generic_operator_value(fam: Family, f0: TestFunction, x: float, step: float 
 
 def comparison_grid(fam: Family, points: int = 200) -> list[float]:
     """Interior sample points where closed forms and the generic quotient
-    can both be evaluated stably (clear of moving support edges)."""
+    can both be evaluated stably (clear of moving support edges): for a
+    continuous family, x of the bulk [-R, R] in y."""
     if fam.is_discrete:
         top = int(min(fam.support_max, bulk_radius(fam)))
         return [float(k) for k in range(0, top + 1)]
-    support = fam.support
-    radius = bulk_radius(fam)
-    center = fam.role.center
-    lo = max(support.lo, center - radius)
-    hi = min(support.hi, center + radius)
-    if math.isfinite(support.lo):
-        lo = max(lo, support.lo + 1e-2)  # keep theta +- step away from the edge
+    base, radius, from_base = fam.base_support, bulk_radius(fam), fam.role.from_base
+    lo = from_base(max(base.lo, -radius))[0]
+    hi = from_base(min(base.hi, radius))[0]
+    edge = fam.support.lo
+    if math.isfinite(edge):
+        lo = max(lo, edge + 1e-2)  # keep theta +- step away from the edge
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
@@ -147,8 +154,9 @@ def require_score(fam: Family) -> None:
 
 
 def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
-    """Score, Fisher information E[phi^2] (by quadrature/series; +inf when the
-    integral diverges), monotonicity certificate, and zero crossing.
+    """Score, Fisher information E[phi^2] (by series, or by quadrature in the
+    base coordinate; +inf when the integral diverges), monotonicity
+    certificate, and zero crossing.
 
     Rejects the family/role pairs ``require_score`` rejects.
     """
@@ -161,16 +169,25 @@ def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
         fisher = expectation(fam, lambda x: phi(x) ** 2, min(tol, 1e-13))
     else:
         scan_iv = fam.support
-
-        def phi_squared(x: float) -> float:
-            p = phi(x)
-            return p * p
-
-        fisher = expectation_or_inf(fam, phi_squared, tol)
+        fisher = _fisher_information(fam, tol)
 
     cert = monotonicity_scan(phi, phi_prime, scan_iv, 257)
     zero = _zero_crossing(phi, scan_iv)
     return ScoreProfile(fam, phi, phi_prime, cert, fisher, zero)
+
+
+def _fisher_information(fam: ContinuousFamily, tol: float) -> float:
+    """The integral of phi(y)^2 g0(y) over the base support, or +-inf."""
+    terms, g0 = fam.role.base_terms(fam), fam.base_density
+
+    def phi_squared(y: float) -> float:
+        w = g0(y)
+        if w == 0.0:
+            return 0.0
+        phi = terms(y)[1]
+        return phi * phi * w
+
+    return integrate_detecting_divergence(phi_squared, fam.base_support, tol)
 
 
 def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
@@ -227,8 +244,8 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE, *, strict: bool = True)
             f_tilde(fam.support_max + 1.0) * fam.pmf(int(fam.support_max) + 1)
         )
     else:
-        left = _endpoint_value(fam, f_tilde, fam.support.lo)
-        right = _endpoint_value(fam, f_tilde, fam.support.hi)
+        left = _endpoint_value(fam, f_tilde, fam.base_support.lo)
+        right = _endpoint_value(fam, f_tilde, fam.base_support.hi)
 
     ok = abs(left) < 1e-9 and abs(right) < 1e-9
     if strict and not ok:
@@ -238,10 +255,13 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE, *, strict: bool = True)
     return ExchangingPair(fam, f0, f_tilde, ok, (left, right))
 
 
-def _endpoint_value(fam: Family, f_tilde: RealFn, endpoint: float) -> float:
-    if math.isfinite(endpoint):
-        x = endpoint
-    else:
-        x = math.copysign(bulk_radius(fam, 1e-12) * 1.5, endpoint) + fam.role.center
-    w = fam.pdf(x)
-    return 0.0 if w == 0.0 else f_tilde(x) * w
+def _endpoint_value(fam: ContinuousFamily, f_tilde: RealFn, y: float) -> float:
+    """f-tilde * g at x(y) for a base endpoint y, or 1.5 bulk radii out where
+    it is infinite; g(x) = g0(y) / (dx/dy)."""
+    if not math.isfinite(y):
+        y = math.copysign(bulk_radius(fam, 1e-12) * 1.5, y)
+    w = fam.base_density(y)
+    if w == 0.0:
+        return 0.0
+    x, dx_dy = fam.role.from_base(y)
+    return f_tilde(x) * w / dx_dy

@@ -26,22 +26,28 @@ Every continuous operator has one form (the paper's general mechanism):
 with phi = d/dtheta log g the score.  Each role gives dy/dtheta and phi as
 functions of y alone, its ``base_terms``: (-1, -L(y)),
 (y/sigma0, (1 + y L(y))/sigma0) and (c, y/c + c L(y)) with
-c = sqrt(1 + y^2).  ``_ContinuousRole.operator`` evaluates them at
+c = sqrt(1 + y^2), and dphi/dy, its ``base_slope``: -L'(y),
+(L(y) + y L'(y))/sigma0 and 1/c^3 + (y/c) L(y) + c L'(y).
+``_ContinuousRole.operator`` evaluates the terms at
 y = y(x; theta0), with the Dirac atom of a moving support edge where g > 0
 (exponential location).  Since g(x; theta0) dx = g0(y) dy,
-E[T f0(X)] = d/dtheta of the integral of f0 g0 over y, and the identity
-checks integrate the same terms in y, with ``from_base`` (x(y) and dx/dy
-at theta0) for the density of another law.
+E[T f0(X)] = d/dtheta of the integral of f0 g0 over y.  The identity
+checks integrate the same terms in y (with ``from_base`` for the density of
+another law), and so do every expectation and the Fisher information.
 
-Each role class is the single home of its math: kind and parameter value,
-bulk centre, support map and density g(.; theta), the base coordinate map
-y(x; theta) (increasing in x for every continuous role, so tails in x are
-base tails) and its inverse, the base-coordinate terms, whether g is
-positive at a support edge that moves with theta, the score and its
-derivative in x, f-tilde, and the generic quotient by central differencing
-in theta, against which every operator is checked.  Adding a continuous
-role is one class here, in ROLE_KINDS, with ``to_base``, ``from_base``,
-``base_terms``, ``score`` and ``density``.
+A continuous role is its coordinate map and its base terms: ``to_base``
+(y(x; theta), increasing in x for every continuous role, so tails in x are
+base tails), ``from_base`` (x(y) and dx/dy at theta0), ``base_terms``
+(dy/dtheta and phi in y) and ``base_slope`` (dphi/dy), with its ``value``
+and density g(.; theta).  ``_ContinuousRole`` reads everything else from
+them, once for every role: the support is x of the base endpoints, the
+score in x is phi(y(x)) with phi'(x) = (dphi/dy) / (dx/dy), and the
+exchanging function is f-tilde(x) = f0(y) dy/dtheta dx/dy, since
+f g dx = f0 g0 dy.  It also holds the operator, the Dirac atom of a moving
+edge where g > 0 (``positive_at_moving_edge``) and the generic quotient by
+central differencing in theta, against which every operator is checked.
+Adding a continuous role is one class here, in ROLE_KINDS, with ``value``,
+``density``, ``to_base``, ``from_base``, ``base_terms`` and ``base_slope``.
 """
 
 from __future__ import annotations
@@ -87,9 +93,8 @@ class _Role:
 
 
 class _ContinuousRole(_Role):
-    """What the continuous roles share: the operator, the generic quotient and L, L'."""
-
-    center: ClassVar[float] = 0.0   # where the family's bulk sits
+    """What the continuous roles share: everything in x, read from the
+    coordinate map and the base terms, and the generic quotient."""
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -112,6 +117,33 @@ class _ContinuousRole(_Role):
 
         return op, self.atom(fam, f0)
 
+    def support(self, base: Interval) -> Interval:
+        """Support of g(.; theta0): x of the base endpoints."""
+        return Interval(self.from_base(base.lo)[0], self.from_base(base.hi)[0])
+
+    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
+        """phi(x) = phi(y) and phi'(x) = (dphi/dy) / (dx/dy) at y = y(x; theta0)."""
+        terms, slope = self.base_terms(fam), self.base_slope(fam)
+        theta0, to_base, from_base = self.value, self.to_base, self.from_base
+
+        def phi_prime(x: float) -> float:
+            y = to_base(x, theta0)
+            return slope(y) / from_base(y)[1]
+
+        return (lambda x: terms(to_base(x, theta0))[1]), phi_prime
+
+    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
+        """f0(y) dy/dtheta dx/dy at y = y(x; theta0): as f g dx = f0 g0 dy,
+        f-tilde g is f0 g0 dy/dtheta, the theta-derivative of the mass below x."""
+        terms = self.base_terms(fam)
+        theta0, to_base, from_base, h = self.value, self.to_base, self.from_base, f0.h
+
+        def exchanging(x: float) -> float:
+            y = to_base(x, theta0)
+            return h(y) * terms(y)[0] * from_base(y)[1]
+
+        return exchanging
+
     def atom(self, fam: Any, f0: Any) -> Optional[Atom]:
         """The Dirac term f0(y) dy/dtheta at a support edge that moves with
         theta while g is positive there (exponential location, where dy/dx = 1
@@ -120,7 +152,7 @@ class _ContinuousRole(_Role):
             return None
         lo = fam.base_support.lo
         dy = self.base_terms(fam)(lo)[0]
-        return Atom(location=self.support(fam.base_support).lo, coefficient=f0.h(lo) * dy)
+        return Atom(location=self.from_base(lo)[0], coefficient=f0.h(lo) * dy)
 
     def quotient(self, fam: Any, f0: Any, x: float, step: float) -> float:
         """d/dtheta (f g)/g at theta0 by central differencing."""
@@ -134,6 +166,7 @@ class _ContinuousRole(_Role):
 
     @staticmethod
     def _log_derivatives(fam: Any) -> tuple[RealFn, RealFn]:
+        """L and L', the latter by central differencing where not registered."""
         L = fam.log_density_derivative
         Lp = fam.log_density_second_derivative
         if Lp is None:
@@ -151,13 +184,6 @@ class Location(_ContinuousRole):
     def value(self) -> float:
         return self.mu0
 
-    @property
-    def center(self) -> float:
-        return self.mu0
-
-    def support(self, base: Interval) -> Interval:
-        return Interval(base.lo + self.mu0, base.hi + self.mu0)
-
     def density(self, g0: RealFn, theta: float) -> RealFn:
         return lambda x: g0(x - theta)
 
@@ -171,18 +197,13 @@ class Location(_ContinuousRole):
         L = fam.log_density_derivative
         return lambda y: (-1.0, -L(y))
 
+    def base_slope(self, fam: Any) -> RealFn:
+        Lp = self._log_derivatives(fam)[1]
+        return lambda y: -Lp(y)
+
     def positive_at_moving_edge(self, fam: Any) -> bool:
         lo = fam.base_support.lo
         return math.isfinite(lo) and fam.base_density(lo) > 0
-
-    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
-        L, Lp = self._log_derivatives(fam)
-        mu0 = self.mu0
-        return (lambda x: -L(x - mu0)), (lambda x: -Lp(x - mu0))
-
-    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
-        mu0 = self.mu0
-        return lambda x: -f0.h(x - mu0)
 
 
 @dataclass(frozen=True)
@@ -198,11 +219,6 @@ class Scale(_ContinuousRole):
     @property
     def value(self) -> float:
         return self.sigma0
-
-    def support(self, base: Interval) -> Interval:
-        lo, hi, s = base.lo, base.hi, self.sigma0
-        return Interval(lo / s if math.isfinite(lo) else lo,
-                        hi / s if math.isfinite(hi) else hi)
 
     def density(self, g0: RealFn, theta: float) -> RealFn:
         if not theta > 0:
@@ -227,17 +243,10 @@ class Scale(_ContinuousRole):
 
         return terms
 
-    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
+    def base_slope(self, fam: Any) -> RealFn:
         L, Lp = self._log_derivatives(fam)
         s0 = self.sigma0
-        return (
-            lambda x: 1.0 / s0 + x * L(s0 * x),
-            lambda x: L(s0 * x) + s0 * x * Lp(s0 * x),
-        )
-
-    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
-        s0 = self.sigma0
-        return lambda x: (x / s0) * f0.h(s0 * x)
+        return lambda y: (L(y) + y * Lp(y)) / s0
 
 
 @dataclass(frozen=True)
@@ -249,9 +258,6 @@ class SkewSAS(_ContinuousRole):
     @property
     def value(self) -> float:
         return self.delta0
-
-    def support(self, base: Interval) -> Interval:
-        return base  # SAS skewing keeps the real line
 
     def density(self, g0: RealFn, theta: float) -> RealFn:
         def g(x: float) -> float:
@@ -276,28 +282,14 @@ class SkewSAS(_ContinuousRole):
 
         return terms
 
-    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
+    def base_slope(self, fam: Any) -> RealFn:
         L, Lp = self._log_derivatives(fam)
-        d0 = self.delta0
 
-        def phi(x: float) -> float:
-            s, c = sas_transform(x, d0)
-            return s / c + c * L(s)
+        def slope(y: float) -> float:
+            c = math.hypot(1.0, y)
+            return 1.0 / (c * c * c) + y / c * L(y) + c * Lp(y)
 
-        def phi_prime(x: float) -> float:
-            s, c = sas_transform(x, d0)
-            return (1.0 / (c * c) + s * L(s) + c * c * Lp(s)) / math.sqrt(1.0 + x * x)
-
-        return phi, phi_prime
-
-    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
-        d0 = self.delta0
-
-        def f_tilde(x: float) -> float:
-            s, _ = sas_transform(x, d0)
-            return math.sqrt(1.0 + x * x) * f0.h(s)
-
-        return f_tilde
+        return slope
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,14 @@ class TestLiteratureBounds:
         comps = {c.name: c.value for c in literature_bounds(gamma(Scale(1.0), shape=0.3), sqrt_fn())}
         assert comps["klaassen_gamma_lower"] == 0.0
 
+    @pytest.mark.parametrize("fam", [gamma(Scale(1.3), shape=1.7), gamma(Location(-0.4), shape=1.7)],
+                             ids=["scale", "location"])
+    def test_gamma_lower_of_a_constant_h_is_positive_zero(self, fam):
+        # h' = 0 makes both of Klaassen's terms zero, the first (a - 2) * 0 = -0.0
+        # for a < 2: the vacuous comparator reads 0.0, never -0.0.
+        (comp,) = literature_bounds(fam, ONE)
+        assert comp.value == 0.0 and math.copysign(1.0, comp.value) == 1.0
+
     def test_comparators_exactly_for_catalogued_pairs(self):
         catalogued = {("gaussian", "location"), ("exponential", "scale"),
                       ("gamma", "location"), ("gamma", "scale")}

@@ -63,3 +63,40 @@ def test_leaves_are_counted_by_path_class():
     ]
     assert diff_reports.class_counts([{"call": "a", "path": "rc", "old": 0, "new": 1}] * 3084) == ["rc: 3,084"]
     assert diff_reports.class_counts([]) == []
+
+
+def test_sweep_keys_fold_into_call_classes():
+    assert diff_reports.call_class("sweep/seed1/gamma-scale-002/bounds") == "sweep/gamma-scale/bounds"
+    assert diff_reports.call_class("sweep/seed12/sas-gaussian-skew-013/check") == "sweep/sas-gaussian-skew/check"
+    assert diff_reports.call_class("builtin/bounds-tol") == "builtin/bounds-tol"
+    assert diff_reports.call_class("paper-table") == "paper-table"
+
+
+def test_relative_moves_read_numbers_only():
+    assert diff_reports.relative_move(2.0, 2.0) == 0.0
+    assert diff_reports.relative_move(4.0, 5.0) == 0.2
+    assert diff_reports.relative_move(0.0, -2.2e-16) == 1.0
+    assert diff_reports.relative_move(3, 6.0) == 0.5
+    assert diff_reports.relative_move("1.5", "0.75") == 0.5  # the paper table prints strings
+    for old, new in ((True, False), ("inf", 1.0), (1.0, "(missing)"), (None, 1.0), ("a 1.0", "a 2.0")):
+        assert diff_reports.relative_move(old, new) is None
+
+
+def test_moves_are_listed_by_call_class_and_path_class():
+    leaves = [
+        {"call": "sweep/seed1/gamma-scale-002/bounds", "path": "file[0].lower", "old": 1.0, "new": 1.0 + 2e-13},
+        {"call": "sweep/seed3/gamma-scale-010/bounds", "path": "file[0].lower", "old": 2.0, "new": 2.0 + 8e-13},
+        {"call": "sweep/seed2/gamma-scale-004/bounds", "path": "file[0].upper", "old": "inf", "new": 3.0},
+        {"call": "sweep/seed2/gamma-scale-004/check", "path": "file[0].identity_checks[2].pass",
+         "old": True, "new": False},
+        {"call": "paper-table", "path": "file.rows[3].computed", "old": "8.000000000000002", "new": "8.0"},
+        {"call": "builtin/check", "path": "stdout:4", "old": "x", "new": "y"},
+    ]
+    assert diff_reports.class_moves(leaves) == [
+        "builtin/check stdout: 1 leaves, largest relative move -",
+        "paper-table file.rows[*].computed: 1 leaves, largest relative move 2.2e-16",
+        "sweep/gamma-scale/bounds file[*].lower: 2 leaves, largest relative move 4.0e-13",
+        "sweep/gamma-scale/bounds file[*].upper: 1 leaves, largest relative move -",
+        "sweep/gamma-scale/check file[*].identity_checks[*].pass: 1 leaves, largest relative move -",
+    ]
+    assert diff_reports.class_moves([]) == []

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from steinb import harness
 from steinb.cli import load_scenarios
 from steinb.families import (
     Location,
     ONE,
     Scale,
+    SkewSAS,
     binomial,
     exponential,
     gamma,
@@ -43,7 +46,9 @@ from steinb.harness import (
     run_checks,
     run_scenario,
 )
+from steinb.numerics import NonConvergence
 from steinb.vectorquad import integrate_vector
+from x_space_reference import x_space_score
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -115,9 +120,10 @@ X_SPACE_DY_DTHETA = {
 
 def _x_space_terms(fam):
     """x -> (y, dy/dtheta, phi(x)) at theta0, or None off the support, with
-    phi the role's x-space score: the terms the operator was first built on."""
+    phi the x-space score as first written: the terms the operator was first
+    built on."""
     role = fam.role
-    theta0, phi, dy_dtheta = role.value, role.score(fam)[0], X_SPACE_DY_DTHETA[role.kind]
+    theta0, phi, dy_dtheta = role.value, x_space_score(fam)[0], X_SPACE_DY_DTHETA[role.kind]
     lo, hi = fam.base_support.lo, fam.base_support.hi
 
     def terms(x):
@@ -171,12 +177,12 @@ def _law_runs(scenario, fam):
     yield wrong, identity_suite(fam, tol=scenario.identity_tol, law=wrong)
 
 
-# Exact values of the law runs where the x-space reference misses its target
-# (40-digit mpmath quadrature of the same integral in y; x^3*bump is odd
-# against a centred law, so its value is 0).
+# Exact values of the law runs where the x-space reference misses its target,
+# keyed by scenario, f0 and the law's role (40-digit mpmath quadrature of the
+# same integral in y, the same on 16 and 40 panels of the bump's window).
 LAW_RUN_ORACLES = {
-    ("gaussian-scale-011", "x^3*bump(R=16.1027)", 2.465309 * math.sqrt(2.0)): 0.0,
-    ("gaussian-scale-011", "x^4*bump(R=16.1027)", 2.465309 * math.sqrt(2.0)): -1344.936536143498753,
+    ("sas-gaussian-skew-002", "x^3*bump(R=7.73073)", SkewSAS(-0.695951 + 0.7)): -53.13836247649513533,
+    ("sas-gaussian-skew-002", "x^4*bump(R=7.73073)", SkewSAS(-0.695951 + 0.7)): 212.6259509398148307,
 }
 
 
@@ -210,16 +216,29 @@ def test_base_coordinates_match_the_x_space_reference():
                 if law is None:
                     exact = -extra
                 else:
-                    key = (scenario.scenario_id, f0.name, dict(under.structural).get("sigma"))
+                    key = (scenario.scenario_id, f0.name, under.role)
                     assert key in LAW_RUN_ORACLES, where
                     exact = LAW_RUN_ORACLES[key]
                 assert abs(new.value - exact) <= _target(new) < abs(old.value - exact) - _target(old), where
                 reference_misses.append(where)
     assert compared > 5_000
     # Seen: gamma-location-013 (seed 1) under its own law, whose x - mu0
-    # cancels near the edge, and gaussian-scale-011 (seed 2), x^3*bump and
+    # cancels near the edge, and sas-gaussian-skew-002 (seed 1), x^3*bump and
     # x^4*bump under its falsification law.
     assert len(reference_misses) <= 3, reference_misses
+
+
+@pytest.mark.parametrize("fam,base_law", [
+    (exponential(Scale(4.0)), stats.expon()),
+    (gaussian(Scale(3.9), sigma=3.0), stats.norm(scale=3.0)),
+    (sas_gaussian(1.0), stats.norm()),
+    (sas_gaussian(-1.0), stats.norm()),
+], ids=["exponential-scale-4", "gaussian-scale-3.9", "skew+1", "skew-1"])
+def test_builtin_bump_leaves_at_most_1e8_of_the_base_mass_outside(fam, base_law):
+    # The operators evaluate f0 at y, so the bump's window [-R, R] is a
+    # window in y; oracle: scipy's tails of the base law g0.
+    radius = _builtin_suite(fam)[2]
+    assert base_law.sf(radius) + base_law.cdf(-radius) <= 1e-8
 
 
 def test_single_checks_are_one_component_runs():
@@ -410,19 +429,32 @@ class TestScenarios:
             assert alone.report is None and alone.error is None
             assert alone.identity_checks == full.identity_checks
 
-    def test_checks_alone_skip_a_failing_bound_report(self):
-        # Shape 1.754 < 2, so the Fisher information diverges, but at mu0 =
-        # 4.242 the integrand's x - mu0 keeps few digits near the endpoint
-        # and is exactly 0 below ulp(mu0): neither the divergence probe nor
-        # the levels rule sees the divergence, and the bound report ends as
-        # NonConvergence instead of inf.  The identity checks converge, and pass.
+    def test_checks_alone_skip_a_failing_bound_report(self, monkeypatch):
+        # A bound stage that fails makes run_scenario an error row; run_checks
+        # never runs the report, so its identity checks converge, and pass.
+        def failing_report(*args, **kwargs):
+            raise NonConvergence("bound stage failed", 0.0, 1.0, 0)
+
+        monkeypatch.setattr(harness, "bound_report", failing_report)
         scenario = Scenario("gamma1.75-loc", "gamma", "location", 4.242,
                             structural=(("shape", 1.754),))
-        assert run_scenario(scenario).error.startswith("NonConvergence")
+        assert run_scenario(scenario).error == "NonConvergence: bound stage failed"
         checks = run_checks(scenario)
         assert checks.error is None
         assert len(checks.identity_checks) == 5
         assert all(c.passed for c in checks.identity_checks)
+
+    def test_divergent_fisher_near_a_shifted_edge_is_a_vacuous_lower_bound(self):
+        # Shape 1.754 < 2, so the Fisher information diverges.  Its integral
+        # runs in y, where the support edge sits at 0 whatever mu0 and the
+        # divergence probe's shells keep their digits.
+        scenario = Scenario("gamma1.75-loc", "gamma", "location", 4.242,
+                            structural=(("shape", 1.754),))
+        result = run_scenario(scenario)
+        assert result.error is None
+        assert result.report.lower == 0.0
+        assert "vacuous-lower" in result.report.flags
+        assert result.report.lower <= result.report.variance_truth <= result.report.upper
 
     def test_checks_alone_reject_a_role_without_score(self, count_cells):
         # The pair is rejected before its identity suite, so neither path

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from steinb import config, numerics, vectorquad
-from steinb.families import Location, Scale, exponential, gamma, gaussian, quartic, sas_gaussian
+from steinb.families import (
+    Location, Scale, expectation, exponential, gamma, gaussian, geometric, quartic, sas_gaussian,
+)
 from steinb.numerics import (
     Interval,
     NonConvergence,
@@ -631,34 +633,36 @@ class TestDivergenceDetection:
 
 class TestSumSeries:
     def test_poisson_mass(self):
-        total = sum_series(lambda x: math.exp(-1 - math.lgamma(x + 1)), 0, None, 1e-14)
+        total = sum_series(lambda x: math.exp(-1 - math.lgamma(x + 1)), 0, 1e-14)
         assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_poisson_mean(self):
         total = sum_series(
-            lambda x: x * math.exp(-2 + x * math.log(2) - math.lgamma(x + 1)), 0, None, 1e-14
+            lambda x: x * math.exp(-2 + x * math.log(2) - math.lgamma(x + 1)), 0, 1e-14
         )
         assert total == pytest.approx(2.0, abs=1e-12)
 
-    def test_geometric_mass_with_tail_bound(self):
+    def test_geometric_mass_by_the_quiet_rule(self):
+        # 64 terms below tol * 1e-3 end the sum; the tail they leave is tiny.
         p = 0.25
-        total = sum_series(lambda x: (1 - p) ** x * p, 0, lambda k: (1 - p) ** (k + 1), 1e-12)
+        total = sum_series(lambda x: (1 - p) ** x * p, 0, 1e-12)
         assert total == pytest.approx(1.0, abs=1e-11)
 
     @settings(max_examples=25, deadline=None)
     @given(p=st.floats(0.05, 0.95))
     def test_geometric_mass_property(self, p):
-        total = sum_series(lambda x: (1 - p) ** x * p, 0, lambda k: (1 - p) ** (k + 1), 1e-12)
+        total = sum_series(lambda x: (1 - p) ** x * p, 0, 1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
+        assert expectation(geometric(p), lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_unsafe(self, monkeypatch):
         monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=10_000))
         with pytest.raises(TruncationUnsafe):
-            sum_series(lambda x: 1e-6, 0, None, 1e-3)
+            sum_series(lambda x: 1e-6, 0, 1e-3)
 
     def test_nonfinite_term(self):
         with pytest.raises(NonFinite):
-            sum_series(lambda x: math.nan, 0, None, 1e-12)
+            sum_series(lambda x: math.nan, 0, 1e-12)
 
 
 def _relative_error(value, oracle):

@@ -36,6 +36,7 @@ from steinb.operators import (
     make_operator,
     score_profile,
 )
+from x_space_reference import x_space_f_tilde, x_space_score
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))  # ~2.34432
 
@@ -258,6 +259,39 @@ def test_one_operator_matches_the_role_closed_forms(fam):
                 assert op(x) == reference(x), (f0.name, x)
 
 
+@pytest.mark.parametrize("fam", CONTINUOUS_OPERATOR_CASES, ids=lambda f: f"{f.name}-{f.role}")
+def test_derived_score_and_f_tilde_match_the_x_space_reference(fam):
+    # phi(y(x)), (dphi/dy) / (dx/dy) and f0(y) dy/dtheta dx/dy regroup the
+    # x-space formulas each role once stated, so they agree to rounding:
+    # within 1e-14 of the terms' magnitude.  Location keeps its arithmetic
+    # exactly.
+    role = fam.role
+    phi, phi_prime = role.score(fam)
+    ref_phi, ref_phi_prime = x_space_score(fam)
+    L, Lp = fam.log_density_derivative, fam.log_density_second_derivative
+    f0s = [ONE, linear(), square(), *builtin_test_functions(fam)]
+    for x in comparison_grid(fam, 200):
+        y = role.to_base(x, role.value)
+        if isinstance(role, Location):
+            phi_scale = slope_scale = 1.0
+        elif isinstance(role, Scale):
+            phi_scale = 1.0 / role.sigma0 + abs(x * L(y))
+            slope_scale = abs(L(y)) + abs(y * Lp(y))
+        else:
+            c = math.hypot(1.0, y)
+            phi_scale = abs(y / c) + abs(c * L(y))
+            slope_scale = (1.0 / c**2 + abs(y * L(y)) + c * c * abs(Lp(y))) / math.hypot(1.0, x)
+        pairs = [(phi(x), ref_phi(x), phi_scale), (phi_prime(x), ref_phi_prime(x), slope_scale)]
+        for f0 in f0s:
+            reference = x_space_f_tilde(fam, f0)(x)
+            pairs.append((role.f_tilde(fam, f0)(x), reference, abs(reference)))
+        for derived, reference, scale in pairs:
+            if isinstance(role, Location):  # the same operations, in the same order
+                assert derived == reference, x
+            else:
+                assert abs(derived - reference) <= 1e-14 * max(scale, 1e-300), x
+
+
 class TestScoreProfile:
     def test_gaussian_location(self):
         prof = score_profile(gaussian(Location(0.0)))
@@ -317,6 +351,26 @@ class TestScoreProfile:
         assert prof.fisher == pytest.approx(0.25, abs=1e-10)
         assert prof.monotonicity.verdict is Verdict.DECREASING
         assert prof.zero_crossing == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("fam,expected", [
+        # gamma location 1/(a - 2), inf for a < 2: the integral runs in y,
+        # where the support edge sits at 0 whatever mu0.
+        (gamma(Location(-0.72322), shape=2.371224), 1.0 / (2.371224 - 2.0)),
+        (gamma(Location(4.5), shape=2.2), 1.0 / (2.2 - 2.0)),
+        (gamma(Location(4.242), shape=1.754), math.inf),
+        (gaussian(Location(4.9)), 1.0),
+        (gaussian(Location(-4.9), sigma=0.3), 1.0 / 0.09),
+        (gamma(Scale(0.25), shape=3.0), 3.0 / 0.25**2),
+        (gamma(Scale(4.0), shape=2.5), 2.5 / 4.0**2),
+        (exponential(Scale(0.25)), 1.0 / 0.25**2),
+        (exponential(Scale(4.0)), 1.0 / 4.0**2),
+    ], ids=lambda v: f"{v.name}-{v.role}" if hasattr(v, "role") else None)
+    def test_closed_form_fisher_in_shifted_and_scaled_coordinates(self, fam, expected):
+        fisher = score_profile(fam).fisher
+        if math.isinf(expected):
+            assert fisher == expected
+        else:
+            assert abs(fisher - expected) <= 1e-12 * expected
 
     def test_fisher_stable_under_tolerance_halving(self):
         for fam in (gaussian(Scale(1.0)), gamma(Location(0.0), shape=3.0), sas_gaussian(0.0)):
