@@ -9,6 +9,9 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
 - ``check --out`` and ``fisher --format json``, on the same two inputs;
 - ``check --tol 1e-6 --out`` and ``bounds --tol 1e-6`` on the builtin matrix,
   so a looser quadrature tolerance is compared too;
+- ``check --out`` and ``bounds --format json`` on
+  ``tests/data/probe_scenarios.jsonl``, whose extreme lines end as error rows
+  (``ZeroDivisionError``, ``OverflowError``), so error rows are compared too;
 - ``paper-table --out``;
 - every sweep-mixed scenario (``perfbench/sweep.py``) of each seed in
   ``--seeds``, written as a one-line file, under ``check --out`` and
@@ -64,6 +67,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "scripts" / "scenarios_demo.jsonl"
+PROBE = REPO / "tests" / "data" / "probe_scenarios.jsonl"
 SWEEP = REPO / "perfbench" / "sweep.py"
 SHOWN_LEAVES = 5
 _MISSING = object()
@@ -89,6 +93,8 @@ def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str
     calls += [
         ("builtin/check-tol", ["check", "--tol", "1e-6", "--out", str(out)]),
         ("builtin/bounds-tol", ["bounds", "--tol", "1e-6"]),
+        ("probe/check", ["check", str(PROBE), "--out", str(out)]),
+        ("probe/bounds-json", ["bounds", str(PROBE), "--format", "json"]),
     ]
     calls.append(("paper-table", ["paper-table", "--out", str(out)]))
     sweep = _load_sweep()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .families import (
     ContinuousFamily,
@@ -31,10 +31,11 @@ from .families import (
     Family,
     Location,
     TestFunction,
+    discrete_sums,
     expectation,
     expectation_or_inf,
 )
-from .numerics import TruncationUnsafe, golden_section_minimize, scan_grid
+from .numerics import NumericsError, TruncationUnsafe, golden_section_minimize, scan_grid
 from .operators import (
     BoundaryViolation,
     ScoreProfile,
@@ -146,16 +147,19 @@ def discrete_lower_bound(
     *,
     tol: float = 1e-12,
     profile: ScoreProfile | None = None,
+    numerator: float | None = None,
 ) -> float:
-    """( sum_x D+h(x-1) f-tilde(x) g(x) )^2 / Fisher, by exact summation by parts."""
+    """( sum_x D+h(x-1) f-tilde(x) g(x) )^2 / Fisher, by exact summation by
+    parts; ``numerator``, when given, is that sum (``bound_report``'s walk)."""
     pair = exchanging_pair(fam)  # verifies f-tilde * g = 0 at the support edges
     if abs(pair.f_tilde(0.0) * fam.pmf(0)) > 1e-12:
         raise BoundaryViolation("f-tilde * g does not vanish at the origin")
     prof = profile if profile is not None else score_profile(fam, tol=tol)
     # The x = 0 term is D+h(-1) f-tilde(0) g(0) = 0, checked above.
-    numerator = expectation(
-        fam, lambda x: h.forward_difference(x - 1) * pair.f_tilde(x), min(tol, 1e-13)
-    )
+    if numerator is None:
+        numerator = expectation(
+            fam, lambda x: h.forward_difference(x - 1) * pair.f_tilde(x), min(tol, 1e-13)
+        )
     if math.isinf(prof.fisher):
         return 0.0
     return numerator * numerator / prof.fisher
@@ -300,16 +304,39 @@ def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> li
 # Ground truth and report assembly.
 
 
-def ground_truth_variance(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> float:
-    """Var[h(X)] by quadrature/series; raises DivergentMoment when E[h^2] diverges."""
+def ground_truth_variance(
+    fam: Family, h: TestFunction, *, tol: float = 1e-12, moments: Sequence[float] | None = None
+) -> float:
+    """Var[h(X)] by quadrature/series, or from ``moments`` (E[h^2], E[h]) when
+    the caller has summed them; raises DivergentMoment when E[h^2] diverges."""
     try:
-        second = expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
+        second = moments[0] if moments else expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
         if math.isinf(second):
             raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
-        first = expectation_or_inf(fam, h.h, tol)
+        first = moments[1] if moments else expectation_or_inf(fam, h.h, tol)
     except TruncationUnsafe as exc:
         raise DivergentMoment(str(exc)) from exc
     return second - first * first
+
+
+def _discrete_sums(fam: DiscreteFamily, h: TestFunction, tol: float) -> list[float] | None:
+    """E[h^2], E[h] and the lower bound's numerator in one walk over the pmf,
+    term for term as ``ground_truth_variance`` and ``discrete_lower_bound``
+    sum them alone; None when a series fails, so that each, summed alone,
+    raises its error in its own place."""
+    below: list[float] = []  # h(x - 1), carried from the term before
+
+    def terms(x: int) -> tuple[float, float, float]:
+        hx = h.h(x)
+        square, g = hx ** 2, fam.pmf(x)
+        step = hx - (below.pop() if below else h.h(x - 1))
+        below.append(hx)
+        return square * g, hx * g, step * fam.exchange_fn(x) * g
+
+    try:
+        return discrete_sums(fam, terms, (tol, tol, min(tol, 1e-13)))
+    except NumericsError:
+        return None
 
 
 def tightness_residual(
@@ -345,17 +372,21 @@ def bound_report(
     *,
     tol: float = 1e-12,
     with_comparators: bool = True,
+    profile: ScoreProfile | None = None,
 ) -> BoundReport:
     """Assemble variance / lower / upper plus comparators and flags for one
-    (family, test function) pair; the variance runs first, so its error wins."""
+    (family, test function) pair; the variance runs first, so its error wins.
+    ``profile``: the family's score profile at tol, if the caller has it."""
+    sums = _discrete_sums(fam, h, tol) if fam.is_discrete else None
     try:
-        variance = ground_truth_variance(fam, h, tol=tol)
+        variance = ground_truth_variance(fam, h, tol=tol, moments=sums and sums[:2])
     except DivergentMoment:
         variance = math.inf
     flags: list[str] = []
-    prof = score_profile(fam, tol=tol)
+    prof = profile if profile is not None else score_profile(fam, tol=tol)
 
-    lower = lower_bound(fam, h=h, tol=tol, profile=prof)
+    lower = (lower_bound(fam, h=h, tol=tol, profile=prof) if sums is None
+             else discrete_lower_bound(fam, h, tol=tol, profile=prof, numerator=sums[2]))
     if math.isinf(prof.fisher):
         flags.append("vacuous-lower")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from .numerics import (
     Interval,
@@ -556,12 +556,21 @@ def _weighted(fam: ContinuousFamily, fn: RealFn) -> RealFn:
     return integrand
 
 
+def discrete_sums(fam: DiscreteFamily, terms: Callable[[int], Sequence[float]],
+                  tols: Sequence[float]) -> list[float]:
+    """The n sums over the support of a discrete family of terms(k), which
+    returns n terms (each already weighted by a pmf), in one walk over k:
+    ``math.fsum`` of each over {0, ..., N}, or ``sum_series`` with the n
+    tolerances ``tols`` up to the mode of the family's law."""
+    if math.isfinite(fam.support_max):
+        return [math.fsum(column) for column in zip(*map(terms, range(int(fam.support_max) + 1)))]
+    return sum_series(terms, 0, tols, quiet_from=fam.mode)
+
+
 def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
     """E[fn(X)] by quadrature in the base coordinate (continuous) or series (discrete)."""
     if fam.is_discrete:
-        if math.isfinite(fam.support_max):
-            return math.fsum(fn(x) * fam.pmf(x) for x in range(int(fam.support_max) + 1))
-        return sum_series(lambda x: fn(x) * fam.pmf(x), 0, tol, quiet_from=fam.mode)
+        return discrete_sums(fam, lambda x: (fn(x) * fam.pmf(x),), (tol,))[0]
     return integrate(_weighted(fam, fn), fam.base_support, tol).value
 
 

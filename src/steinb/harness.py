@@ -1,22 +1,17 @@
 """End-to-end verification: identity checks, falsification evidence and
 scenario orchestration.
 
-An identity check integrates T(f0) against the family's own law and passes
-when the expectation vanishes to tolerance (1e-8 continuous, 1e-9 discrete).
-A continuous family's suite is one vector quadrature on a shared mesh in the
-family's base coordinate y, where the role contributes dy/dtheta and the
-score as functions of y and the weight is the base density g0(y): the
-weight, the role's terms and every test function are evaluated once per
-node.  It runs over the builtin bump's window [-R, R] (intersected with the
-base support), outside which every builtin test function vanishes; a single
-check, whose f0 has no known window, is the same run with one test function
-over the whole base support.  The quadrature tolerance ``quad_tol`` (the
-CLI's --tol) sets that run's target; a discrete suite sums its series to
-min(quad_tol, 1e-13).
-Falsification checks evaluate the same operator under a perturbed law of the
-same support, on the same path with the weight law.pdf(x(y)) dx/dy, and are
-expected to produce a clearly nonzero value: evidence for, not a proof of,
-the converse characterization.
+An identity check sums or integrates T(f0) against the family's own law and
+passes when the expectation vanishes to tolerance (1e-8 continuous, 1e-9
+discrete).  A whole suite is one run for all its test functions: for a
+continuous family one vector quadrature in the base coordinate y to
+``quad_tol`` (the CLI's --tol) over the builtin bump's window [-R, R],
+outside which every builtin test function vanishes (a single check runs
+over the whole base support); for a discrete family one walk over k to
+min(quad_tol, 1e-13).  Falsification checks evaluate the same operator on
+the same path under a perturbed law of the same support, and are expected to
+produce a clearly nonzero value: evidence for, not a proof of, the converse
+characterization.
 
 Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
 compact bump, plus Hermite-weighted variants for the Gaussian location
@@ -29,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import config
 # DivergentMoment and ground_truth_variance are re-exported here.
@@ -37,12 +32,13 @@ from .bounds import BoundReport, DivergentMoment, bound_report, ground_truth_var
 from .families import (
     FAMILIES,
     ContinuousFamily,
+    DiscreteFamily,
     FamilyEntry,
     Family,
     TestFunction,
     bulk_radius,
     bump,
-    expectation,
+    discrete_sums,
     make_family,
     named_test_function,
     polynomial,
@@ -53,7 +49,6 @@ from .operators import (
     BoundaryViolation,
     UnsupportedRole,
     hermite_test_function,
-    make_operator,
     require_score,
 )
 from .vectorquad import integrate_vector
@@ -96,13 +91,14 @@ class ScenarioResult:
 
 # f0 values at a base coordinate y: (f0(y) for each f0, f0'(y) for each f0),
 # or None where every one of them and its derivative vanishes.
-Bank = Callable[[float], Optional[tuple[Sequence[float], Sequence[float]]]]
+Bank = Callable[[float], Optional[tuple[Sequence[float], Iterable[float]]]]
 
 
 def _bank(f0s: Sequence[TestFunction]) -> Bank:
-    """The bank of arbitrary test functions: each evaluated on its own."""
+    """The bank of arbitrary test functions: each evaluated on its own, the
+    derivatives only when read (a discrete operator reads none)."""
     pairs = [(f0.h, f0.h_prime) for f0 in f0s]
-    return lambda y: ([h(y) for h, _ in pairs], [hp(y) for _, hp in pairs])
+    return lambda y: ([h(y) for h, _ in pairs], (hp(y) for _, hp in pairs))
 
 
 def operator_integrals(
@@ -147,17 +143,35 @@ def operator_integrals(
     return integrate_vector(integrand, n, Interval(max(-radius, base.lo), min(radius, base.hi)), tol)
 
 
+def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n: int,
+                  tol: float) -> list[float]:
+    """The sums of T(f0)(k) g_law(k) for the n test functions of ``bank``,
+    with T the discrete family's operator, in one walk over k
+    (``discrete_sums`` over the law's support, each to tol) on the role's
+    ``quotients``: pmf_fn and the bank run once per k.  The weight is g(k)
+    itself under the family's own law (``law`` None) and law.pmf(k) under
+    another."""
+    quotients = fam.role.quotients(fam, bank, n)
+
+    def terms(k: int) -> list[float]:
+        g, values = quotients(k)
+        mass = g if law is None else law.pmf(k)
+        return [q * mass for q in values]
+
+    return discrete_sums(fam if law is None else law, terms, (tol,) * n)
+
+
 def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family | None, bank: Bank | None,
                   radius: float, quad_tol: float) -> list[float]:
     """E[T(f0)(X)] under ``law`` (None: the family's own) for each f0, with
-    any Dirac atom folded in as coefficient * density(atom location).
-    Continuous: one operator_integrals run over [-radius, radius] to quad_tol
-    (``bank`` evaluates the f0s, by default one by one).  Discrete: one
-    series per f0, to min(quad_tol, 1e-13)."""
+    any Dirac atom folded in as coefficient * density(atom location), all
+    from one run: continuous, operator_integrals over [-radius, radius] to
+    quad_tol; discrete, operator_sums' one walk to min(quad_tol, 1e-13).
+    ``bank`` evaluates the f0s, by default one by one."""
     under = fam if law is None else law
-    if fam.is_discrete:
-        return [expectation(under, make_operator(fam, f0), min(quad_tol, 1e-13)) for f0 in f0s]
     bank = bank if bank is not None else _bank(f0s)
+    if fam.is_discrete:
+        return operator_sums(fam, law, bank, len(f0s), min(quad_tol, 1e-13))
     values = [r.value for r in operator_integrals(fam, law, bank, len(f0s), radius, quad_tol)]
     for j, f0 in enumerate(f0s):
         atom = fam.role.atom(fam, f0)

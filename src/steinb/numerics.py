@@ -26,7 +26,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import config
 
@@ -534,36 +534,57 @@ def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.
 
 
 def sum_series(
-    f: Callable[[int], float],
+    f: Callable[[int], Any],
     start: int = 0,
-    tol: float = config.SERIES.tol,
+    tol: float | Sequence[float] = config.SERIES.tol,
     quiet_from: int = 0,
-) -> float:
+) -> Any:
     """Sum f(start) + f(start+1) + ... for an absolutely convergent series.
 
     Stops when 64 consecutive terms are each below tol * 1e-3 in absolute
     value and the index has reached ``quiet_from`` (pass the mode of a pmf in
     the terms, so a negligible left tail does not end the sum).  Hitting the
     term cap ``config.SERIES.max_terms`` (read at call time) first raises
-    TruncationUnsafe.
+    TruncationUnsafe, and a term that is not finite NonFinite.
+
+    With ``tol`` a sequence of n tolerances, f(k) returns n terms and the n
+    sums come from one walk over k: each component stops by these rules at
+    its own tol and is the ``math.fsum`` that summing it alone gives.  The
+    error raised is the first failing component's, in index order, so the
+    walk ends once no component before a failed one is still open; an
+    exception of f itself is every open component's.  The scalar call is the
+    n = 1 case.
     """
-    if tol <= 0:
+    scalar = not isinstance(tol, Sequence)
+    tols = (tol,) if scalar else tol
+    if min(tols) <= 0:
         raise ValueError("tol must be > 0")
-    threshold = tol * config.SERIES.quiet_margin
-    max_terms = config.SERIES.max_terms
-    terms: list[float] = []
-    quiet = 0
-    x = start
-    for _ in range(max_terms):
-        term = f(x)
-        if not math.isfinite(term):
-            raise NonFinite(f"series term not finite at {x}", point=float(x), observed=term)
-        terms.append(term)
-        quiet = quiet + 1 if abs(term) < threshold else 0
-        if quiet >= config.SERIES.quiet_run and x >= quiet_from:
-            return math.fsum(terms)
-        x += 1
-    raise TruncationUnsafe(f"no stop rule met within {max_terms} terms")
+    terms_at = (lambda x: (f(x),)) if scalar else f
+    max_terms, quiet_run, margin = config.SERIES.max_terms, config.SERIES.quiet_run, config.SERIES.quiet_margin
+    # Each open component: its index, threshold, terms so far and quiet run.
+    open_ = [(j, t * margin, [], [0]) for j, t in enumerate(tols)]
+    sums, failure = [0.0] * len(tols), None
+    for x in range(start, start + max_terms):
+        terms, still = terms_at(x), []
+        for component in open_:
+            j, threshold, column, quiet = component
+            if not math.isfinite(terms[j]):
+                failure = NonFinite(f"series term not finite at {x}", point=float(x), observed=terms[j])
+                break
+            column.append(terms[j])
+            quiet[0] = quiet[0] + 1 if abs(terms[j]) < threshold else 0
+            if quiet[0] >= quiet_run and x >= quiet_from:
+                sums[j] = math.fsum(column)
+            else:
+                still.append(component)
+        open_ = still
+        if not open_:
+            break
+    else:
+        raise TruncationUnsafe(f"no stop rule met within {max_terms} terms")
+    if failure is not None:
+        raise failure
+    return sums[0] if scalar else sums
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .harness import (
     perturbed_law,
     run_scenario,
 )
-from .operators import comparison_grid, generic_operator_value, make_operator, score_profile
+from .operators import ScoreProfile, comparison_grid, generic_operator_value, make_operator, score_profile
 
 KAPPA_TARGET = 2.34432  # quoted value of the skew Fisher information
 
@@ -87,17 +87,25 @@ class _Shared:
         return {s.scenario_id: run_scenario(s, tol=self.tol) for s in builtin_scenarios()}
 
     @functools.cached_property
+    def profiles(self) -> dict[str, ScoreProfile]:
+        """The score profile of each builtin scenario's family (it does not depend on h)."""
+        return {s.scenario_id: score_profile(s.build_family(), tol=self.tol) for s in builtin_scenarios()}
+
+    @functools.cached_property
     def invariance(self) -> tuple[tuple[float, bool], tuple[float, bool]]:
-        """(worst relative change, passed) of the bounds under h + 3 and under 2.5 h."""
+        """(worst relative change, passed) of the bounds under h + 3 and under 2.5 h,
+        against the unshifted reports of ``results``."""
         shift_ok, scale_ok = True, True
         worst_shift, worst_scale = 0.0, 0.0
         c = 2.5
         for scenario in builtin_scenarios():
-            fam = scenario.build_family()
+            prof = self.profiles[scenario.scenario_id]
             h = scenario.build_test_function()
-            base = bound_report(fam, h, tol=self.tol, with_comparators=False)
-            rep_shift = bound_report(fam, shifted(h, 3.0), tol=self.tol, with_comparators=False)
-            rep_scale = bound_report(fam, scaled(h, c), tol=self.tol, with_comparators=False)
+            base = self.results[scenario.scenario_id].report
+            rep_shift, rep_scale = (
+                bound_report(prof.family, h2, tol=self.tol, with_comparators=False, profile=prof)
+                for h2 in (shifted(h, 3.0), scaled(h, c))
+            )
             for get in (lambda r: r.lower, lambda r: r.variance_truth, lambda r: r.upper):
                 v0, vs, vc = get(base), get(rep_shift), get(rep_scale)
                 if math.isinf(v0):
@@ -154,10 +162,9 @@ def _exp_sqrt_chain(ctx: _Shared) -> tuple[Any, bool]:
 
 def _equality(row_id: str, scenario_id: str, expect_upper: bool) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        rep = ctx.results[scenario_id].report
+        rep, prof = ctx.results[scenario_id].report, ctx.profiles[scenario_id]
         scenario = next(s for s in builtin_scenarios() if s.scenario_id == scenario_id)
-        fam = scenario.build_family()
-        residual = tightness_residual(fam, scenario.build_test_function(), score_profile(fam, tol=ctx.tol),
+        residual = tightness_residual(prof.family, scenario.build_test_function(), prof,
                                       rep.variance_truth, tol=ctx.tol)
         ok = abs(rep.lower - rep.variance_truth) <= 1e-7 and residual <= 1e-9
         if expect_upper:

@@ -322,22 +322,41 @@ class DiscreteTheta(_Role):
         derivative of (1-p)^x in p, which is the negative of the form usually
         quoted (operators are equivalent up to scaling).
         """
-        theta0, nmax = self.theta0, fam.support_max
-        pmf, phi, h = fam.pmf_fn, fam.score_fn, f0.h
-        phi_at_0 = phi(0)
-
-        def w(j: int, g: float) -> float:
-            return h(j) * g * (phi(j) - phi_at_0)
+        nmax, h = fam.support_max, f0.h
 
         def op(x: float) -> float:
             k = int(round(x))
             if k < 0 or k > nmax:
                 return 0.0
-            g = pmf(k, theta0)
-            w1 = w(k + 1, pmf(k + 1, theta0)) if k + 1 <= nmax else 0.0
-            return (w1 - w(k, g)) / g
+            return self.quotients(fam, lambda j: ([h(j)],), 1)(k)[1][0]
 
         return op, None
+
+    def quotients(self, fam: Any, bank: Callable[[int], Any], n: int) -> Callable[[int], tuple[float, list[float]]]:
+        """k -> (g(k), the operator's n values at k): (w(k+1) - w(k)) / g(k)
+        for the n test functions whose values f0(j) are bank(j)[0] (bank(j)
+        None where all vanish).  Calls at k, k + 1, ... in turn carry g(k+1)
+        and w(k+1) into the next, so a walk over k runs pmf_fn and the bank
+        once per k; each value is the float of the operator alone."""
+        theta0, nmax, pmf, phi = self.theta0, fam.support_max, fam.pmf_fn, fam.score_fn
+        phi_at_0, zeros = phi(0), [0.0] * n
+
+        def w(j: int, g: float) -> list[float]:
+            values = bank(j)
+            dphi = phi(j) - phi_at_0
+            return [h * g * dphi for h in (zeros if values is None else values[0])]
+
+        carried: list[tuple[float, list[float]]] = []
+
+        def at(k: int) -> tuple[float, list[float]]:
+            # In the operator's order: g(k), g(k+1), w(k+1), w(k), the quotient.
+            g, w0 = carried.pop() if carried else (pmf(k, theta0), None)
+            g1 = pmf(k + 1, theta0) if k + 1 <= nmax else 0.0
+            w1 = w(k + 1, g1) if k + 1 <= nmax else zeros
+            carried.append((g1, w1))
+            return g, [(a - b) / g for a, b in zip(w1, w(k, g) if w0 is None else w0)]
+
+        return at
 
     def quotient(self, fam: Any, f0: Any, x: float, step: float) -> float:
         """g(0; theta0) times D+ of f0 times the central difference of

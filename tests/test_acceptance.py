@@ -202,6 +202,33 @@ def test_criterion_10_determinism():
     _ok("criterion 10: two full paper-table runs emit byte-identical JSON")
 
 
+def test_paper_table_reuses_its_reports_and_profiles(monkeypatch):
+    # The invariance rows read their unshifted reports from the builtin
+    # matrix's results, and one score profile per builtin scenario, held by
+    # the table, feeds the shifted and scaled reports and the equality rows.
+    from steinb import bounds, harness, papertable
+
+    reports, profiles = [], []
+
+    def counting(record, fn):
+        def wrapper(fam, *args, **kwargs):
+            record.append((fam.name, fam.role, fam.structural, args[0].name if args else None))
+            return fn(fam, *args, **kwargs)
+        return wrapper
+
+    for module in (bounds, harness, papertable):
+        monkeypatch.setattr(module, "bound_report", counting(reports, module.bound_report))
+    for module in (bounds, papertable):
+        monkeypatch.setattr(module, "score_profile", counting(profiles, module.score_profile))
+    assert all(row.passed for row in papertable.build_rows())
+    scenarios = builtin_scenarios()
+    unshifted = [r for r in reports if r[3] in {s.build_test_function().name for s in scenarios}]
+    assert len(reports) == 36 and len(unshifted) == len(scenarios)  # the results' own reports only
+    # Per builtin scenario: its result's report and the held profile; then
+    # 13 Fisher rows and 4 Poisson lower-bound rows.
+    assert len(profiles) == 2 * len(scenarios) + 13 + 4
+
+
 def test_criterion_wall_clock(matrix):
     # the scenario matrix itself runs in seconds; guard against regressions
     total = sum(result.wall_time for result in matrix.values())

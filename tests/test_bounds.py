@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinb import config, families
 from steinb.bounds import (
     COMPARATORS,
     NotApplicable,
@@ -325,3 +327,30 @@ class TestBoundReport:
         assert rep.lower == pytest.approx(base.lower, rel=1e-9)
         assert rep.variance_truth == pytest.approx(base.variance_truth, rel=1e-9, abs=1e-9)
         assert rep.upper == pytest.approx(base.upper, rel=1e-9)
+
+
+# h = 3^x: under Poisson(1) its E[h^2] series has not stopped after 100
+# terms, while E[h], the Fisher information and the lower bound's numerator
+# have.
+THREE_TO_THE_X = families.TestFunction("3^x", lambda x: 3.0**x, lambda x: math.log(3.0) * 3.0**x)
+
+
+class TestDiscreteReportWalk:
+    """A discrete report sums E[h^2], E[h] and the lower bound's numerator in
+    one walk; it must report what summing each alone gives."""
+
+    @pytest.mark.parametrize("fam", [poisson(2.5), geometric(0.3), binomial(12, 0.4)],
+                             ids=lambda f: f"{f.name}-{f.role.theta0:g}")
+    @pytest.mark.parametrize("h", [ONE, linear(), square(), sqrt_fn(), families.polynomial((1.0, -2.0, 0.5))],
+                             ids=lambda h: h.name)
+    def test_one_walk_reports_each_sum_alone(self, fam, h):
+        rep = bound_report(fam, h)
+        assert rep.variance_truth == ground_truth_variance(fam, h)
+        assert rep.lower == discrete_lower_bound(fam, h)
+
+    def test_a_failing_series_leaves_each_sum_to_itself(self, monkeypatch):
+        monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=100))
+        fam = poisson(1.0)
+        rep = bound_report(fam, THREE_TO_THE_X)
+        assert math.isinf(rep.variance_truth)  # E[h^2] hit the term cap
+        assert rep.lower == discrete_lower_bound(fam, THREE_TO_THE_X) > 0.0

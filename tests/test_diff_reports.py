@@ -38,11 +38,14 @@ def test_identical_calls_have_no_leaves():
     assert list(diff_reports.all_leaves(same, dict(same))) == []
 
 
-def test_builtin_calls_cover_a_loose_tolerance(tmp_path):
+def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     calls = dict(diff_reports.requests([], tmp_path, tmp_path / "report.out"))
-    assert len(calls) == 11  # 4 per input, the paper table and 2 at --tol 1e-6
+    assert len(calls) == 13  # 4 per input, the paper table, 2 at --tol 1e-6 and 2 on the probe file
     assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
     assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]
+    probe = str(diff_reports.PROBE)
+    assert calls["probe/check"][:2] == ["check", probe]
+    assert calls["probe/bounds-json"] == ["bounds", probe, "--format", "json"]
 
 
 def test_leaves_are_counted_by_path_class():

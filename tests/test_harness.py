@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from steinb import harness
+from steinb import families, harness
 from steinb.cli import load_scenarios
 from steinb.families import (
     Location,
@@ -16,6 +16,8 @@ from steinb.families import (
     Scale,
     SkewSAS,
     binomial,
+    bulk_radius,
+    expectation,
     exponential,
     gamma,
     gaussian,
@@ -41,12 +43,14 @@ from steinb.harness import (
     ground_truth_variance,
     identity_suite,
     operator_integrals,
+    operator_sums,
     perturbed_law,
     result_to_dict,
     run_checks,
     run_scenario,
 )
-from steinb.numerics import NonConvergence
+from steinb.numerics import NonConvergence, sum_series
+from steinb.operators import make_operator
 from steinb.vectorquad import integrate_vector
 from x_space_reference import x_space_score
 
@@ -198,7 +202,7 @@ def test_base_coordinates_match_the_x_space_reference():
     for scenario in _parity_scenarios():
         fam = scenario.build_family()
         if fam.is_discrete:
-            continue  # one series per f0 on both paths
+            continue  # TestDiscreteWalk compares the discrete suites
         f0s, bank, radius = _builtin_suite(fam)
         for law, checks in _law_runs(scenario, fam):
             under = fam if law is None else law
@@ -357,6 +361,63 @@ class TestFalsification:
         )
         tolerance = 1e-9 if fam.is_discrete else 1e-8
         assert strongest > 10 * tolerance
+
+
+def _outcome(run):
+    """What a call ends in: its value, or the type and text of its exception."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# A test function that vanishes past k = 2: its operator terms go quiet long
+# before those of the builtin polynomials.
+EARLY = families.TestFunction("early", lambda x: 1.0 / (1.0 + x) if x <= 2 else 0.0, lambda x: 0.0)
+
+
+class TestDiscreteWalk:
+    """A discrete family's suite is one walk over k; each of its components
+    must end exactly as the operator's own series under the same law does."""
+
+    @pytest.mark.parametrize("fam", [poisson(2.5), geometric(0.3), binomial(12, 0.4), poisson(800.0)],
+                             ids=lambda f: f"{f.name}-{f.role.theta0:g}")
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["own-law", "perturbed-law"])
+    def test_each_component_ends_as_summed_alone(self, fam, perturbed):
+        law = perturbed_law(fam) if perturbed else None
+        under = law or fam
+        builtin, bank, _ = _builtin_suite(fam)
+        tol = 1e-13
+        for f0s, walk_bank in ((builtin, bank), ([EARLY, *builtin], _bank([EARLY, *builtin]))):
+            alone = [_outcome(lambda f0=f0: expectation(under, make_operator(fam, f0), tol)) for f0 in f0s]
+            walked = _outcome(lambda: operator_sums(fam, law, walk_bank, len(f0s), tol))
+            failed = [o for o in alone if isinstance(o, tuple)]
+            assert walked == (failed[0] if failed else alone)
+        if fam.role.theta0 == 800.0:
+            assert walked == (ZeroDivisionError, "float division by zero")
+
+    def test_a_poisson_suite_evaluates_the_pmf_once_per_k(self, monkeypatch):
+        calls, walked = [0], [0]
+
+        def pmf_fn(x, theta):
+            calls[0] += 1
+            return math.exp(-theta + x * math.log(theta) - math.lgamma(x + 1))
+
+        def counting_sum_series(f, *args, **kwargs):
+            def counted(k):
+                walked[0] += 1
+                return f(k)
+            return sum_series(counted, *args, **kwargs)
+
+        fam = dataclasses.replace(poisson(3.0), pmf_fn=pmf_fn)
+        bulk_radius(fam)  # the bump's radius sums the pmf too; cached from here on
+        monkeypatch.setattr(families, "sum_series", counting_sum_series)
+        calls[0] = 0
+        checks = identity_suite(fam)
+        assert len(checks) == 5 and all(c.passed for c in checks)
+        # g(0), then g(k + 1) at every k walked; five series of g(k), g(k + 1)
+        # and the weight took 15 per k.
+        assert walked[0] > 64 and calls[0] == walked[0] + 1
 
 
 class TestGroundTruth:

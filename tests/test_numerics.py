@@ -665,6 +665,67 @@ class TestSumSeries:
             sum_series(lambda x: math.nan, 0, 1e-12)
 
 
+def _ending(run):
+    """What a call ends in: its value, or the type and text of its exception."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Components for one walk: (term at k, tolerance).  Quiet from the start, so
+# it stops after 64 terms, and any term it took past its own stop would move
+# its sum; a slow geometric tail; a looser tolerance; NaN from k = 40; +inf
+# from k = 20; one that never goes quiet.
+_COMPONENTS = (
+    (lambda k: 5e-16 * (1.0 + 1.0 / (k + 1)), 1e-12),
+    (lambda k: 0.9**k, 1e-14),
+    (lambda k: 0.5**k * (k + 1), 1e-8),
+    (lambda k: math.nan if k >= 40 else 0.7**k, 1e-14),
+    (lambda k: math.inf if k >= 20 else 0.1**k, 1e-14),
+    (lambda k: 1e-6, 1e-3),
+)
+
+
+class TestSumSeriesComponents:
+    @pytest.fixture(autouse=True)
+    def _short_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=5_000))
+
+    @pytest.mark.parametrize("picked", [
+        (0, 1, 2), (1, 0), (2, 1, 0), (0, 3), (3, 0), (4, 3, 1), (3, 4), (1, 5), (5, 1), (0, 4, 5), (2,),
+    ])
+    def test_a_walk_sums_each_component_as_it_is_summed_alone(self, picked):
+        # Each component stops by its own rule at its own tolerance; the walk
+        # raises the error of the first component (in index order) that fails.
+        terms = [_COMPONENTS[j][0] for j in picked]
+        tols = [_COMPONENTS[j][1] for j in picked]
+        alone = [_ending(lambda f=f, t=t: sum_series(f, 0, t)) for f, t in zip(terms, tols)]
+        walked = _ending(lambda: sum_series(lambda k: [f(k) for f in terms], 0, tols))
+        failed = [o for o in alone if isinstance(o, tuple)]
+        assert walked == (failed[0] if failed else alone)
+
+    def test_quiet_from_holds_every_component(self):
+        terms = (lambda k: 0.0 if k < 100 else 0.5**k, lambda k: 0.5**k)
+        walked = sum_series(lambda k: [f(k) for f in terms], 0, (1e-14, 1e-14), quiet_from=120)
+        assert walked == [sum_series(f, 0, 1e-14, quiet_from=120) for f in terms]
+
+    def test_an_exception_of_the_terms_propagates(self):
+        def terms(k):
+            if k == 7:
+                raise ZeroDivisionError("float division by zero")
+            return (0.5**k, 0.25**k)
+
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            sum_series(terms, 0, (1e-14, 1e-14))
+
+    def test_the_scalar_call_is_one_component(self):
+        f = _COMPONENTS[1][0]
+        assert sum_series(f, 0, 1e-14) == sum_series(lambda k: (f(k),), 0, (1e-14,))[0]
+        with pytest.raises(ValueError):
+            sum_series(lambda k: (1.0, 1.0), 0, (1e-14, 0.0))
+
+
 def _relative_error(value, oracle):
     return abs(value - oracle) / oracle
 
