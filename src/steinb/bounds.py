@@ -308,7 +308,8 @@ def ground_truth_variance(
     fam: Family, h: TestFunction, *, tol: float = 1e-12, moments: Sequence[float] | None = None
 ) -> float:
     """Var[h(X)] by quadrature/series, or from ``moments`` (E[h^2], E[h]) when
-    the caller has summed them; raises DivergentMoment when E[h^2] diverges."""
+    the caller has summed them, clamped at 0 (E[h^2] - E[h]^2 rounds below 0
+    for a constant h); raises DivergentMoment when E[h^2] diverges."""
     try:
         second = moments[0] if moments else expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
         if math.isinf(second):
@@ -316,7 +317,7 @@ def ground_truth_variance(
         first = moments[1] if moments else expectation_or_inf(fam, h.h, tol)
     except TruncationUnsafe as exc:
         raise DivergentMoment(str(exc)) from exc
-    return second - first * first
+    return max(second - first * first, 0.0)
 
 
 def _discrete_sums(fam: DiscreteFamily, h: TestFunction, tol: float) -> list[float] | None:

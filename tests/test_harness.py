@@ -450,6 +450,17 @@ class TestGroundTruth:
         with pytest.raises(DivergentMoment):
             ground_truth_variance(exponential(Scale(1.0)), h)
 
+    @pytest.mark.parametrize("fam", [gamma(Location(3.035287), shape=9.840662), poisson(38.449775)],
+                             ids=["gamma-location", "poisson"])
+    def test_a_constant_has_variance_zero(self, fam):
+        # sweep-mixed seed 1 gamma-location-001 and poisson-theta-006: for
+        # h = 1, E[h^2] - E[h]^2 rounds to -1.8e-15 and -4.0e-15.
+        second, first = expectation(fam, lambda x: 1.0), expectation(fam, lambda x: 1.0)
+        assert second - first * first < 0.0
+        assert ground_truth_variance(fam, ONE) == 0.0
+        assert run_scenario(Scenario("one", fam.name, fam.role.kind, fam.role.value, fam.structural,
+                                     "one")).report.variance_truth == 0.0
+
 
 class TestScenarios:
     def test_builtin_ids_unique(self):
