@@ -311,10 +311,10 @@ def ground_truth_variance(
     the caller has summed them, clamped at 0 (E[h^2] - E[h]^2 rounds below 0
     for a constant h); raises DivergentMoment when E[h^2] diverges."""
     try:
-        second = moments[0] if moments else expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
+        second = moments[0] if moments is not None else expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
         if math.isinf(second):
             raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
-        first = moments[1] if moments else expectation_or_inf(fam, h.h, tol)
+        first = moments[1] if moments is not None else expectation_or_inf(fam, h.h, tol)
     except TruncationUnsafe as exc:
         raise DivergentMoment(str(exc)) from exc
     return max(second - first * first, 0.0)
@@ -380,7 +380,7 @@ def bound_report(
     ``profile``: the family's score profile at tol, if the caller has it."""
     sums = _discrete_sums(fam, h, tol) if fam.is_discrete else None
     try:
-        variance = ground_truth_variance(fam, h, tol=tol, moments=sums and sums[:2])
+        variance = ground_truth_variance(fam, h, tol=tol, moments=None if sums is None else sums[:2])
     except DivergentMoment:
         variance = math.inf
     flags: list[str] = []

@@ -148,13 +148,13 @@ def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n
     """The sums of T(f0)(k) g_law(k) for the n test functions of ``bank``,
     with T the discrete family's operator, in one walk over k
     (``discrete_sums`` over the law's support, each to tol) on the role's
-    ``quotients``: pmf_fn and the bank run once per k.  The weight is g(k)
+    ``walk``: pmf_fn and the bank run once per k.  The weight is g(k)
     itself under the family's own law (``law`` None) and law.pmf(k) under
     another."""
-    quotients = fam.role.quotients(fam, bank, n)
+    walk = fam.role.walk(fam, bank, n)
 
     def terms(k: int) -> list[float]:
-        g, values = quotients(k)
+        g, values = walk(k)
         mass = g if law is None else law.pmf(k)
         return [q * mass for q in values]
 

@@ -560,9 +560,9 @@ def sum_series(
     if min(tols) <= 0:
         raise ValueError("tol must be > 0")
     terms_at = (lambda x: (f(x),)) if scalar else f
-    max_terms, quiet_run, margin = config.SERIES.max_terms, config.SERIES.quiet_run, config.SERIES.quiet_margin
+    max_terms, quiet_run = config.SERIES.max_terms, config.SERIES.quiet_run
     # Each open component: its index, threshold, terms so far and quiet run.
-    open_ = [(j, t * margin, [], [0]) for j, t in enumerate(tols)]
+    open_ = [(j, t * config.SERIES.quiet_margin, [], [0]) for j, t in enumerate(tols)]
     sums, failure = [0.0] * len(tols), None
     for x in range(start, start + max_terms):
         terms, still = terms_at(x), []

@@ -328,16 +328,18 @@ class DiscreteTheta(_Role):
             k = int(round(x))
             if k < 0 or k > nmax:
                 return 0.0
-            return self.quotients(fam, lambda j: ([h(j)],), 1)(k)[1][0]
+            return self.walk(fam, lambda j: ([h(j)],), 1)(k)[1][0]
 
         return op, None
 
-    def quotients(self, fam: Any, bank: Callable[[int], Any], n: int) -> Callable[[int], tuple[float, list[float]]]:
-        """k -> (g(k), the operator's n values at k): (w(k+1) - w(k)) / g(k)
-        for the n test functions whose values f0(j) are bank(j)[0] (bank(j)
-        None where all vanish).  Calls at k, k + 1, ... in turn carry g(k+1)
-        and w(k+1) into the next, so a walk over k runs pmf_fn and the bank
-        once per k; each value is the float of the operator alone."""
+    def walk(
+        self, fam: Any, bank: Callable[[int], Any], n: int
+    ) -> Callable[[int], tuple[float, list[float]]]:
+        """k -> (g(k), the operator's values at k): (w(k+1) - w(k)) / g(k) for
+        the n test functions whose values f0(j) are bank(j)[0] (bank(j) None
+        where all vanish).  Called at k, k + 1, ... in turn, it carries g(k+1)
+        and w(k+1) into the next call, so a walk over k runs pmf_fn and the
+        bank once per k; each value is the float of the operator alone."""
         theta0, nmax, pmf, phi = self.theta0, fam.support_max, fam.pmf_fn, fam.score_fn
         phi_at_0, zeros = phi(0), [0.0] * n
 
@@ -349,7 +351,8 @@ class DiscreteTheta(_Role):
         carried: list[tuple[float, list[float]]] = []
 
         def at(k: int) -> tuple[float, list[float]]:
-            # In the operator's order: g(k), g(k+1), w(k+1), w(k), the quotient.
+            # g(k), g(k+1), w(k+1), w(k), then the quotient: what raises at k
+            # is what the operator alone raises there.
             g, w0 = carried.pop() if carried else (pmf(k, theta0), None)
             g1 = pmf(k + 1, theta0) if k + 1 <= nmax else 0.0
             w1 = w(k + 1, g1) if k + 1 <= nmax else zeros
