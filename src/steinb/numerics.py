@@ -588,56 +588,6 @@ def sum_series(
 
 
 # --------------------------------------------------------------------------
-# Special functions.
-
-
-def regularized_gamma(a: float, x: float) -> tuple[float, float]:
-    """The regularized incomplete gamma functions (P(a, x), Q(a, x)), a > 0.
-
-    Below x = a + 1 the power series gives P and Q = 1 - P; above it the
-    continued fraction (modified Lentz) gives Q and P = 1 - Q (Numerical
-    Recipes ``gser``/``gcf``).  The one computed directly is the smaller tail
-    or close to it, so both keep their relative accuracy in their own tails.
-    """
-    if not a > 0:
-        raise ValueError(f"regularized_gamma needs a > 0, got {a}")
-    if not x > 0:
-        return 0.0, 1.0
-    if math.isinf(x):
-        return 1.0, 0.0
-    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        # sum_n x^n / (a (a+1) ... (a+n)); the ratio x / (a+n) is below 1
-        term = total = 1.0 / a
-        n = a
-        while abs(term) > abs(total) * _EPS:
-            n += 1.0
-            term *= x / n
-            total += term
-        p = total * prefactor
-        return p, 1.0 - p
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    h = d
-    for i in range(1, 100_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        step = d * c
-        h *= step
-        if abs(step - 1.0) <= _EPS:
-            break
-    else:
-        raise NumericsError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
-    q = h * prefactor
-    return 1.0 - q, q
-
-
-# --------------------------------------------------------------------------
 # Differentiation.
 
 _FD_STEP = float(_EPS ** (1.0 / 3.0))  # optimal central-difference scaling

@@ -9,7 +9,8 @@ from scipy import special, stats
 
 from steinb import config, numerics, vectorquad
 from steinb.families import (
-    Location, Scale, expectation, exponential, gamma, gaussian, geometric, quartic, sas_gaussian,
+    Location, Scale, expectation, exponential, gamma, gaussian, geometric, quartic, regularized_gamma,
+    sas_gaussian,
 )
 from steinb.numerics import (
     Interval,
@@ -23,7 +24,6 @@ from steinb.numerics import (
     integrate,
     integrate_detecting_divergence,
     monotonicity_scan,
-    regularized_gamma,
     scan_grid,
     sum_series,
 )
