@@ -9,6 +9,8 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
 - ``check --out`` and ``fisher --format json``, on the same two inputs;
 - ``check --tol 1e-6 --out`` and ``bounds --tol 1e-6`` on the builtin matrix,
   so a looser quadrature tolerance is compared too;
+- ``bounds --format json --jobs 2`` and ``check --jobs 2 --out`` on the
+  builtin matrix, whose results come back pickled from a process pool;
 - ``check --out`` and ``bounds --format json`` on
   ``tests/data/probe_scenarios.jsonl``, whose extreme lines end as error rows
   (``ZeroDivisionError``, ``OverflowError``), so error rows are compared too;
@@ -93,6 +95,8 @@ def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str
     calls += [
         ("builtin/check-tol", ["check", "--tol", "1e-6", "--out", str(out)]),
         ("builtin/bounds-tol", ["bounds", "--tol", "1e-6"]),
+        ("builtin/bounds-jobs2", ["bounds", "--format", "json", "--jobs", "2"]),
+        ("builtin/check-jobs2", ["check", "--jobs", "2", "--out", str(out)]),
         ("probe/check", ["check", str(PROBE), "--out", str(out)]),
         ("probe/bounds-json", ["bounds", str(PROBE), "--format", "json"]),
     ]

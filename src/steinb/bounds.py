@@ -22,8 +22,7 @@ and nothing else; ``tightness_residual`` is the paper table's equality diagnosti
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .families import (
     ContinuousFamily,
@@ -43,6 +42,7 @@ from .operators import (
     exchanging_pair,
     score_profile,
 )
+from .records import Record
 
 
 class NotStronglyUnimodal(Exception):
@@ -57,25 +57,24 @@ class DivergentMoment(Exception):
     """E[h^2] does not exist for this family/test function."""
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(NamedTuple):
     name: str
     kind: str     # "lower" | "upper"
     value: float  # may be +inf
 
 
-@dataclass(frozen=True)
-class PoincareConstant:
-    epsilon: float   # inf of -(log g)'' over the support
-    d: float         # 1 / epsilon
+class PoincareConstant(Record):
+    """epsilon, the inf of -(log g)'' over the support, and d = 1 / epsilon."""
 
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
+    __slots__ = _fields = ("epsilon", "d")
+
+    def __init__(self, epsilon: float, d: float) -> None:
+        if not epsilon > 0:
             raise ValueError("epsilon must be > 0 for a finite constant")
+        super().__init__(epsilon, d)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Lower bound, ground-truth variance (+inf when E[h^2] diverges), upper
     bound, comparators and flags of one (family, test function) pair."""
 
@@ -89,10 +88,6 @@ class BoundReport:
     @property
     def lower_slack(self) -> float:
         return self.variance_truth - self.lower
-
-    @property
-    def upper_slack(self) -> float:
-        return self.upper - self.variance_truth
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +261,7 @@ def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) ->
     return [Comparator("klaassen_gamma_lower", "lower", value)]
 
 
-@dataclass(frozen=True)
-class ComparatorEntry:
+class ComparatorEntry(NamedTuple):
     """One (family id, role kind) pair's comparator bounds, if any, and report flags."""
 
     compute: Callable[[Family, TestFunction, float], list[Comparator]] | None = None

@@ -40,6 +40,7 @@ from .harness import (
     run_checks,
     run_scenario,
 )
+from .operators import score_profile
 
 
 class ScenarioFileError(Exception):
@@ -183,8 +184,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"{res.scenario_id:24s} {c.test_function:22s} {c.expectation_value:14.3e}  {c.passed}")
     if args.out:
         payload = [
-            {"scenario": r.scenario_id,
-             "identity_checks": identity_rows(r)}
+            {"scenario": r.scenario_id, "identity_checks": identity_rows(r),
+             **({} if r.error is None else {"error": r.error})}
             for r in results
         ]
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -202,8 +203,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_fisher(args: argparse.Namespace) -> int:
-    from .operators import score_profile  # local import keeps CLI startup light
-
     scenarios = _scenarios(args)
     tol = config.resolve_tol(args.tol)
     rows = []

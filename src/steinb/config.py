@@ -4,19 +4,17 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class QuadratureDefaults:
+class QuadratureDefaults(NamedTuple):
     """Tolerances and budgets for the adaptive quadrature."""
 
     request_tol: float = 1e-12      # tolerance handed to integrate() by default
     max_subdivisions: int = 2000    # bisection budget before NonConvergence
 
 
-@dataclass(frozen=True)
-class SeriesDefaults:
+class SeriesDefaults(NamedTuple):
     """Stop rules for infinite-series summation."""
 
     tol: float = 1e-14

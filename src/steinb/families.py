@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, NamedTuple, Sequence, Union
 
 from .numerics import (
     _EPS,
@@ -35,6 +34,7 @@ from .numerics import (
     integrate_detecting_divergence,
     sum_series,
 )
+from .records import Record
 from .roles import (  # the role classes, the exceptions and sas_transform are re-exported here
     ROLE_KINDS,
     DiscreteTheta,
@@ -54,8 +54,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Test functions.
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """A function with analytic first (and optionally second) derivative."""
 
     name: str
@@ -237,8 +236,8 @@ def regularized_gamma(a: float, x: float) -> tuple[float, float]:
 # Continuous families.
 
 
-class _Structural:
-    structural: tuple[tuple[str, float], ...]
+class _Structural(Record):
+    __slots__ = ()
 
     def structural_value(self, key: str) -> float:
         for k, v in self.structural:
@@ -247,25 +246,29 @@ class _Structural:
         raise KeyError(key)
 
 
-@dataclass(frozen=True)
 class ContinuousFamily(_Structural):
-    name: str
-    base_density: RealFn                       # g0, with its indicator built in
-    log_density_derivative: RealFn             # L = g0'/g0 on the interior
-    base_support: Interval
-    role: ParamRole
-    base_sf: RealFn                            # P(Y > y) under g0, accurate in the right tail
-    base_cdf: RealFn                           # P(Y < y) under g0, accurate in the left tail
-    log_density_second_derivative: RealFn | None = None   # L' = (log g0)''
-    structural: tuple[tuple[str, float], ...] = ()
-
-    # g(.; theta0), bound once: pdf runs once per integrand evaluation.
-    _density: RealFn = field(init=False, repr=False, compare=False)
+    _fields = ("name", "base_density", "log_density_derivative", "base_support", "role", "base_sf",
+               "base_cdf", "log_density_second_derivative", "structural")
+    __slots__ = _fields + ("_density",)
 
     is_discrete: ClassVar[bool] = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_density", self.role.density(self.base_density, self.role.value))
+    def __init__(
+        self,
+        name: str,
+        base_density: RealFn,                  # g0, with its indicator built in
+        log_density_derivative: RealFn,        # L = g0'/g0 on the interior
+        base_support: Interval,
+        role: ParamRole,
+        base_sf: RealFn,                       # P(Y > y) under g0, accurate in the right tail
+        base_cdf: RealFn,                      # P(Y < y) under g0, accurate in the left tail
+        log_density_second_derivative: RealFn | None = None,   # L' = (log g0)''
+        structural: tuple[tuple[str, float], ...] = (),
+    ) -> None:
+        super().__init__(name, base_density, log_density_derivative, base_support, role, base_sf,
+                         base_cdf, log_density_second_derivative, structural)
+        # g(.; theta0), bound once: pdf runs once per integrand evaluation.
+        object.__setattr__(self, "_density", role.density(base_density, role.value))
 
     @property
     def support(self) -> Interval:
@@ -274,11 +277,6 @@ class ContinuousFamily(_Structural):
 
     def pdf(self, x: float) -> float:
         return self._density(x)
-
-
-def density_at(fam: ContinuousFamily, x: float, theta: float) -> float:
-    """g(x; theta) under the family's parameter role; 0 outside the support."""
-    return fam.role.density(fam.base_density, theta)(x)
 
 
 # --- factories ---
@@ -406,19 +404,26 @@ def quartic(mu0: float = 0.0) -> ContinuousFamily:
 # Discrete families on {0, ..., N}.
 
 
-@dataclass(frozen=True)
 class DiscreteFamily(_Structural):
-    name: str
-    role: DiscreteTheta
-    support_max: float                                   # int or math.inf
-    pmf_fn: Callable[[int, float], float]
-    exchange_fn: RealFn                                  # f-tilde for f0 = 1, continuous in x
-    score_fn: RealFn                                     # d/dtheta log g(x;theta0), continuous in x
-    theta_domain: Interval = field(default=Interval(-math.inf, math.inf))
-    structural: tuple[tuple[str, float], ...] = ()
-    mode: int = 0                                        # where g(.; theta0) peaks
+    __slots__ = _fields = ("name", "role", "support_max", "pmf_fn", "exchange_fn", "score_fn",
+                           "theta_domain", "structural", "mode")
 
     is_discrete: ClassVar[bool] = True
+
+    def __init__(
+        self,
+        name: str,
+        role: DiscreteTheta,
+        support_max: float,                    # int or math.inf
+        pmf_fn: Callable[[int, float], float],
+        exchange_fn: RealFn,                   # f-tilde for f0 = 1, continuous in x
+        score_fn: RealFn,                      # d/dtheta log g(x;theta0), continuous in x
+        theta_domain: Interval = Interval.real_line(),
+        structural: tuple[tuple[str, float], ...] = (),
+        mode: int = 0,                         # where g(.; theta0) peaks
+    ) -> None:
+        super().__init__(name, role, support_max, pmf_fn, exchange_fn, score_fn, theta_domain,
+                         structural, mode)
 
     def pmf(self, x: int) -> float:
         return self.role.mass(self, x, self.role.theta0)
@@ -426,11 +431,6 @@ class DiscreteFamily(_Structural):
     @property
     def support(self) -> Interval:
         return Interval(0.0, self.support_max)
-
-
-def pmf_at(fam: DiscreteFamily, x: int, theta: float) -> float:
-    """g(x; theta), 0 off the support {0, ..., N}."""
-    return fam.role.mass(fam, x, theta)
 
 
 def poisson(lam: float) -> DiscreteFamily:
@@ -512,8 +512,7 @@ def _exponential_perturbed(fam: ContinuousFamily) -> ContinuousFamily:
     return exponential(Scale(rate * 2.0))
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     """One catalogue family.
 
     ``build(role, **structural)`` constructs it; ``perturb`` gives a different

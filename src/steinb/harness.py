@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import config
 # DivergentMoment and ground_truth_variance are re-exported here.
@@ -64,8 +63,7 @@ SCENARIO_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     family: str
     role: str
     test_function: str
@@ -77,8 +75,7 @@ class IdentityCheck:
         return abs(self.expectation_value) <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     scenario_id: str
     report: BoundReport | None
     identity_checks: tuple[IdentityCheck, ...]
@@ -290,8 +287,7 @@ def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None 
 # Scenarios.
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One (family, role, test function) cell of the verification matrix.
 
     law_value, when set, makes the identity checks evaluate the operator
@@ -335,24 +331,6 @@ class Scenario:
             identity_tol=None if identity_tol is None else float(identity_tol),
             law_value=float(law["value"]) if "value" in law else None,
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.scenario_id,
-            "family": self.family,
-            "role": {"kind": self.kind, "value": self.value},
-        }
-        for k, v in self.structural:
-            out[k] = v
-        if isinstance(self.test_function, str):
-            out["test_function"] = {"name": self.test_function}
-        else:
-            out["test_function"] = {"coefficients": list(self.test_function)}
-        if self.identity_tol is not None:
-            out["tolerances"] = {"identity": self.identity_tol}
-        if self.law_value is not None:
-            out["law"] = {"value": self.law_value}
-        return out
 
     def build_family(self) -> Family:
         return make_family(self.family, self.kind, self.value, **dict(self.structural))

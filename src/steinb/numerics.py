@@ -25,10 +25,10 @@ import enum
 import functools
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import config
+from .records import Record
 
 RealFn = Callable[[float], float]
 
@@ -70,21 +70,18 @@ class TruncationUnsafe(NumericsError):
     """A series hit the term cap without meeting its stop rule."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """An open/closed real interval with extended-real endpoints, lo < hi."""
 
-    lo: float
-    hi: float
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = float(self.lo), float(self.hi)
+    def __init__(self, lo: float, hi: float) -> None:
+        lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval endpoints must not be NaN")
         if not lo < hi:
             raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @classmethod
     def real_line(cls) -> "Interval":
@@ -99,18 +96,18 @@ class Interval:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-    mass: float = math.inf   # integral of |f| (summed resabs), which floors the reachable tolerance
+class QuadResult(Record):
+    __slots__ = _fields = ("value", "abs_error_estimate", "evaluations", "mass")
 
-    def __post_init__(self) -> None:
-        if self.abs_error_estimate < 0:
+    def __init__(
+        self, value: float, abs_error_estimate: float, evaluations: int,
+        mass: float = math.inf,   # integral of |f| (summed resabs), which floors the reachable tolerance
+    ) -> None:
+        if abs_error_estimate < 0:
             raise ValueError("error estimate must be >= 0")
-        if self.evaluations <= 0:
+        if evaluations <= 0:
             raise ValueError("evaluations must be > 0")
+        super().__init__(value, abs_error_estimate, evaluations, mass)
 
 
 class Verdict(enum.Enum):
@@ -119,8 +116,7 @@ class Verdict(enum.Enum):
     NOT_MONOTONE = "not-monotone"
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
+class MonotonicityCertificate(NamedTuple):
     verdict: Verdict
     witness: float | None = None     # sign-change location, set iff NOT_MONOTONE (unless all skipped)
     skipped: int = 0                 # non-finite samples that were dropped

@@ -30,7 +30,8 @@ the role's, derived from its base terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .families import (
     ONE,
     ContinuousFamily,
@@ -84,8 +85,7 @@ def hermite_test_function(n: int, f0: TestFunction = ONE) -> TestFunction:
 # Stein operators.
 
 
-@dataclass(frozen=True)
-class SteinOperator:
+class SteinOperator(NamedTuple):
     family: Family
     f0: TestFunction
     evaluate: RealFn
@@ -128,8 +128,7 @@ def comparison_grid(fam: Family, points: int = 200) -> list[float]:
 # Score profiles.
 
 
-@dataclass(frozen=True)
-class ScoreProfile:
+class ScoreProfile(NamedTuple):
     """Score phi = d/dtheta log g(x;theta)|theta0 in x-space, with derivative,
     a monotonicity certificate, Fisher information, and an interior zero."""
 
@@ -214,8 +213,7 @@ def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
 # Exchanging pairs.
 
 
-@dataclass(frozen=True)
-class ExchangingPair:
+class ExchangingPair(NamedTuple):
     """f-tilde with d/dtheta(f g) = d/dx(f-tilde g) (or the forward-difference
     analogue), plus the numerically checked boundary condition."""
 

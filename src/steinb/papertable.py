@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import config
 from .bounds import (
@@ -53,8 +52,7 @@ from .operators import ScoreProfile, comparison_grid, generic_operator_value, ma
 KAPPA_TARGET = 2.34432  # quoted value of the skew Fisher information
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     row_id: str
     description: str
     computed: str
@@ -66,8 +64,7 @@ def _close(value: float, target: float, tol: float) -> bool:
     return abs(value - target) <= tol
 
 
-@dataclass(frozen=True)
-class RowSpec:
+class RowSpec(NamedTuple):
     """One row of the table: what it shows, and how to compute it."""
 
     row_id: str

@@ -46,17 +46,18 @@ exchanging function is f-tilde(x) = f0(y) dy/dtheta dx/dy, since
 f g dx = f0 g0 dy.  It also holds the operator, the Dirac atom of a moving
 edge where g > 0 (``positive_at_moving_edge``) and the generic quotient by
 central differencing in theta, against which every operator is checked.
-Adding a continuous role is one class here, in ROLE_KINDS, with ``value``,
-``density``, ``to_base``, ``from_base``, ``base_terms`` and ``base_slope``.
+Adding a continuous role is one class here, in ROLE_KINDS, with its field
+(``_fields``, whose one entry names its ``value``), ``density``,
+``to_base``, ``from_base``, ``base_terms`` and ``base_slope``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Optional, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Union
 
 from .numerics import Interval, RealFn, derivative
+from .records import Record
 
 
 class InvalidParameter(ValueError):
@@ -67,8 +68,7 @@ class UnsupportedRole(Exception):
     """The family/role pair does not admit the requested construction."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Dirac term carried by the operator: coefficient * delta_{location}."""
 
     location: float
@@ -85,7 +85,17 @@ def sas_transform(x: float, delta: float) -> tuple[float, float]:
     return math.sinh(u), math.cosh(u)
 
 
-class _Role:
+class _Role(Record):
+    """A role holds one field, its parameter value theta0, under the role's
+    own name (``mu0``, ``sigma0``, ``delta0`` or ``theta0``)."""
+
+    __slots__ = ()
+    kind: ClassVar[str]
+
+    @property
+    def value(self) -> float:
+        return getattr(self, self._fields[0])
+
     def positive_at_moving_edge(self, fam: Any) -> bool:
         """Is g > 0 at a finite support edge that moves with theta?  Then the
         operator has a Dirac atom there and f0 = 1 is not admissible."""
@@ -96,9 +106,12 @@ class _ContinuousRole(_Role):
     """What the continuous roles share: everything in x, read from the
     coordinate map and the base terms, and the generic quotient."""
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise InvalidParameter(f"{self.kind} parameter must be finite, got {self.value}")
+    __slots__ = ()
+
+    def __init__(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{self.kind} parameter must be finite, got {value}")
+        super().__init__(value)
 
     def operator(self, fam: Any, f0: Any) -> ClosedForm:
         """T f0(x) = f0'(y) dy/dtheta + f0(y) phi at y = y(x; theta0), from the
@@ -174,15 +187,9 @@ class _ContinuousRole(_Role):
         return L, Lp
 
 
-@dataclass(frozen=True)
 class Location(_ContinuousRole):
-    mu0: float
-
+    __slots__ = _fields = ("mu0",)
     kind: ClassVar[str] = "location"
-
-    @property
-    def value(self) -> float:
-        return self.mu0
 
     def density(self, g0: RealFn, theta: float) -> RealFn:
         return lambda x: g0(x - theta)
@@ -206,19 +213,14 @@ class Location(_ContinuousRole):
         return math.isfinite(lo) and fam.base_density(lo) > 0
 
 
-@dataclass(frozen=True)
 class Scale(_ContinuousRole):
-    sigma0: float
-
+    __slots__ = _fields = ("sigma0",)
     kind: ClassVar[str] = "scale"
 
-    def __post_init__(self) -> None:
-        if not 0 < self.sigma0 < math.inf:
-            raise InvalidParameter(f"scale parameter must be finite and > 0, got {self.sigma0}")
-
-    @property
-    def value(self) -> float:
-        return self.sigma0
+    def __init__(self, sigma0: float) -> None:
+        if not 0 < sigma0 < math.inf:
+            raise InvalidParameter(f"scale parameter must be finite and > 0, got {sigma0}")
+        super().__init__(sigma0)
 
     def density(self, g0: RealFn, theta: float) -> RealFn:
         if not theta > 0:
@@ -249,15 +251,9 @@ class Scale(_ContinuousRole):
         return lambda y: (L(y) + y * Lp(y)) / s0
 
 
-@dataclass(frozen=True)
 class SkewSAS(_ContinuousRole):
-    delta0: float
-
+    __slots__ = _fields = ("delta0",)
     kind: ClassVar[str] = "skew"
-
-    @property
-    def value(self) -> float:
-        return self.delta0
 
     def density(self, g0: RealFn, theta: float) -> RealFn:
         def g(x: float) -> float:
@@ -292,15 +288,9 @@ class SkewSAS(_ContinuousRole):
         return slope
 
 
-@dataclass(frozen=True)
 class DiscreteTheta(_Role):
-    theta0: float
-
+    __slots__ = _fields = ("theta0",)
     kind: ClassVar[str] = "theta"
-
-    @property
-    def value(self) -> float:
-        return self.theta0
 
     def mass(self, fam: Any, x: int, theta: float) -> float:
         """g(x; theta), 0 off the support {0, ..., N}."""

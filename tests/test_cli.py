@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,19 @@ class TestCommands:
         assert [r for r in rows.values() if "error" not in r] == [rows["gauss-loc-h-linear"]]
         assert rows["gauss-loc-h-linear"]["lower"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_check_out_error_rows_carry_the_bounds_error(self, tmp_path, capsys):
+        probes = Path(__file__).parent / "data" / "probe_scenarios.jsonl"
+        checks, bounds = tmp_path / "checks.json", tmp_path / "bounds.json"
+        assert main(["check", str(probes), "--out", str(checks)]) == 1
+        assert main(["bounds", str(probes), "--format", "json", "--out", str(bounds)]) == 1
+        check_rows = {r["scenario"]: r for r in json.loads(checks.read_text())}
+        bound_rows = {r["scenario"]: r for r in json.loads(bounds.read_text())}
+        for sid in ("poisson-theta-800", "binomial-n-2000"):
+            assert check_rows[sid] == {"scenario": sid, "error": bound_rows[sid]["error"], "identity_checks": []}
+        assert "error" not in check_rows["gauss-loc-h-linear"]
+        good = check_rows["gauss-loc-h-linear"]["identity_checks"]
+        assert good and all(c["pass"] for c in good)
+
     def test_fisher_table(self, demo_file, capsys):
         assert main(["fisher", str(demo_file)]) == 0
         out = capsys.readouterr().out
@@ -295,6 +309,26 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+    def test_a_cold_serial_bounds_run_loads_no_module_it_does_not_use(self, tmp_path):
+        # A command runs in a fresh interpreter, here also without a bytecode
+        # cache, and pays for every module it imports.  The records are built
+        # without dataclasses (which loads inspect); the process pool, csv and
+        # the paper table are imported only by the calls that use them.
+        unused = ("dataclasses", "inspect", "concurrent.futures", "csv", "steinb.papertable")
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from steinb import cli\n"
+            f"rc = cli.main(['bounds', '--format', 'json', '--jobs', '1', '--out', {str(out)!r}])\n"
+            f"print(rc, [m for m in {unused!r} if m in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert len(json.loads(out.read_text())) == 12
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["bounds", "--format", "xml"], []])
     def test_reused_parser_answers_alike(self, capsys, argv):

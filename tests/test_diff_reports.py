@@ -40,9 +40,12 @@ def test_identical_calls_have_no_leaves():
 
 def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     calls = dict(diff_reports.requests([], tmp_path, tmp_path / "report.out"))
-    assert len(calls) == 13  # 4 per input, the paper table, 2 at --tol 1e-6 and 2 on the probe file
+    # 4 per input, the paper table, 2 at --tol 1e-6, 2 through the process pool and 2 on the probe file
+    assert len(calls) == 15
     assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
     assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]
+    assert calls["builtin/bounds-jobs2"] == ["bounds", "--format", "json", "--jobs", "2"]
+    assert calls["builtin/check-jobs2"] == ["check", "--jobs", "2", "--out", str(tmp_path / "report.out")]
     probe = str(diff_reports.PROBE)
     assert calls["probe/check"][:2] == ["check", probe]
     assert calls["probe/bounds-json"] == ["bounds", probe, "--format", "json"]

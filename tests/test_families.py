@@ -12,7 +12,6 @@ from steinb.families import (
     binomial,
     bulk_radius,
     bump,
-    density_at,
     expectation,
     exponential,
     gamma,
@@ -20,7 +19,6 @@ from steinb.families import (
     geometric,
     make_family,
     named_test_function,
-    pmf_at,
     poisson,
     polynomial,
     quartic,
@@ -96,6 +94,16 @@ def test_log_derivative_matches_finite_differences(fam):
     )
     for y in scan_grid(interior, 64)[::3][:20]:
         assert L(y) == pytest.approx(derivative(log_g0, y), rel=1e-6, abs=1e-6)
+
+
+def density_at(fam, x, theta):
+    """g(x; theta) under the family's parameter role; 0 outside the support."""
+    return fam.role.density(fam.base_density, theta)(x)
+
+
+def pmf_at(fam, x, theta):
+    """g(x; theta), 0 off the support {0, ..., N}."""
+    return fam.role.mass(fam, x, theta)
 
 
 class TestDensityExamples:

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 
@@ -33,7 +32,7 @@ SQRT_PI = 1.7724538509055159  # oracle: math.sqrt(math.pi)
 
 
 def _set_budget(monkeypatch, subdivisions):
-    monkeypatch.setattr(config, "QUAD", dataclasses.replace(config.QUAD, max_subdivisions=subdivisions))
+    monkeypatch.setattr(config, "QUAD", config.QUAD._replace(max_subdivisions=subdivisions))
 
 
 class TestInterval:
@@ -457,7 +456,7 @@ def _ladder(f, iv, tol=config.QUAD.request_tol):
     partial_values, partial_errors, last_exc = [], [], None
     try:
         for subdivisions in (full.max_subdivisions // 4, full.max_subdivisions // 2, full.max_subdivisions):
-            config.QUAD = dataclasses.replace(full, max_subdivisions=subdivisions)
+            config.QUAD = full._replace(max_subdivisions=subdivisions)
             try:
                 return integrate(f, iv, tol).value
             except NonConvergence as exc:
@@ -656,7 +655,7 @@ class TestSumSeries:
         assert expectation(geometric(p), lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_unsafe(self, monkeypatch):
-        monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=10_000))
+        monkeypatch.setattr(config, "SERIES", config.SERIES._replace(max_terms=10_000))
         with pytest.raises(TruncationUnsafe):
             sum_series(lambda x: 1e-6, 0, 1e-3)
 
@@ -690,7 +689,7 @@ _COMPONENTS = (
 class TestSumSeriesComponents:
     @pytest.fixture(autouse=True)
     def _short_cap(self, monkeypatch):
-        monkeypatch.setattr(config, "SERIES", dataclasses.replace(config.SERIES, max_terms=5_000))
+        monkeypatch.setattr(config, "SERIES", config.SERIES._replace(max_terms=5_000))
 
     @pytest.mark.parametrize("picked", [
         (0, 1, 2), (1, 0), (2, 1, 0), (0, 3), (3, 0), (4, 3, 1), (3, 4), (1, 5), (5, 1), (0, 4, 5), (2,),

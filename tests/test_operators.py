@@ -423,12 +423,11 @@ class TestExchangingPair:
         ids=lambda f: f"{f.name}-{f.role}",
     )
     def test_continuous_exchange_identity(self, fam):
-        from steinb.families import density_at
-
         pair = exchanging_pair(fam)
         theta0 = fam.role.value
+        density_at = lambda theta: fam.role.density(fam.base_density, theta)
         for x in (0.3, 0.9, 1.7, 2.5):
-            lhs = (density_at(fam, x, theta0 + 1e-6) - density_at(fam, x, theta0 - 1e-6)) / 2e-6
+            lhs = (density_at(theta0 + 1e-6)(x) - density_at(theta0 - 1e-6)(x)) / 2e-6
             rhs = derivative(lambda y: pair.f_tilde(y) * fam.pdf(y), x)
             assert abs(lhs - rhs) <= 1e-6
 
