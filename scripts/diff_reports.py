@@ -14,6 +14,11 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
 - ``check --out`` and ``bounds --format json`` on
   ``tests/data/probe_scenarios.jsonl``, whose extreme lines end as error rows
   (``ZeroDivisionError``, ``OverflowError``), so error rows are compared too;
+- ``check --out`` and ``bounds --format json``, each with and without
+  ``--jobs 2``, on ``scripts/scenarios_shared_laws.jsonl``, whose laws have
+  several test functions each (and a wrong-law and a looser-threshold line),
+  so the scenarios that share a law's suite, profile and exchanging pair in
+  one command are compared too;
 - ``paper-table --out``;
 - every sweep-mixed scenario (``perfbench/sweep.py``) of each seed in
   ``--seeds``, written as a one-line file, under ``check --out`` and
@@ -70,6 +75,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "scripts" / "scenarios_demo.jsonl"
 PROBE = REPO / "tests" / "data" / "probe_scenarios.jsonl"
+SHARED = REPO / "scripts" / "scenarios_shared_laws.jsonl"
 SWEEP = REPO / "perfbench" / "sweep.py"
 SHOWN_LEAVES = 5
 _MISSING = object()
@@ -99,6 +105,10 @@ def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str
         ("builtin/check-jobs2", ["check", "--jobs", "2", "--out", str(out)]),
         ("probe/check", ["check", str(PROBE), "--out", str(out)]),
         ("probe/bounds-json", ["bounds", str(PROBE), "--format", "json"]),
+        ("shared/check", ["check", str(SHARED), "--out", str(out)]),
+        ("shared/check-jobs2", ["check", str(SHARED), "--jobs", "2", "--out", str(out)]),
+        ("shared/bounds-json", ["bounds", str(SHARED), "--format", "json"]),
+        ("shared/bounds-jobs2", ["bounds", str(SHARED), "--format", "json", "--jobs", "2"]),
     ]
     calls.append(("paper-table", ["paper-table", "--out", str(out)]))
     sweep = _load_sweep()

@@ -35,13 +35,7 @@ from .families import (
     expectation_or_inf,
 )
 from .numerics import NumericsError, TruncationUnsafe, golden_section_minimize, scan_grid
-from .operators import (
-    BoundaryViolation,
-    ScoreProfile,
-    UnsupportedRole,
-    exchanging_pair,
-    score_profile,
-)
+from .operators import BoundaryViolation, Laws, ScoreProfile, UnsupportedRole
 from .records import Record
 
 
@@ -99,15 +93,17 @@ def lower_bound(
     h: TestFunction,
     *,
     tol: float = 1e-12,
-    profile: ScoreProfile | None = None,
+    laws: Laws | None = None,
 ) -> float:
-    """(E[h' f-tilde])^2 / Fisher; returns 0 (vacuous) when Fisher diverges."""
+    """(E[h' f-tilde])^2 / Fisher; returns 0 (vacuous) when Fisher diverges.
+    The score profile and exchanging pair come from ``laws`` when given."""
+    laws = laws or Laws()
     if fam.is_discrete:
-        return discrete_lower_bound(fam, h, tol=tol, profile=profile)
-    prof = profile if profile is not None else score_profile(fam, tol=tol)
+        return discrete_lower_bound(fam, h, tol=tol, laws=laws)
+    prof = laws.profile(fam, tol)
     if math.isinf(prof.fisher):
         return 0.0
-    pair = exchanging_pair(fam)
+    pair = laws.pair(fam)
     numerator = expectation(fam, lambda x: h.h_prime(x) * pair.f_tilde(x), tol)
     return numerator * numerator / prof.fisher
 
@@ -117,17 +113,19 @@ def upper_bound(
     h: TestFunction,
     *,
     tol: float = 1e-12,
-    profile: ScoreProfile | None = None,
+    laws: Laws | None = None,
 ) -> float:
     """E[(h')^2 / (-phi') * f-tilde], or +inf when the score is not strictly
     monotone (witness available on the profile's certificate) or the
-    integral itself diverges."""
+    integral itself diverges.  The score profile and exchanging pair come
+    from ``laws`` when given."""
     if fam.is_discrete:
         raise UnsupportedRole("no discrete upper bound is available")
-    prof = profile if profile is not None else score_profile(fam, tol=tol)
+    laws = laws or Laws()
+    prof = laws.profile(fam, tol)
     if not prof.monotonicity.strictly_monotone:
         return math.inf
-    pair = exchanging_pair(fam)
+    pair = laws.pair(fam)
 
     def weight(x: float) -> float:
         hp = h.h_prime(x)
@@ -141,15 +139,17 @@ def discrete_lower_bound(
     h: TestFunction,
     *,
     tol: float = 1e-12,
-    profile: ScoreProfile | None = None,
+    laws: Laws | None = None,
     numerator: float | None = None,
 ) -> float:
     """( sum_x D+h(x-1) f-tilde(x) g(x) )^2 / Fisher, by exact summation by
-    parts; ``numerator``, when given, is that sum (``bound_report``'s walk)."""
-    pair = exchanging_pair(fam)  # verifies f-tilde * g = 0 at the support edges
+    parts; ``numerator``, when given, is that sum (``bound_report``'s walk).
+    The score profile and exchanging pair come from ``laws`` when given."""
+    laws = laws or Laws()
+    pair = laws.pair(fam)  # verifies f-tilde * g = 0 at the support edges
     if abs(pair.f_tilde(0.0) * fam.pmf(0)) > 1e-12:
         raise BoundaryViolation("f-tilde * g does not vanish at the origin")
-    prof = profile if profile is not None else score_profile(fam, tol=tol)
+    prof = laws.profile(fam, tol)
     # The x = 0 term is D+h(-1) f-tilde(0) g(0) = 0, checked above.
     if numerator is None:
         numerator = expectation(
@@ -367,21 +367,23 @@ def bound_report(
     *,
     tol: float = 1e-12,
     with_comparators: bool = True,
-    profile: ScoreProfile | None = None,
+    laws: Laws | None = None,
 ) -> BoundReport:
     """Assemble variance / lower / upper plus comparators and flags for one
     (family, test function) pair; the variance runs first, so its error wins.
-    ``profile``: the family's score profile at tol, if the caller has it."""
+    The family's score profile at tol and its exchanging pair come from
+    ``laws``, which the other scenarios of the law share, when given."""
     sums = _discrete_sums(fam, h, tol) if fam.is_discrete else None
     try:
         variance = ground_truth_variance(fam, h, tol=tol, moments=None if sums is None else sums[:2])
     except DivergentMoment:
         variance = math.inf
     flags: list[str] = []
-    prof = profile if profile is not None else score_profile(fam, tol=tol)
+    laws = laws or Laws()
+    prof = laws.profile(fam, tol)
 
-    lower = (lower_bound(fam, h=h, tol=tol, profile=prof) if sums is None
-             else discrete_lower_bound(fam, h, tol=tol, profile=prof, numerator=sums[2]))
+    lower = (lower_bound(fam, h=h, tol=tol, laws=laws) if sums is None
+             else discrete_lower_bound(fam, h, tol=tol, laws=laws, numerator=sums[2]))
     if math.isinf(prof.fisher):
         flags.append("vacuous-lower")
 
@@ -390,7 +392,7 @@ def bound_report(
         upper = math.inf
         flags.append("discrete-no-upper")
     else:
-        upper = upper_bound(fam, h=h, tol=tol, profile=prof)
+        upper = upper_bound(fam, h=h, tol=tol, laws=laws)
         if math.isinf(upper):
             if not prof.monotonicity.strictly_monotone:
                 witness = prof.monotonicity.witness

@@ -14,7 +14,7 @@ Scenario files are line-oriented: one JSON object per line, blank lines and
 
 Exit codes: 0 success, 1 check/row failure, 2 parse or validation error.
 The STEINB_TOL environment variable overrides the default quadrature
-tolerance; --tol overrides both.
+tolerance; --tol overrides both.  Either must be a finite number > 0.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ from .harness import (
     builtin_scenarios,
     identity_rows,
     result_to_dict,
-    run_checks,
-    run_scenario,
+    run_laws,
 )
-from .operators import score_profile
+from .operators import Laws
 
 
-class ScenarioFileError(Exception):
+class InputError(Exception):
+    """The command's input is invalid: the command exits 2."""
+
+
+class ScenarioFileError(InputError):
     """The scenario file is missing, unparsable, or names unknown entries."""
 
 
@@ -85,18 +88,32 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
     return scenarios
 
 
+def _tol(args: argparse.Namespace) -> float:
+    """The quadrature tolerance of the command (``config.resolve_tol``)."""
+    try:
+        return config.resolve_tol(args.tol)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def run_all(
-    scenarios: Sequence[Scenario], runner: Callable[[Scenario], ScenarioResult], jobs: int
+    scenarios: Sequence[Scenario], runner: Callable[[list[Scenario]], list[ScenarioResult]], jobs: int
 ) -> list[ScenarioResult]:
+    """The results of runner (``harness.run_laws``) on each group of
+    scenarios that share a law, over a process pool under jobs > 1, sorted
+    by scenario id."""
+    groups: dict[tuple, list[Scenario]] = {}
+    for s in scenarios:
+        groups.setdefault((s.family, s.kind, s.value, s.structural), []).append(s)
     if jobs > 1:
         # Imported here: concurrent.futures loads logging, which a serial run never needs.
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(runner, scenarios))
+            chunks = list(pool.map(runner, groups.values()))
     else:
-        results = [runner(s) for s in scenarios]
-    return sorted(results, key=lambda r: r.scenario_id)
+        chunks = [runner(group) for group in groups.values()]
+    return sorted((r for chunk in chunks for r in chunk), key=lambda r: r.scenario_id)
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +187,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    runner = functools.partial(run_checks, tol=config.resolve_tol(args.tol))
+    runner = functools.partial(run_laws, tol=_tol(args), with_report=False)
     results = run_all(_scenarios(args), runner, args.jobs)
     all_pass = True
     print(f"{'scenario':24s} {'f0':22s} {'E[T f0]':>14s}  pass")
@@ -194,7 +211,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    runner = functools.partial(run_scenario, tol=config.resolve_tol(args.tol))
+    runner = functools.partial(run_laws, tol=_tol(args))
     results = run_all(_scenarios(args), runner, args.jobs)
     text = EMITTERS[args.format](results)
     _write_out(text, args.out)
@@ -204,12 +221,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_fisher(args: argparse.Namespace) -> int:
     scenarios = _scenarios(args)
-    tol = config.resolve_tol(args.tol)
+    tol = _tol(args)
+    laws = Laws()
     rows = []
     for s in sorted(scenarios, key=lambda s: s.scenario_id):
         fam = s.build_family()
         try:
-            prof = score_profile(fam, tol=tol)
+            prof = laws.profile(fam, tol)
         except SCENARIO_ERRORS as exc:
             rows.append({"scenario": s.scenario_id, "family": fam.name, "role": s.kind,
                          "error": f"{type(exc).__name__}: {exc}"})
@@ -243,7 +261,7 @@ def cmd_paper_table(args: argparse.Namespace) -> int:
         for rid in row_ids():
             print(rid)
         return 0
-    tol = config.resolve_tol(args.tol)
+    tol = _tol(args)
     rows = build_rows(tol)
     width = max(len(r.row_id) for r in rows)
     for r in rows:
@@ -306,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioFileError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from typing import NamedTuple
 
@@ -30,10 +31,18 @@ TOL_ENV_VAR = "STEINB_TOL"
 
 
 def resolve_tol(flag_value: float | None = None) -> float:
-    """Effective quadrature tolerance: --tol beats STEINB_TOL beats the default."""
+    """Effective quadrature tolerance: --tol beats STEINB_TOL beats the
+    default.  Raises ValueError unless it is a finite number > 0."""
     if flag_value is not None:
-        return float(flag_value)
-    env = os.environ.get(TOL_ENV_VAR)
-    if env:
-        return float(env)
-    return QUAD.request_tol
+        source, tol = "--tol", float(flag_value)
+    elif os.environ.get(TOL_ENV_VAR):
+        source = TOL_ENV_VAR
+        try:
+            tol = float(os.environ[TOL_ENV_VAR])
+        except ValueError:
+            raise ValueError(f"{TOL_ENV_VAR} must be a number, got {os.environ[TOL_ENV_VAR]!r}") from None
+    else:
+        return QUAD.request_tol
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{source} must be finite and > 0, got {tol}")
+    return tol

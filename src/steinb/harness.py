@@ -38,6 +38,7 @@ from .families import (
     bulk_radius,
     bump,
     discrete_sums,
+    family_spec,
     make_family,
     named_test_function,
     polynomial,
@@ -46,6 +47,7 @@ from .families import (
 from .numerics import Interval, NumericsError, QuadResult
 from .operators import (
     BoundaryViolation,
+    Laws,
     UnsupportedRole,
     hermite_test_function,
     require_score,
@@ -86,9 +88,10 @@ class ScenarioResult(NamedTuple):
 # --------------------------------------------------------------------------
 # Operator expectations.
 
-# f0 values at a base coordinate y: (f0(y) for each f0, f0'(y) for each f0),
-# or None where every one of them and its derivative vanishes.
-Bank = Callable[[float], Optional[tuple[Sequence[float], Iterable[float]]]]
+# f0 values at a base coordinate y: (f0(y) for each f0, f0'(y) for each f0,
+# or None in the bank of a discrete family, whose operator reads no
+# derivative), or None where every one of them and its derivative vanishes.
+Bank = Callable[[float], Optional[tuple[Sequence[float], Optional[Iterable[float]]]]]
 
 
 def _bank(f0s: Sequence[TestFunction]) -> Bank:
@@ -232,8 +235,9 @@ DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
 
 def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
     """The builtin test functions, a bank that evaluates them together (the
-    bump once per point, x^k and k x^(k-1) by recurrence), and the bump's
-    radius in y, outside which every one of them vanishes."""
+    bump once per point, x^k and k x^(k-1) by recurrence; for a discrete
+    family, whose walk reads f0 alone, x^k only), and the bump's radius in
+    y, outside which every one of them vanishes."""
     radius = bulk_radius(fam) + 2.0
     window = bump(radius)
     extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
@@ -241,6 +245,19 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
     f0s.extend(product(f0, window) for f0 in extras)
     b_h, b_hp = window.h, window.h_prime
     extra_pairs = [(e.h, e.h_prime) for e in extras]
+
+    def values(y: float) -> tuple[list[float], None] | None:
+        b = b_h(y)
+        if b == 0.0:
+            return None
+        hs = []
+        power = 1.0  # y^k
+        for _ in range(DEGREE + 1):
+            hs.append(power * b)
+            power *= y
+        for e_h, _ in extra_pairs:
+            hs.append(e_h(y) * b)
+        return hs, None
 
     def bank(y: float) -> tuple[list[float], list[float]] | None:
         b = b_h(y)
@@ -259,7 +276,7 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
             hps.append(e_hp(y) * b + e * bp)
         return hs, hps
 
-    return f0s, bank, radius
+    return f0s, values if fam.is_discrete else bank, radius
 
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:
@@ -281,6 +298,14 @@ def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None 
     the pass/fail threshold."""
     f0s, bank, radius = _builtin_suite(fam)
     return _checks(fam, f0s, law, tol, quad_tol, bank, radius)
+
+
+def law_suite(laws: Laws, fam: Family, *, tol: float | None = None, law: Family | None = None,
+              quad_tol: float = config.QUAD.request_tol) -> tuple[IdentityCheck, ...]:
+    """``identity_suite``, computed once in ``laws`` for each family spec,
+    spec of ``law``, pass/fail threshold and quadrature tolerance."""
+    key = ("suite", family_spec(fam), None if law is None else family_spec(law), tol, quad_tol)
+    return laws.once(key, lambda: tuple(identity_suite(fam, tol=tol, law=law, quad_tol=quad_tol)))
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +345,10 @@ class Scenario(NamedTuple):
         if not isinstance(tolerances, dict):
             raise TypeError(f"tolerances must be an object, got {tolerances!r}")
         identity_tol = tolerances.get("identity")
+        if identity_tol is not None:
+            identity_tol = float(identity_tol)
+            if not 0 < identity_tol < math.inf:
+                raise ValueError(f"tolerances.identity must be finite and > 0, got {identity_tol}")
         law = raw.get("law", {})
         return cls(
             scenario_id=str(raw["id"]),
@@ -328,7 +357,7 @@ class Scenario(NamedTuple):
             value=float(role["value"]),
             structural=structural,
             test_function=tf,
-            identity_tol=None if identity_tol is None else float(identity_tol),
+            identity_tol=identity_tol,
             law_value=float(law["value"]) if "value" in law else None,
         )
 
@@ -346,36 +375,51 @@ class Scenario(NamedTuple):
         return polynomial(self.test_function)
 
 
-def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
+def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol,
+                 laws: Laws | None = None) -> ScenarioResult:
     """Identity checks plus a bound report for one scenario; failures are
-    recorded on the result rather than raised, so a matrix always completes."""
-    return _contained(scenario, tol, with_report=True)
+    recorded on the result rather than raised, so a matrix always completes.
+    What depends on the law alone comes from ``laws`` when given."""
+    return _contained(scenario, tol, with_report=True, laws=laws)
 
 
-def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol) -> ScenarioResult:
+def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol,
+               laws: Laws | None = None) -> ScenarioResult:
     """The identity checks of ``run_scenario`` without its bound report
     (``report`` stays None), failures recorded the same way.  A family/role
     pair that has no bound report at all (``require_score``) is still an
     error row, as under ``run_scenario``."""
-    return _contained(scenario, tol, with_report=False)
+    return _contained(scenario, tol, with_report=False, laws=laws)
 
 
-def _contained(scenario: Scenario, quad_tol: float, *, with_report: bool) -> ScenarioResult:
+def run_laws(scenarios: Sequence[Scenario], *, tol: float = config.QUAD.request_tol,
+             with_report: bool = True) -> list[ScenarioResult]:
+    """``run_scenario`` (``run_checks`` unless ``with_report``) of each
+    scenario, in order, sharing one ``Laws`` memo: a law's identity suite,
+    score profile, exchanging pair and bulk radii are computed once however
+    many scenarios it has.  Each result equals the scenario's run alone."""
+    laws, run = Laws(), run_scenario if with_report else run_checks
+    return [run(s, tol=tol, laws=laws) for s in scenarios]
+
+
+def _contained(scenario: Scenario, quad_tol: float, *, with_report: bool,
+               laws: Laws | None = None) -> ScenarioResult:
     """Build the scenario, reject a family/role pair with no score
     (``require_score``) before any quadrature, run its identity checks to
     quadrature tolerance quad_tol (under the deliberately wrong law when it
     names one), then, ``with_report``, its bound report; a SCENARIO_ERRORS
     exception anywhere becomes the result's error."""
+    laws = laws or Laws()
     started = time.perf_counter()
     try:
-        fam = scenario.build_family()
+        fam = laws.family(scenario.build_family())
         h = scenario.build_test_function()
         wrong_law = scenario.build_law()
         require_score(fam)
-        checks = tuple(identity_suite(fam, tol=scenario.identity_tol, law=wrong_law, quad_tol=quad_tol))
+        checks = law_suite(laws, fam, tol=scenario.identity_tol, law=wrong_law, quad_tol=quad_tol)
         return ScenarioResult(
             scenario_id=scenario.scenario_id,
-            report=bound_report(fam, h, tol=quad_tol) if with_report else None,
+            report=bound_report(fam, h, tol=quad_tol, laws=laws) if with_report else None,
             identity_checks=checks,
             wall_time=time.perf_counter() - started,
         )

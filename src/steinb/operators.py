@@ -30,7 +30,7 @@ the role's, derived from its base terms.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .families import (
     ONE,
@@ -39,6 +39,7 @@ from .families import (
     TestFunction,
     bulk_radius,
     expectation,
+    family_spec,
 )
 from .numerics import (
     Interval,
@@ -263,3 +264,40 @@ def _endpoint_value(fam: ContinuousFamily, f_tilde: RealFn, y: float) -> float:
         return 0.0
     x, dx_dy = fam.role.from_base(y)
     return f_tilde(x) * w / dx_dy
+
+
+# --------------------------------------------------------------------------
+# One run per law.
+
+T = TypeVar("T")
+
+
+class Laws:
+    """What depends on the law alone, computed once per family spec
+    (``family_spec``) and the tolerances in its key, never per test function:
+    the family object (which keeps its bulk radii), score profile,
+    exchanging pair and, through ``once``, identity suite.  One command run
+    owns a memo, so nothing in it outlives the run.  A computation that
+    raises stores nothing: the next call raises the same way."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self) -> None:
+        self._values: dict[tuple, Any] = {}
+
+    def once(self, key: tuple, compute: Callable[[], T]) -> T:
+        """The value under key, computed by compute() on the first call."""
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    def family(self, fam: Family) -> Family:
+        """The first family given with fam's spec."""
+        return self.once(("family", family_spec(fam)), lambda: fam)
+
+    def profile(self, fam: Family, tol: float) -> ScoreProfile:
+        return self.once(("profile", family_spec(fam), tol), lambda: score_profile(fam, tol=tol))
+
+    def pair(self, fam: Family) -> ExchangingPair:
+        """The exchanging pair of f0 = 1, boundary checked (``exchanging_pair``)."""
+        return self.once(("pair", family_spec(fam)), lambda: exchanging_pair(fam))

@@ -47,7 +47,7 @@ from .harness import (
     perturbed_law,
     run_scenario,
 )
-from .operators import ScoreProfile, comparison_grid, generic_operator_value, make_operator, score_profile
+from .operators import Laws, ScoreProfile, comparison_grid, generic_operator_value, make_operator
 
 KAPPA_TARGET = 2.34432  # quoted value of the skew Fisher information
 
@@ -74,19 +74,21 @@ class RowSpec(NamedTuple):
 
 
 class _Shared:
-    """What several rows read, computed once, on first use."""
+    """What several rows read, computed once, on first use.  ``laws`` holds
+    what depends on the law alone (``operators.Laws``), for every row: the
+    builtin results, the shifted and scaled reports, and the Fisher, Poisson
+    lower-bound and equality rows read one score profile per family spec."""
 
     def __init__(self, tol: float) -> None:
         self.tol = tol
+        self.laws = Laws()
+
+    def profile(self, fam: Family) -> ScoreProfile:
+        return self.laws.profile(self.laws.family(fam), self.tol)
 
     @functools.cached_property
     def results(self) -> dict[str, ScenarioResult]:
-        return {s.scenario_id: run_scenario(s, tol=self.tol) for s in builtin_scenarios()}
-
-    @functools.cached_property
-    def profiles(self) -> dict[str, ScoreProfile]:
-        """The score profile of each builtin scenario's family (it does not depend on h)."""
-        return {s.scenario_id: score_profile(s.build_family(), tol=self.tol) for s in builtin_scenarios()}
+        return {s.scenario_id: run_scenario(s, tol=self.tol, laws=self.laws) for s in builtin_scenarios()}
 
     @functools.cached_property
     def invariance(self) -> tuple[tuple[float, bool], tuple[float, bool]]:
@@ -96,11 +98,11 @@ class _Shared:
         worst_shift, worst_scale = 0.0, 0.0
         c = 2.5
         for scenario in builtin_scenarios():
-            prof = self.profiles[scenario.scenario_id]
+            fam = self.laws.family(scenario.build_family())
             h = scenario.build_test_function()
             base = self.results[scenario.scenario_id].report
             rep_shift, rep_scale = (
-                bound_report(prof.family, h2, tol=self.tol, with_comparators=False, profile=prof)
+                bound_report(fam, h2, tol=self.tol, with_comparators=False, laws=self.laws)
                 for h2 in (shifted(h, 3.0), scaled(h, c))
             )
             for get in (lambda r: r.lower, lambda r: r.variance_truth, lambda r: r.upper):
@@ -118,20 +120,20 @@ class _Shared:
 def _fisher(row_id: str, description: str, family: Callable[[], Family], target: str,
             expected: float, tol: float) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        fisher = score_profile(family(), tol=ctx.tol).fisher
+        fisher = ctx.profile(family()).fisher
         return fisher, _close(fisher, expected, tol)
 
     return RowSpec(row_id, description, target, compute)
 
 
 def _divergent_gamma_fisher(ctx: _Shared) -> tuple[Any, bool]:
-    fisher = score_profile(gamma(Location(0.0), shape=1.5), tol=ctx.tol).fisher
+    fisher = ctx.profile(gamma(Location(0.0), shape=1.5)).fisher
     return fisher, math.isinf(fisher)
 
 
 def _poisson_lower_linear(lam: float) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        value = discrete_lower_bound(poisson(lam), linear(), tol=ctx.tol)
+        value = discrete_lower_bound(ctx.laws.family(poisson(lam)), linear(), tol=ctx.tol, laws=ctx.laws)
         return value, _close(value, lam, 1e-9)
 
     return RowSpec(f"poisson-lower-linear-{lam:g}",
@@ -139,8 +141,9 @@ def _poisson_lower_linear(lam: float) -> RowSpec:
 
 
 def _poisson_lower_square(ctx: _Shared) -> tuple[Any, bool]:
-    value = discrete_lower_bound(poisson(1.0), square(), tol=ctx.tol)
-    var = ground_truth_variance(poisson(1.0), square(), tol=ctx.tol)
+    fam = ctx.laws.family(poisson(1.0))
+    value = discrete_lower_bound(fam, square(), tol=ctx.tol, laws=ctx.laws)
+    var = ground_truth_variance(fam, square(), tol=ctx.tol)
     return (value, var), _close(value, 9.0, 1e-8) and _close(var, 11.0, 1e-8) and value <= var
 
 
@@ -159,8 +162,9 @@ def _exp_sqrt_chain(ctx: _Shared) -> tuple[Any, bool]:
 
 def _equality(row_id: str, scenario_id: str, expect_upper: bool) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        rep, prof = ctx.results[scenario_id].report, ctx.profiles[scenario_id]
+        rep = ctx.results[scenario_id].report
         scenario = next(s for s in builtin_scenarios() if s.scenario_id == scenario_id)
+        prof = ctx.profile(scenario.build_family())
         residual = tightness_residual(prof.family, scenario.build_test_function(), prof,
                                       rep.variance_truth, tol=ctx.tol)
         ok = abs(rep.lower - rep.variance_truth) <= 1e-7 and residual <= 1e-9
@@ -187,8 +191,8 @@ def _identity_suite(ctx: _Shared) -> tuple[Any, bool]:
 def _falsification(ctx: _Shared) -> tuple[Any, bool]:
     falsify_ok = True
     weakest = math.inf
-    for scenario in builtin_scenarios():
-        fam = scenario.build_family()
+    # Once per law of the builtin matrix: the verdict is a min and an and.
+    for fam in dict.fromkeys(ctx.laws.family(s.build_family()) for s in builtin_scenarios()):
         try:
             wrong = perturbed_law(fam)
         except Exception:
@@ -216,6 +220,7 @@ def _closed_vs_generic(ctx: _Shared) -> tuple[Any, bool]:
     worst_overall = 0.0
     agree = True
     for label, fam in agreement_cases:
+        fam = ctx.laws.family(fam)
         f0 = builtin_test_functions(fam)[1]
         op = make_operator(fam, f0)
         worst = max(

@@ -1,14 +1,12 @@
 import pytest
 
 from steinb import numerics, vectorquad
-from steinb.families import bulk_radius
 
 
 @pytest.fixture
 def count_cells(monkeypatch):
-    """Count the GK15 cells of both quadrature kernels from here on (the bulk
-    radius cache cleared, so every count starts cold); call it for the count."""
-    bulk_radius.cache_clear()
+    """Count the GK15 cells of both quadrature kernels from here on; call it
+    for the count."""
     cells = [0]
     scalar, vector = numerics._gk15, vectorquad._gk15_vector
 

@@ -204,9 +204,10 @@ def test_criterion_10_determinism():
 
 def test_paper_table_reuses_its_reports_and_profiles(monkeypatch):
     # The invariance rows read their unshifted reports from the builtin
-    # matrix's results, and one score profile per builtin scenario, held by
-    # the table, feeds the shifted and scaled reports and the equality rows.
-    from steinb import bounds, harness, papertable
+    # matrix's results, and the table's memo computes one score profile per
+    # family spec, which every report and the Fisher, Poisson lower-bound
+    # and equality rows read.
+    from steinb import bounds, harness, operators, papertable
 
     reports, profiles = [], []
 
@@ -218,15 +219,15 @@ def test_paper_table_reuses_its_reports_and_profiles(monkeypatch):
 
     for module in (bounds, harness, papertable):
         monkeypatch.setattr(module, "bound_report", counting(reports, module.bound_report))
-    for module in (bounds, papertable):
-        monkeypatch.setattr(module, "score_profile", counting(profiles, module.score_profile))
+    monkeypatch.setattr(operators, "score_profile", counting(profiles, operators.score_profile))
     assert all(row.passed for row in papertable.build_rows())
     scenarios = builtin_scenarios()
     unshifted = [r for r in reports if r[3] in {s.build_test_function().name for s in scenarios}]
     assert len(reports) == 36 and len(unshifted) == len(scenarios)  # the results' own reports only
-    # Per builtin scenario: its result's report and the held profile; then
-    # 13 Fisher rows and 4 Poisson lower-bound rows.
-    assert len(profiles) == 2 * len(scenarios) + 13 + 4
+    # One per distinct spec: the 11 laws of the builtin matrix (whose two
+    # exponential scale scenarios share one) and 5 more of the Fisher rows.
+    specs = {(name, repr(role), structural) for name, role, structural, _ in profiles}
+    assert len(profiles) == len(specs) == 16
 
 
 def test_criterion_wall_clock(matrix):

@@ -40,7 +40,7 @@ from steinb.families import (
 )
 from steinb.harness import builtin_scenarios, ground_truth_variance, run_scenario
 from steinb.numerics import scan_grid
-from steinb.operators import exchanging_pair, score_profile
+from steinb.operators import Laws, exchanging_pair, score_profile
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))
 # oracle: E[sqrt(1+X^2)] under the standard normal by scipy.integrate.quad
@@ -84,10 +84,9 @@ class TestUpperBound:
         assert math.isinf(upper_bound(gaussian(Scale(1.0)), h=square()))
 
     def test_sas_infinite_with_witness(self):
-        fam = sas_gaussian(0.0)
-        prof = score_profile(fam)
-        assert math.isinf(upper_bound(fam, h=linear(), profile=prof))
-        assert prof.monotonicity.witness == 0.0
+        fam, laws = sas_gaussian(0.0), Laws()
+        assert math.isinf(upper_bound(fam, h=linear(), laws=laws))
+        assert laws.profile(fam, 1e-12).monotonicity.witness == 0.0  # the profile upper_bound read
 
     def test_positive_integrand_when_monotone(self):
         # f-tilde / (-phi') is nonnegative wherever the score is monotone

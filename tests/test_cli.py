@@ -288,6 +288,100 @@ class TestCommands:
         assert config.resolve_tol(None) == config.QUAD.request_tol
 
 
+SHARED_LAWS = """\
+{"id": "g-linear", "family": "gaussian", "role": {"kind": "location", "value": 0.5}, "sigma": 2.0}
+{"id": "g-square", "family": "gaussian", "role": {"kind": "location", "value": 0.5}, "sigma": 2.0, "test_function": {"name": "square"}}
+{"id": "g-wrong-law", "family": "gaussian", "role": {"kind": "location", "value": 0.5}, "sigma": 2.0, "law": {"value": 0.8}}
+{"id": "g-loose", "family": "gaussian", "role": {"kind": "location", "value": 0.5}, "sigma": 2.0, "tolerances": {"identity": 1e-6}, "test_function": {"name": "square"}}
+{"id": "p-linear", "family": "poisson", "role": {"kind": "theta", "value": 2.5}}
+{"id": "p-square", "family": "poisson", "role": {"kind": "theta", "value": 2.5}, "test_function": {"name": "square"}}
+{"id": "e-linear", "family": "exponential", "role": {"kind": "scale", "value": 1.5}}
+{"id": "e-sqrt", "family": "exponential", "role": {"kind": "scale", "value": 1.5}, "test_function": {"name": "sqrt"}}
+"""
+# Three laws; five identity suites, as the gaussian law's wrong-law and
+# looser-threshold lines each make a suite of their own.
+SHARED_LAWS_SUITES = 5
+
+
+class TestLawGroups:
+    """A command runs what depends on the law alone once per law, and each
+    scenario's result is still the one it gets alone."""
+
+    COMMANDS = {"check": ["check", "--out"], "bounds": ["bounds", "--format", "json", "--out"]}
+
+    @pytest.fixture
+    def shared(self, tmp_path):
+        p = tmp_path / "shared.jsonl"
+        p.write_text(SHARED_LAWS)
+        return p
+
+    def _out(self, argv, out, capsys):
+        main(argv + [str(out)])
+        capsys.readouterr()
+        return out.read_text()
+
+    @pytest.mark.parametrize("command", ["check", "bounds"])
+    def test_grouped_runs_write_the_bytes_of_one_scenario_runs(self, shared, tmp_path, capsys, command):
+        head, out = self.COMMANDS[command], tmp_path / "out.json"
+        rows = []
+        for i, line in enumerate(SHARED_LAWS.splitlines()):
+            alone = tmp_path / f"alone{i}.jsonl"
+            alone.write_text(line + "\n")
+            rows += json.loads(self._out([head[0], str(alone), *head[1:]], out, capsys))
+        expected = json.dumps(sorted(rows, key=lambda r: r["scenario"]), indent=2, sort_keys=True) + "\n"
+        for jobs in ("1", "2"):
+            assert self._out([head[0], str(shared), "--jobs", jobs, *head[1:]], out, capsys) == expected
+
+    @pytest.mark.parametrize("command", ["check", "bounds"])
+    def test_each_law_runs_its_suite_and_profile_once(self, shared, tmp_path, capsys, monkeypatch, command):
+        from steinb import harness, operators
+
+        calls = {"suite": [], "profile": []}
+        for module, name, key in ((harness, "identity_suite", "suite"), (operators, "score_profile", "profile")):
+            def counting(fam, *args, _fn=getattr(module, name), _seen=calls[key], **kwargs):
+                _seen.append(fam.name)
+                return _fn(fam, *args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        head = self.COMMANDS[command]
+        self._out([head[0], str(shared), "--jobs", "1", *head[1:]], tmp_path / "out.json", capsys)
+        assert len(calls["suite"]) == SHARED_LAWS_SUITES
+        assert sorted(calls["profile"]) == ([] if command == "check" else ["exponential", "gaussian", "poisson"])
+
+    def test_no_memo_outlives_a_command(self, shared, tmp_path, capsys, count_cells):
+        spent = []
+        for _ in range(2):
+            before = count_cells()
+            self._out(["bounds", str(shared), "--format", "json", "--out"], tmp_path / "out.json", capsys)
+            spent.append(count_cells() - before)
+        assert spent[0] == spent[1] > 0
+
+
+class TestBadTolerances:
+    """A tolerance that is not a finite number > 0 is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+    def test_tol_flag(self, capsys, value):
+        for command in ("check", "bounds", "fisher", "paper-table"):
+            assert main([command, f"--tol={value}"]) == 2
+            assert "--tol must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "loose"])
+    def test_tol_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("STEINB_TOL", value)
+        assert main(["check"]) == 2
+        assert "STEINB_TOL must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1e-9", "NaN", "Infinity", "\"-1\""])
+    def test_identity_tolerance(self, tmp_path, capsys, value):
+        p = tmp_path / "scn.jsonl"
+        p.write_text('{"id": "a", "family": "poisson", "role": {"kind": "theta", "value": 1.0}, '
+                     f'"tolerances": {{"identity": {value}}}}}\n')
+        for command in ("check", "bounds"):
+            assert main([command, str(p)]) == 2
+            err = capsys.readouterr().err
+            assert f"{p}:1:" in err and "tolerances.identity must be finite and > 0" in err
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

@@ -40,8 +40,9 @@ def test_identical_calls_have_no_leaves():
 
 def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     calls = dict(diff_reports.requests([], tmp_path, tmp_path / "report.out"))
-    # 4 per input, the paper table, 2 at --tol 1e-6, 2 through the process pool and 2 on the probe file
-    assert len(calls) == 15
+    # 4 per input, the paper table, 2 at --tol 1e-6, 2 through the process pool,
+    # 2 on the probe file and 4 on the shared-law file
+    assert len(calls) == 19
     assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
     assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]
     assert calls["builtin/bounds-jobs2"] == ["bounds", "--format", "json", "--jobs", "2"]
@@ -49,6 +50,11 @@ def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     probe = str(diff_reports.PROBE)
     assert calls["probe/check"][:2] == ["check", probe]
     assert calls["probe/bounds-json"] == ["bounds", probe, "--format", "json"]
+    shared, out = str(diff_reports.SHARED), str(tmp_path / "report.out")
+    assert calls["shared/check"] == ["check", shared, "--out", out]
+    assert calls["shared/check-jobs2"] == ["check", shared, "--jobs", "2", "--out", out]
+    assert calls["shared/bounds-json"] == ["bounds", shared, "--format", "json"]
+    assert calls["shared/bounds-jobs2"] == ["bounds", shared, "--format", "json", "--jobs", "2"]
 
 
 def test_leaves_are_counted_by_path_class():

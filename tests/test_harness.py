@@ -421,6 +421,26 @@ class TestDiscreteWalk:
         # and the weight took 15 per k.
         assert walked[0] > 64 and calls[0] == walked[0] + 1
 
+    def test_a_discrete_suite_evaluates_no_derivative(self, monkeypatch):
+        # The walk reads f0(j) alone; the builtin bank computes f0'(y) only
+        # when it is read, as a continuous suite does.
+        reads = []
+
+        def counting_bump(radius):
+            window = families.bump(radius)
+
+            def b_prime(y):
+                reads.append(y)
+                return window.h_prime(y)
+
+            return window._replace(h_prime=b_prime)
+
+        monkeypatch.setattr(harness, "bump", counting_bump)
+        assert all(c.passed for c in identity_suite(poisson(3.0)))
+        assert reads == []
+        assert all(c.passed for c in identity_suite(gaussian(Location(0.0))))
+        assert reads
+
 
 class TestGroundTruth:
     def test_gaussian_linear(self):
