@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import config
-from .families import InvalidParameter
+from .families import InvalidParameter, family_spec
 from .harness import (
     SCENARIO_ERRORS,
     Scenario,
@@ -96,21 +96,36 @@ def _tol(args: argparse.Namespace) -> float:
         raise InputError(str(exc)) from exc
 
 
+def _law_key(s: Scenario) -> tuple:
+    """The spec of the scenario's law (``families.family_spec``), or, when
+    its family cannot be built, its id: that scenario runs alone, to its
+    error row."""
+    try:
+        return family_spec(s.build_family())
+    except SCENARIO_ERRORS:
+        return ("unbuilt", s.scenario_id)
+
+
 def run_all(
     scenarios: Sequence[Scenario], runner: Callable[[list[Scenario]], list[ScenarioResult]], jobs: int
 ) -> list[ScenarioResult]:
     """The results of runner (``harness.run_laws``) on each group of
-    scenarios that share a law, over a process pool under jobs > 1, sorted
-    by scenario id."""
+    scenarios that share a law, sorted by scenario id.  Under jobs > 1 the
+    groups go to a process pool, a group of more than 1/jobs of the
+    scenarios in pieces of that size, so that one law with many test
+    functions still keeps every worker busy; each piece computes the law's
+    suite and profile once."""
     groups: dict[tuple, list[Scenario]] = {}
     for s in scenarios:
-        groups.setdefault((s.family, s.kind, s.value, s.structural), []).append(s)
+        groups.setdefault(_law_key(s), []).append(s)
     if jobs > 1:
         # Imported here: concurrent.futures loads logging, which a serial run never needs.
         import concurrent.futures
 
+        size = -(-len(scenarios) // jobs)
+        pieces = [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(runner, groups.values()))
+            chunks = list(pool.map(runner, pieces))
     else:
         chunks = [runner(group) for group in groups.values()]
     return sorted((r for chunk in chunks for r in chunk), key=lambda r: r.scenario_id)

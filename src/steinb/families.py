@@ -21,6 +21,7 @@ b = sigma0 (larger sigma0 means more concentrated mass).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, ClassVar, NamedTuple, Sequence, Union
 
@@ -236,11 +237,7 @@ def regularized_gamma(a: float, x: float) -> tuple[float, float]:
 
 
 class _Structural(Record):
-    __slots__ = ("_radii",)   # bulk_radius's values by eps, kept with the family
-
-    def __init__(self, *values: object) -> None:
-        super().__init__(*values)
-        object.__setattr__(self, "_radii", {})
+    __slots__ = ()
 
     def structural_value(self, key: str) -> float:
         for k, v in self.structural:
@@ -645,6 +642,7 @@ def family_spec(fam: Family) -> tuple:
     return fam.name, repr(fam.role), fam.structural
 
 
+@functools.lru_cache(maxsize=None)
 def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
     """Radius R with at most eps of the mass outside [-R, R] in the base
     coordinate y (continuous) or outside {0, ..., R - 1} (discrete).
@@ -653,16 +651,8 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
     centred at y = 0, straddles the whole bulk under every role.  R is found
     by doubling from 1, then 30 bisection steps; continuous families read
     the mass outside from their closed-form base tails at +-r, discrete ones
-    sum the pmf.  The family keeps each radius it was asked for, so a family
-    object computes it once and no radius outlives the family.
+    sum the pmf.
     """
-    radii = fam._radii
-    if eps not in radii:
-        radii[eps] = _locate_bulk(fam, eps)
-    return radii[eps]
-
-
-def _locate_bulk(fam: Family, eps: float) -> float:
     if fam.is_discrete:
         total = 0.0
         x = 0

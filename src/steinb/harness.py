@@ -396,8 +396,8 @@ def run_laws(scenarios: Sequence[Scenario], *, tol: float = config.QUAD.request_
              with_report: bool = True) -> list[ScenarioResult]:
     """``run_scenario`` (``run_checks`` unless ``with_report``) of each
     scenario, in order, sharing one ``Laws`` memo: a law's identity suite,
-    score profile, exchanging pair and bulk radii are computed once however
-    many scenarios it has.  Each result equals the scenario's run alone."""
+    score profile and exchanging pair are computed once however many
+    scenarios it has.  Each result equals the scenario's run alone."""
     laws, run = Laws(), run_scenario if with_report else run_checks
     return [run(s, tol=tol, laws=laws) for s in scenarios]
 
@@ -412,7 +412,7 @@ def _contained(scenario: Scenario, quad_tol: float, *, with_report: bool,
     laws = laws or Laws()
     started = time.perf_counter()
     try:
-        fam = laws.family(scenario.build_family())
+        fam = scenario.build_family()
         h = scenario.build_test_function()
         wrong_law = scenario.build_law()
         require_score(fam)

@@ -275,10 +275,10 @@ T = TypeVar("T")
 class Laws:
     """What depends on the law alone, computed once per family spec
     (``family_spec``) and the tolerances in its key, never per test function:
-    the family object (which keeps its bulk radii), score profile,
-    exchanging pair and, through ``once``, identity suite.  One command run
-    owns a memo, so nothing in it outlives the run.  A computation that
-    raises stores nothing: the next call raises the same way."""
+    score profile, exchanging pair and, through ``once``, identity suite.
+    One command run owns a memo, so nothing in it outlives the run.  A
+    computation that raises stores nothing: the next call raises the same
+    way."""
 
     __slots__ = ("_values",)
 
@@ -290,10 +290,6 @@ class Laws:
         if key not in self._values:
             self._values[key] = compute()
         return self._values[key]
-
-    def family(self, fam: Family) -> Family:
-        """The first family given with fam's spec."""
-        return self.once(("family", family_spec(fam)), lambda: fam)
 
     def profile(self, fam: Family, tol: float) -> ScoreProfile:
         return self.once(("profile", family_spec(fam), tol), lambda: score_profile(fam, tol=tol))

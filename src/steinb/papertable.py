@@ -27,6 +27,7 @@ from .families import (
     Scale,
     binomial,
     exponential,
+    family_spec,
     gamma,
     gaussian,
     geometric,
@@ -84,7 +85,7 @@ class _Shared:
         self.laws = Laws()
 
     def profile(self, fam: Family) -> ScoreProfile:
-        return self.laws.profile(self.laws.family(fam), self.tol)
+        return self.laws.profile(fam, self.tol)
 
     @functools.cached_property
     def results(self) -> dict[str, ScenarioResult]:
@@ -98,7 +99,7 @@ class _Shared:
         worst_shift, worst_scale = 0.0, 0.0
         c = 2.5
         for scenario in builtin_scenarios():
-            fam = self.laws.family(scenario.build_family())
+            fam = scenario.build_family()
             h = scenario.build_test_function()
             base = self.results[scenario.scenario_id].report
             rep_shift, rep_scale = (
@@ -133,7 +134,7 @@ def _divergent_gamma_fisher(ctx: _Shared) -> tuple[Any, bool]:
 
 def _poisson_lower_linear(lam: float) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        value = discrete_lower_bound(ctx.laws.family(poisson(lam)), linear(), tol=ctx.tol, laws=ctx.laws)
+        value = discrete_lower_bound(poisson(lam), linear(), tol=ctx.tol, laws=ctx.laws)
         return value, _close(value, lam, 1e-9)
 
     return RowSpec(f"poisson-lower-linear-{lam:g}",
@@ -141,7 +142,7 @@ def _poisson_lower_linear(lam: float) -> RowSpec:
 
 
 def _poisson_lower_square(ctx: _Shared) -> tuple[Any, bool]:
-    fam = ctx.laws.family(poisson(1.0))
+    fam = poisson(1.0)
     value = discrete_lower_bound(fam, square(), tol=ctx.tol, laws=ctx.laws)
     var = ground_truth_variance(fam, square(), tol=ctx.tol)
     return (value, var), _close(value, 9.0, 1e-8) and _close(var, 11.0, 1e-8) and value <= var
@@ -192,7 +193,7 @@ def _falsification(ctx: _Shared) -> tuple[Any, bool]:
     falsify_ok = True
     weakest = math.inf
     # Once per law of the builtin matrix: the verdict is a min and an and.
-    for fam in dict.fromkeys(ctx.laws.family(s.build_family()) for s in builtin_scenarios()):
+    for fam in {family_spec(f): f for f in (s.build_family() for s in builtin_scenarios())}.values():
         try:
             wrong = perturbed_law(fam)
         except Exception:
@@ -220,7 +221,6 @@ def _closed_vs_generic(ctx: _Shared) -> tuple[Any, bool]:
     worst_overall = 0.0
     agree = True
     for label, fam in agreement_cases:
-        fam = ctx.laws.family(fam)
         f0 = builtin_test_functions(fam)[1]
         op = make_operator(fam, f0)
         worst = max(

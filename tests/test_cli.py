@@ -16,8 +16,9 @@ from steinb.cli import (
     emit_md,
     load_scenarios,
     main,
+    run_all,
 )
-from steinb.harness import run_scenario
+from steinb.harness import Scenario, run_scenario
 
 GOOD_LINES = """\
 # demo scenario file
@@ -329,7 +330,9 @@ class TestLawGroups:
             alone.write_text(line + "\n")
             rows += json.loads(self._out([head[0], str(alone), *head[1:]], out, capsys))
         expected = json.dumps(sorted(rows, key=lambda r: r["scenario"]), indent=2, sort_keys=True) + "\n"
-        for jobs in ("1", "2"):
+        # Under --jobs 3 the gaussian law's four lines are more than a third
+        # of the eight, so they run in two pieces, each with its own memo.
+        for jobs in ("1", "2", "3"):
             assert self._out([head[0], str(shared), "--jobs", jobs, *head[1:]], out, capsys) == expected
 
     @pytest.mark.parametrize("command", ["check", "bounds"])
@@ -346,6 +349,30 @@ class TestLawGroups:
         self._out([head[0], str(shared), "--jobs", "1", *head[1:]], tmp_path / "out.json", capsys)
         assert len(calls["suite"]) == SHARED_LAWS_SUITES
         assert sorted(calls["profile"]) == ([] if command == "check" else ["exponential", "gaussian", "poisson"])
+
+    def test_scenarios_group_by_the_spec_of_the_built_law(self):
+        # A sigma written out equals its default, so both lines are one law;
+        # -0.0 is a role of its own, as in the memo's key; a family that
+        # cannot be built runs alone, to its error row.
+        lines = [
+            {"id": "default-sigma", "family": "gaussian", "role": {"kind": "location", "value": 0.0}},
+            {"id": "explicit-sigma", "family": "gaussian", "role": {"kind": "location", "value": 0.0},
+             "sigma": 1.0},
+            {"id": "negative-zero", "family": "gaussian", "role": {"kind": "location", "value": -0.0}},
+            {"id": "bad-scale-1", "family": "gaussian", "role": {"kind": "scale", "value": -1.0}},
+            {"id": "bad-scale-2", "family": "gaussian", "role": {"kind": "scale", "value": -1.0}},
+        ]
+        groups = []
+
+        def runner(group):
+            groups.append(sorted(s.scenario_id for s in group))
+            return [run_scenario(s) for s in group]
+
+        results = run_all([Scenario.from_dict(raw) for raw in lines], runner, jobs=1)
+        assert sorted(groups) == [["bad-scale-1"], ["bad-scale-2"], ["default-sigma", "explicit-sigma"],
+                                  ["negative-zero"]]
+        assert [r.scenario_id for r in results] == sorted(raw["id"] for raw in lines)
+        assert [r.error is not None for r in results] == [True, True, False, False, False]
 
     def test_no_memo_outlives_a_command(self, shared, tmp_path, capsys, count_cells):
         spent = []
