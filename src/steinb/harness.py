@@ -112,10 +112,14 @@ def operator_integrals(
         integral of [f0'(y) dy/dtheta + f0(y) phi] w(y) dy
 
     over [-radius, radius] (where the bank's test functions live) intersected
-    with the base support.  The weight w is g0(y) under the family's own law
-    (``law`` None) and law.pdf(x(y)) dx/dy under another.  The weight, the
-    role's terms and the bank are evaluated once per node for all n.  Any
-    Dirac atom is not included."""
+    with the base support, and under another law cut at that law's support
+    edge in y where it falls inside.  The weight w is g0(y) under the
+    family's own law (``law`` None) and law.pdf(x(y)) dx/dy under another.
+    A bounded window that starts at a support edge is graded toward it,
+    as the half-line maps of ``numerics`` are (every base support here is
+    the real line or a half-line [lo, inf)).  The weight, the role's terms
+    and the bank are evaluated once per node for all n.  Any Dirac atom is
+    not included."""
     role = fam.role
     terms = role.base_terms(fam)
     if law is None:
@@ -139,8 +143,23 @@ def operator_integrals(
         dy, phi = terms(y)
         return [(hp * dy + h * phi) * w for h, hp in zip(*values)]
 
-    base = fam.base_support
-    return integrate_vector(integrand, n, Interval(max(-radius, base.lo), min(radius, base.hi)), tol)
+    lo, hi = max(-radius, fam.base_support.lo), min(radius, fam.base_support.hi)
+    if law is not None:
+        # The weight vanishes below the law's support edge in y: cut there.
+        cut = role.to_base(law.support.lo, role.value)
+        if lo < cut < hi:
+            lo = cut
+    if lo == -radius or hi == math.inf:
+        return integrate_vector(integrand, n, Interval(lo, hi), tol)
+    # Graded toward the support edge lo, y = lo + width s^2: an edge factor
+    # (y - lo)^alpha becomes s^(2 alpha + 1).
+    width = hi - lo
+
+    def graded(s: float) -> Sequence[float]:
+        j = 2.0 * width * s
+        return [v * j for v in integrand(lo + width * (s * s))]
+
+    return integrate_vector(graded, n, Interval(0.0, 1.0), tol)
 
 
 def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n: int,

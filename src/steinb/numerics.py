@@ -3,16 +3,22 @@
 Everything here operates on plain Python callables ``float -> float``.
 Improper integrals are reduced to finite ones by smooth changes of variable:
 
-    (-inf, inf)  :  x = t / (1 - t^2),    t in (-1, 1)
-    [a, inf)     :  x = a + t / (1 - t),  t in [0, 1)
-    (-inf, b]    :  x = b - t / (1 - t),  t in [0, 1)
+    (-inf, inf)  :  x = t / (1 - t^2),  t in (-1, 1)
+    [a, inf)     :  x = a + u^2,        u = t / (1 - t),  t in [0, 1)
+    (-inf, b]    :  x = b - u^2,        u = t / (1 - t),  t in [0, 1)
 
-The transformed integrand is then handled by a globally adaptive 15-point
-Gauss-Kronrod rule (worst-interval-first bisection) in ``_adapt``, the one
-adaptive loop, which ``vectorquad.integrate_vector`` shares.  Kronrod nodes
-are interior points, so integrable endpoint singularities are never sampled
-directly; they cost extra bisections near the offending endpoint.  A
-non-integrable one would cost the whole subdivision budget, so for
+The half-line maps are graded toward their finite endpoint, as QUADPACK
+advises for algebraic endpoint behaviour (Piessens et al. 1983): with
+dx = 2u du, a factor |x - a|^alpha becomes u^(2 alpha + 1), so the edge
+factors of the gamma and exponential laws, y^(a-1) and x^(-1/2) among them,
+are smooth or milder in t.  The transformed integrand is then handled by a
+globally adaptive 15-point Gauss-Kronrod rule (worst-interval-first
+bisection) in ``_adapt``, the one adaptive loop, which
+``vectorquad.integrate_vector`` shares.  Kronrod nodes are interior points,
+so integrable endpoint singularities are never sampled directly; those the
+grading leaves singular (bounded intervals are not graded here) cost extra
+bisections near the offending endpoint.  A non-integrable one would cost
+the whole subdivision budget, so for
 integrate_detecting_divergence a run that keeps bisecting at one endpoint
 integrates dyadic shells toward it instead and stops at once when they do
 not shrink (the idea of QUADPACK ``qags``'s endpoint handling, with Cauchy
@@ -252,12 +258,14 @@ def _transformed(f: RealFn, iv: Interval) -> tuple[RealFn, float, float]:
     if math.isfinite(lo):  # [a, inf)
         def g(t: float, a: float = lo) -> float:
             onemt = 1.0 - t
-            return f(a + t / onemt) / (onemt * onemt)
+            u = t / onemt
+            return f(a + u * u) * (2.0 * u / (onemt * onemt))
         return g, 0.0, 1.0
     if math.isfinite(hi):  # (-inf, b]
         def g(t: float, b: float = hi) -> float:
             onemt = 1.0 - t
-            return f(b - t / onemt) / (onemt * onemt)
+            u = t / onemt
+            return f(b - u * u) * (2.0 * u / (onemt * onemt))
         return g, 0.0, 1.0
 
     def g(t: float) -> float:
@@ -609,13 +617,14 @@ def derivative(f: RealFn, x: float) -> float:
 def scan_grid(iv: Interval, count: int, margin: float = _SCAN_MARGIN) -> list[float]:
     """Sample points of iv, log-like spaced toward infinite endpoints.
 
-    Uses the same variable changes as integrate(): the grid is uniform in the
-    transform parameter and clipped by ``margin`` at the ends, which keeps
-    unbounded coordinates inside a wide quantile-like range (|x| up to about
-    1/margin).  The count is rounded up to an odd number so symmetric scans
-    straddle the midpoint exactly; stationary points at the center of a
-    symmetric support (a recurring feature of scale and skew scores) are then
-    sampled rather than jumped over.
+    The grid is uniform in t and clipped by ``margin`` at the ends, with
+    x = a + t/(1 - t) on a half-line (integrate()'s map before grading) and
+    t/(1 - t^2) on the real line.  That keeps unbounded coordinates inside a
+    wide quantile-like range (|x| up to about 1/margin).  The count is
+    rounded up to an odd number so symmetric scans straddle the midpoint
+    exactly; stationary points at the center of a symmetric support (a
+    recurring feature of scale and skew scores) are then sampled rather than
+    jumped over.
     """
     n = count | 1
     lo, hi = iv.lo, iv.hi

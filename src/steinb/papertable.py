@@ -224,7 +224,7 @@ def _closed_vs_generic(ctx: _Shared) -> tuple[Any, bool]:
         f0 = builtin_test_functions(fam)[1]
         op = make_operator(fam, f0)
         worst = max(
-            abs(op(x) - generic_operator_value(fam, f0, x)) / (1.0 + abs(op(x)))
+            abs((closed := op(x)) - generic_operator_value(fam, f0, x)) / (1.0 + abs(closed))
             for x in comparison_grid(fam, 200)
         )
         worst_overall = max(worst_overall, worst)

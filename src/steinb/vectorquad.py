@@ -4,8 +4,10 @@
 ``numerics.integrate``, so n integrals share one mesh and every node is
 evaluated once for all of them, the design of DCUHRE (Berntsen, Espelid and
 Genz 1991) in one dimension.  The identity checks run a whole suite of test
-functions through it.  A scalar integrand keeps ``numerics._gk15``: passing
-it through the row kernel would double the cost of a cell.
+functions through it.  Its changes of variable are ``numerics._transformed``'s,
+graded half-line maps included, with the same arithmetic in every component.
+A scalar integrand keeps ``numerics._gk15``: passing it through the row
+kernel would double the cost of a cell.
 
 (A module of its own: when no bytecode cache exists, compiling these lines
 inside ``numerics.py`` raises the peak memory of every import.)
@@ -73,8 +75,9 @@ def _transformed_vector(f: VectorFn, iv: Interval) -> tuple[VectorFn, float, flo
 
         def g(t: float) -> list[float]:
             onemt = 1.0 - t
-            d = onemt * onemt
-            return [v / d for v in f(a + sign * (t / onemt))]
+            u = t / onemt
+            j = 2.0 * u / (onemt * onemt)
+            return [v * j for v in f(a + sign * (u * u))]
         return g, 0.0, 1.0
 
     def g(t: float) -> list[float]:

@@ -568,15 +568,26 @@ class TestScenarios:
     def test_builtin_matrix_gk15_cells(self, count_cells):
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert count_cells() <= 2_018
+        assert count_cells() <= 1_452
 
     def test_builtin_identity_suite_gk15_cells(self, count_cells):
         # One shared mesh per suite, in base coordinates over the bump's
-        # window; over the law's support in x it took 432 cells, and at one
-        # run per test function 1,434.
+        # window graded toward its support edge; ungraded it took 316 cells,
+        # over the law's support in x 432, and at one run per test function
+        # 1,434.
         for scenario in builtin_scenarios():
             run_checks(scenario)
-        assert count_cells() <= 316
+        assert count_cells() <= 156
+
+    def test_edge_factors_cost_no_cascade(self, count_cells):
+        # y^(1/2) g0 at the edge of the gamma shape-1.5 suite and x^(-1/2) in
+        # the exponential E[h'] for h = sqrt: 174 and 202 cells before the
+        # maps were graded toward the support edge.
+        scenario = Scenario("gamma1.5-loc", "gamma", "location", 0.0, structural=(("shape", 1.5),))
+        run_checks(scenario)
+        assert count_cells() <= 14
+        families.expectation_or_inf(exponential(Scale(1.0)), sqrt_fn().h_prime)
+        assert count_cells() <= 14 + 10
 
     def test_wall_time_not_serialized(self):
         result = run_scenario(builtin_scenarios()[0])
