@@ -11,9 +11,10 @@ Each tree runs in its own interpreter with PYTHONPATH=<tree>, calling
   so a looser quadrature tolerance is compared too;
 - ``bounds --format json --jobs 2`` and ``check --jobs 2 --out`` on the
   builtin matrix, whose results come back pickled from a process pool;
-- ``check --out`` and ``bounds --format json`` on
-  ``tests/data/probe_scenarios.jsonl``, whose extreme lines end as error rows
-  (``ZeroDivisionError``, ``OverflowError``), so error rows are compared too;
+- ``check --out`` and ``bounds --format json``, each with and without
+  ``--jobs 2``, on ``tests/data/probe_scenarios.jsonl``, whose extreme lines
+  end as error rows (``ZeroDivisionError``, ``OverflowError``), so error rows
+  are compared too, also as they come back from a process pool;
 - ``check --out`` and ``bounds --format json``, each with and without
   ``--jobs 2``, on ``scripts/scenarios_shared_laws.jsonl``, whose laws have
   several test functions each (and a wrong-law and a looser-threshold line),
@@ -104,7 +105,9 @@ def requests(seeds: list[int], tmp: Path, out: Path) -> list[tuple[str, list[str
         ("builtin/bounds-jobs2", ["bounds", "--format", "json", "--jobs", "2"]),
         ("builtin/check-jobs2", ["check", "--jobs", "2", "--out", str(out)]),
         ("probe/check", ["check", str(PROBE), "--out", str(out)]),
+        ("probe/check-jobs2", ["check", str(PROBE), "--jobs", "2", "--out", str(out)]),
         ("probe/bounds-json", ["bounds", str(PROBE), "--format", "json"]),
+        ("probe/bounds-jobs2", ["bounds", str(PROBE), "--format", "json", "--jobs", "2"]),
         ("shared/check", ["check", str(SHARED), "--out", str(out)]),
         ("shared/check-jobs2", ["check", str(SHARED), "--jobs", "2", "--out", str(out)]),
         ("shared/bounds-json", ["bounds", str(SHARED), "--format", "json"]),

@@ -174,11 +174,6 @@ def poincare_constant(fam: ContinuousFamily) -> PoincareConstant:
     if not isinstance(fam.role, Location):
         raise UnsupportedRole("the Poincare constant is computed for location families")
     curvature = fam.log_density_second_derivative
-    if curvature is None:
-        from .numerics import derivative
-
-        L = fam.log_density_derivative
-        curvature = lambda y: derivative(L, y)
 
     def neg_curv(y: float) -> float:
         return -curvature(y)

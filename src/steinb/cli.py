@@ -35,7 +35,6 @@ from .harness import (
     Scenario,
     ScenarioResult,
     builtin_scenarios,
-    identity_rows,
     result_to_dict,
     run_laws,
 )
@@ -111,10 +110,13 @@ def run_all(
 ) -> list[ScenarioResult]:
     """The results of runner (``harness.run_laws``) on each group of
     scenarios that share a law, sorted by scenario id.  Under jobs > 1 the
-    groups go to a process pool, a group of more than 1/jobs of the
-    scenarios in pieces of that size, so that one law with many test
-    functions still keeps every worker busy; each piece computes the law's
-    suite and profile once."""
+    groups go to a process pool of at most one worker per piece, a group of
+    more than 1/jobs of the scenarios in pieces of that size, so that one
+    law with many test functions still keeps every worker busy; each piece
+    computes the law's suite and profile once.  jobs below 1 is an
+    InputError."""
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
     groups: dict[tuple, list[Scenario]] = {}
     for s in scenarios:
         groups.setdefault(_law_key(s), []).append(s)
@@ -124,7 +126,7 @@ def run_all(
 
         size = -(-len(scenarios) // jobs)
         pieces = [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
             chunks = list(pool.map(runner, pieces))
     else:
         chunks = [runner(group) for group in groups.values()]
@@ -215,12 +217,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             all_pass = all_pass and c.passed
             print(f"{res.scenario_id:24s} {c.test_function:22s} {c.expectation_value:14.3e}  {c.passed}")
     if args.out:
-        payload = [
-            {"scenario": r.scenario_id, "identity_checks": identity_rows(r),
-             **({} if r.error is None else {"error": r.error})}
-            for r in results
-        ]
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(emit_json(results))
     print(f"identity suite: {'all passed' if all_pass else 'FAILURES'}")
     return 0 if all_pass else 1
 

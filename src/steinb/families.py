@@ -1,7 +1,7 @@
 """Catalogue of parametric families with analytic score ingredients.
 
 Continuous families are stored as a base density g0 together with its
-logarithmic derivative L = g0'/g0 (and L' where known); the parameter of
+logarithmic derivatives L = g0'/g0 and L' = (log g0)''; the parameter of
 interest enters through the family's role (``roles.py``).  Discrete
 families live on {0, ..., N} with N independent of the parameter and
 register g(x; theta) and the score d/dtheta log g(x; theta0), from which
@@ -262,7 +262,7 @@ class ContinuousFamily(_Structural):
         role: ParamRole,
         base_sf: RealFn,                       # P(Y > y) under g0, accurate in the right tail
         base_cdf: RealFn,                      # P(Y < y) under g0, accurate in the left tail
-        log_density_second_derivative: RealFn | None = None,   # L' = (log g0)''
+        log_density_second_derivative: RealFn,  # L' = (log g0)''
         structural: tuple[tuple[str, float], ...] = (),
     ) -> None:
         super().__init__(name, base_density, log_density_derivative, base_support, role, base_sf,

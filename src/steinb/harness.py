@@ -17,6 +17,12 @@ Built-in test functions are polynomials (degree <= 4) multiplied by a smooth
 compact bump, plus Hermite-weighted variants for the Gaussian location
 family.  All are functions of y, and the bump's window [-R, R] is sized in y:
 R is the bulk radius plus 2, so at most 1e-8 of the base mass lies outside.
+
+A scenario takes one path, ``run_scenario``: build the law, check its
+identity suite, then, unless ``with_report`` is off (``steinb check``),
+compute its bound report; an expected failure becomes an error row.
+``run_laws`` runs the scenarios of one command with one ``Laws`` memo, and
+``result_to_dict`` writes every kind of row: checks only, report, or error.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .families import (
     FAMILIES,
     ContinuousFamily,
     DiscreteFamily,
-    FamilyEntry,
     Family,
     TestFunction,
     bulk_radius,
@@ -180,30 +185,27 @@ def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n
     return discrete_sums(fam if law is None else law, terms, (tol,) * n)
 
 
-def _expectations(fam: Family, f0s: Sequence[TestFunction], law: Family | None, bank: Bank | None,
-                  radius: float, quad_tol: float) -> list[float]:
-    """E[T(f0)(X)] under ``law`` (None: the family's own) for each f0, with
-    any Dirac atom folded in as coefficient * density(atom location), all
-    from one run: continuous, operator_integrals over [-radius, radius] to
-    quad_tol; discrete, operator_sums' one walk to min(quad_tol, 1e-13).
-    ``bank`` evaluates the f0s, by default one by one."""
-    under = fam if law is None else law
-    bank = bank if bank is not None else _bank(f0s)
-    if fam.is_discrete:
-        return operator_sums(fam, law, bank, len(f0s), min(quad_tol, 1e-13))
-    values = [r.value for r in operator_integrals(fam, law, bank, len(f0s), radius, quad_tol)]
-    for j, f0 in enumerate(f0s):
-        atom = fam.role.atom(fam, f0)
-        if atom is not None:
-            values[j] += atom.coefficient * under.pdf(atom.location)
-    return values
-
-
 def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: float | None,
             quad_tol: float, bank: Bank | None = None, radius: float = math.inf) -> list[IdentityCheck]:
+    """The checks of E[T(f0)(X)] = 0 under ``law`` (None: the family's own)
+    for each f0, against ``tol`` (by default the family type's), with any
+    Dirac atom folded in as coefficient * density(atom location), all from
+    one run: continuous, operator_integrals over [-radius, radius] to
+    quad_tol; discrete, operator_sums' one walk to min(quad_tol, 1e-13).
+    ``bank`` evaluates the f0s, by default one by one."""
+    bank = bank if bank is not None else _bank(f0s)
+    if fam.is_discrete:
+        values = operator_sums(fam, law, bank, len(f0s), min(quad_tol, 1e-13))
+        default = DISCRETE_IDENTITY_TOL
+    else:
+        under = fam if law is None else law
+        values = [r.value for r in operator_integrals(fam, law, bank, len(f0s), radius, quad_tol)]
+        for j, f0 in enumerate(f0s):
+            atom = fam.role.atom(fam, f0)
+            if atom is not None:
+                values[j] += atom.coefficient * under.pdf(atom.location)
+        default = CONTINUOUS_IDENTITY_TOL
     label = fam.name if law is None else f"{fam.name}|under:{law.name}"
-    default = DISCRETE_IDENTITY_TOL if fam.is_discrete else CONTINUOUS_IDENTITY_TOL
-    values = _expectations(fam, f0s, law, bank, radius, quad_tol)
     return [
         IdentityCheck(family=label, role=fam.role.kind, test_function=f0.name,
                       expectation_value=value, tolerance=tol if tol is not None else default)
@@ -229,16 +231,12 @@ def falsify_identity(
     return _checks(fam, [f0], wrong_law, tol, quad_tol)[0]
 
 
-def _entry(fam: Family) -> FamilyEntry:
-    try:
-        return FAMILIES[fam.name]
-    except KeyError:
-        raise UnsupportedRole(f"{fam.name} is not in the family table") from None
-
-
 def perturbed_law(fam: Family) -> Family:
     """A different law on the same support, used for falsification evidence."""
-    return _entry(fam).perturb(fam)
+    entry = FAMILIES.get(fam.name)
+    if entry is None:
+        raise UnsupportedRole(f"{fam.name} is not in the family table")
+    return entry.perturb(fam)
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +317,6 @@ def identity_suite(fam: Family, *, tol: float | None = None, law: Family | None 
     return _checks(fam, f0s, law, tol, quad_tol, bank, radius)
 
 
-def law_suite(laws: Laws, fam: Family, *, tol: float | None = None, law: Family | None = None,
-              quad_tol: float = config.QUAD.request_tol) -> tuple[IdentityCheck, ...]:
-    """``identity_suite``, computed once in ``laws`` for each family spec,
-    spec of ``law``, pass/fail threshold and quadrature tolerance."""
-    key = ("suite", family_spec(fam), None if law is None else family_spec(law), tol, quad_tol)
-    return laws.once(key, lambda: tuple(identity_suite(fam, tol=tol, law=law, quad_tol=quad_tol)))
-
-
 # --------------------------------------------------------------------------
 # Scenarios.
 
@@ -395,61 +385,40 @@ class Scenario(NamedTuple):
 
 
 def run_scenario(scenario: Scenario, *, tol: float = config.QUAD.request_tol,
-                 laws: Laws | None = None) -> ScenarioResult:
-    """Identity checks plus a bound report for one scenario; failures are
-    recorded on the result rather than raised, so a matrix always completes.
-    What depends on the law alone comes from ``laws`` when given."""
-    return _contained(scenario, tol, with_report=True, laws=laws)
-
-
-def run_checks(scenario: Scenario, *, tol: float = config.QUAD.request_tol,
-               laws: Laws | None = None) -> ScenarioResult:
-    """The identity checks of ``run_scenario`` without its bound report
-    (``report`` stays None), failures recorded the same way.  A family/role
-    pair that has no bound report at all (``require_score``) is still an
-    error row, as under ``run_scenario``."""
-    return _contained(scenario, tol, with_report=False, laws=laws)
-
-
-def run_laws(scenarios: Sequence[Scenario], *, tol: float = config.QUAD.request_tol,
-             with_report: bool = True) -> list[ScenarioResult]:
-    """``run_scenario`` (``run_checks`` unless ``with_report``) of each
-    scenario, in order, sharing one ``Laws`` memo: a law's identity suite,
-    score profile and exchanging pair are computed once however many
-    scenarios it has.  Each result equals the scenario's run alone."""
-    laws, run = Laws(), run_scenario if with_report else run_checks
-    return [run(s, tol=tol, laws=laws) for s in scenarios]
-
-
-def _contained(scenario: Scenario, quad_tol: float, *, with_report: bool,
-               laws: Laws | None = None) -> ScenarioResult:
+                 laws: Laws | None = None, with_report: bool = True) -> ScenarioResult:
     """Build the scenario, reject a family/role pair with no score
     (``require_score``) before any quadrature, run its identity checks to
-    quadrature tolerance quad_tol (under the deliberately wrong law when it
-    names one), then, ``with_report``, its bound report; a SCENARIO_ERRORS
-    exception anywhere becomes the result's error."""
+    quadrature tolerance tol (under the deliberately wrong law when it names
+    one), then, ``with_report``, its bound report (else ``report`` stays
+    None).  A SCENARIO_ERRORS exception anywhere becomes the result's error,
+    so a matrix always completes.  What depends on the law alone, its
+    identity suite included, comes from ``laws`` when given."""
     laws = laws or Laws()
     started = time.perf_counter()
     try:
         fam = scenario.build_family()
         h = scenario.build_test_function()
-        wrong_law = scenario.build_law()
+        law = scenario.build_law()
         require_score(fam)
-        checks = law_suite(laws, fam, tol=scenario.identity_tol, law=wrong_law, quad_tol=quad_tol)
-        return ScenarioResult(
-            scenario_id=scenario.scenario_id,
-            report=bound_report(fam, h, tol=quad_tol, laws=laws) if with_report else None,
-            identity_checks=checks,
-            wall_time=time.perf_counter() - started,
-        )
+        threshold = scenario.identity_tol
+        key = ("suite", family_spec(fam), None if law is None else family_spec(law), threshold, tol)
+        checks = laws.once(key, lambda: tuple(identity_suite(fam, tol=threshold, law=law, quad_tol=tol)))
+        report = bound_report(fam, h, tol=tol, laws=laws) if with_report else None
+        return ScenarioResult(scenario.scenario_id, report, checks,
+                              wall_time=time.perf_counter() - started)
     except SCENARIO_ERRORS as exc:
-        return ScenarioResult(
-            scenario_id=scenario.scenario_id,
-            report=None,
-            identity_checks=(),
-            wall_time=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return ScenarioResult(scenario.scenario_id, None, (), wall_time=time.perf_counter() - started,
+                              error=f"{type(exc).__name__}: {exc}")
+
+
+def run_laws(scenarios: Sequence[Scenario], *, tol: float = config.QUAD.request_tol,
+             with_report: bool = True) -> list[ScenarioResult]:
+    """``run_scenario`` of each scenario, in order, sharing one ``Laws``
+    memo: a law's identity suite, score profile and exchanging pair are
+    computed once however many scenarios it has.  Each result equals the
+    scenario's run alone."""
+    laws = Laws()
+    return [run_scenario(s, tol=tol, laws=laws, with_report=with_report) for s in scenarios]
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -479,33 +448,30 @@ def _number(x: float) -> float | str:
 
 
 def result_to_dict(result: ScenarioResult) -> dict[str, Any]:
-    """Project a ScenarioResult onto the machine report schema.
+    """Project a ScenarioResult onto the machine report schema: every row has
+    its scenario and identity checks (none for an error row), the error when
+    one is set, and the report's fields when it has a report.
 
     Deliberately excludes wall_time so that repeated runs are byte-identical.
     """
-    if result.report is None:
-        return {
-            "scenario": result.scenario_id,
-            "error": result.error,
-            "identity_checks": [],
-        }
-    rep = result.report
-    return {
+    row: dict[str, Any] = {
         "scenario": result.scenario_id,
-        "lower": _number(rep.lower),
-        "variance": _number(rep.variance_truth),
-        "upper": _number(rep.upper),
-        "flags": list(rep.flags),
-        "comparators": [
-            {"name": c.name, "kind": c.kind, "value": _number(c.value)} for c in rep.comparators
+        "identity_checks": [
+            {"f0": c.test_function, "value": c.expectation_value, "pass": c.passed}
+            for c in result.identity_checks
         ],
-        "identity_checks": identity_rows(result),
     }
-
-
-def identity_rows(result: ScenarioResult) -> list[dict[str, Any]]:
-    """The identity checks of a result in the report schema (none for an error row)."""
-    return [
-        {"f0": c.test_function, "value": c.expectation_value, "pass": c.passed}
-        for c in result.identity_checks
-    ]
+    if result.error is not None:
+        row["error"] = result.error
+    rep = result.report
+    if rep is not None:
+        row.update(
+            lower=_number(rep.lower),
+            variance=_number(rep.variance_truth),
+            upper=_number(rep.upper),
+            flags=list(rep.flags),
+            comparators=[
+                {"name": c.name, "kind": c.kind, "value": _number(c.value)} for c in rep.comparators
+            ],
+        )
+    return row

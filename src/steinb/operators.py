@@ -216,22 +216,19 @@ def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
 
 class ExchangingPair(NamedTuple):
     """f-tilde with d/dtheta(f g) = d/dx(f-tilde g) (or the forward-difference
-    analogue), plus the numerically checked boundary condition."""
+    analogue), plus f-tilde * g at the support endpoints, both below 1e-9."""
 
     family: Family
     f0: TestFunction
     f_tilde: RealFn
-    boundary_ok: bool
     boundary_values: tuple[float, float]
 
 
-def exchanging_pair(fam: Family, f0: TestFunction = ONE, *, strict: bool = True) -> ExchangingPair:
+def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
     """Build the exchanging function for the family's role and verify that
-    f-tilde * g vanishes at both support endpoints (to 1e-9).
-
-    With strict=True a failed boundary check raises BoundaryViolation (the
-    bounds of the variance machinery are invalid without it); strict=False
-    returns the pair with boundary_ok=False for inspection.
+    f-tilde * g vanishes at both support endpoints (to 1e-9); a failed
+    boundary check raises BoundaryViolation, since the bounds of the variance
+    machinery are invalid without it.
     """
     f_tilde = fam.role.f_tilde(fam, f0)
     if fam.is_discrete:
@@ -246,12 +243,11 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE, *, strict: bool = True)
         left = _endpoint_value(fam, f_tilde, fam.base_support.lo)
         right = _endpoint_value(fam, f_tilde, fam.base_support.hi)
 
-    ok = abs(left) < 1e-9 and abs(right) < 1e-9
-    if strict and not ok:
+    if not (abs(left) < 1e-9 and abs(right) < 1e-9):
         raise BoundaryViolation(
             f"f-tilde * g = ({left:.3e}, {right:.3e}) at the support endpoints of {fam.name}"
         )
-    return ExchangingPair(fam, f0, f_tilde, ok, (left, right))
+    return ExchangingPair(fam, f0, f_tilde, (left, right))
 
 
 def _endpoint_value(fam: ContinuousFamily, f_tilde: RealFn, y: float) -> float:

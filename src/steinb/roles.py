@@ -177,15 +177,6 @@ class _ContinuousRole(_Role):
         g0x = self.density(g0, theta0)(x)
         return (fg(theta0 + step) - fg(theta0 - step)) / (2.0 * step * g0x)
 
-    @staticmethod
-    def _log_derivatives(fam: Any) -> tuple[RealFn, RealFn]:
-        """L and L', the latter by central differencing where not registered."""
-        L = fam.log_density_derivative
-        Lp = fam.log_density_second_derivative
-        if Lp is None:
-            Lp = lambda y: derivative(L, y)  # finite-difference fallback
-        return L, Lp
-
 
 class Location(_ContinuousRole):
     __slots__ = _fields = ("mu0",)
@@ -205,7 +196,7 @@ class Location(_ContinuousRole):
         return lambda y: (-1.0, -L(y))
 
     def base_slope(self, fam: Any) -> RealFn:
-        Lp = self._log_derivatives(fam)[1]
+        Lp = fam.log_density_second_derivative
         return lambda y: -Lp(y)
 
     def positive_at_moving_edge(self, fam: Any) -> bool:
@@ -246,7 +237,7 @@ class Scale(_ContinuousRole):
         return terms
 
     def base_slope(self, fam: Any) -> RealFn:
-        L, Lp = self._log_derivatives(fam)
+        L, Lp = fam.log_density_derivative, fam.log_density_second_derivative
         s0 = self.sigma0
         return lambda y: (L(y) + y * Lp(y)) / s0
 
@@ -279,7 +270,7 @@ class SkewSAS(_ContinuousRole):
         return terms
 
     def base_slope(self, fam: Any) -> RealFn:
-        L, Lp = self._log_derivatives(fam)
+        L, Lp = fam.log_density_derivative, fam.log_density_second_derivative
 
         def slope(y: float) -> float:
             c = math.hypot(1.0, y)

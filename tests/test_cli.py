@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from steinb import config
 from steinb.cli import (
     ScenarioFileError,
     emit_csv,
@@ -18,7 +21,7 @@ from steinb.cli import (
     main,
     run_all,
 )
-from steinb.harness import Scenario, run_scenario
+from steinb.harness import Scenario, builtin_scenarios, run_laws, run_scenario
 
 GOOD_LINES = """\
 # demo scenario file
@@ -232,6 +235,15 @@ class TestCommands:
         good = check_rows["gauss-loc-h-linear"]["identity_checks"]
         assert good and all(c["pass"] for c in good)
 
+    def test_check_out_writes_the_json_of_its_results(self, tmp_path, capsys):
+        # check --out is emit_json of the check results: report-less rows,
+        # error rows included
+        probes = Path(__file__).parent / "data" / "probe_scenarios.jsonl"
+        out = tmp_path / "checks.json"
+        assert main(["check", str(probes), "--out", str(out)]) == 1
+        runner = functools.partial(run_laws, tol=config.resolve_tol(None), with_report=False)
+        assert out.read_text() == emit_json(run_all(load_scenarios(probes), runner, jobs=1))
+
     def test_fisher_table(self, demo_file, capsys):
         assert main(["fisher", str(demo_file)]) == 0
         out = capsys.readouterr().out
@@ -381,6 +393,51 @@ class TestLawGroups:
             self._out(["bounds", str(shared), "--format", "json", "--out"], tmp_path / "out.json", capsys)
             spent.append(count_cells() - before)
         assert spent[0] == spent[1] > 0
+
+
+class TestJobs:
+    """--jobs N starts at most one pool worker per piece, and N below 1 is an
+    input error (exit 2).  The pool is an in-process stand-in that records
+    the workers asked for, so no real worker is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, pieces):
+                return map(fn, pieces)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_the_pool_is_capped_at_the_number_of_pieces(self, pools, tmp_path):
+        # The twelve builtin lines are twelve laws: one piece each under --jobs 5000.
+        assert len(builtin_scenarios()) == 12
+        serial = tmp_path / "serial.json"
+        assert main(["bounds", "--out", str(serial)]) == 0
+        assert pools == []
+        for jobs in ("5000", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(["bounds", "--jobs", jobs, "--out", str(out)]) == 0
+            assert out.read_text() == serial.read_text()
+        assert pools == [12, 2]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_below_one_is_an_input_error(self, pools, capsys, value):
+        for command in ("check", "bounds"):
+            assert main([command, "--jobs", value]) == 2
+            assert f"--jobs must be at least 1, got {value}" in capsys.readouterr().err
+        assert pools == []
 
 
 class TestBadTolerances:

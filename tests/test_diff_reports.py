@@ -41,8 +41,8 @@ def test_identical_calls_have_no_leaves():
 def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     calls = dict(diff_reports.requests([], tmp_path, tmp_path / "report.out"))
     # 4 per input, the paper table, 2 at --tol 1e-6, 2 through the process pool,
-    # 2 on the probe file and 4 on the shared-law file
-    assert len(calls) == 19
+    # 4 on the probe file and 4 on the shared-law file
+    assert len(calls) == 21
     assert calls["builtin/check-tol"][:3] == ["check", "--tol", "1e-6"]
     assert calls["builtin/bounds-tol"] == ["bounds", "--tol", "1e-6"]
     assert calls["builtin/bounds-jobs2"] == ["bounds", "--format", "json", "--jobs", "2"]
@@ -50,6 +50,8 @@ def test_builtin_calls_cover_a_loose_tolerance_and_the_probe_file(tmp_path):
     probe = str(diff_reports.PROBE)
     assert calls["probe/check"][:2] == ["check", probe]
     assert calls["probe/bounds-json"] == ["bounds", probe, "--format", "json"]
+    assert calls["probe/check-jobs2"] == ["check", probe, "--jobs", "2", "--out", str(tmp_path / "report.out")]
+    assert calls["probe/bounds-jobs2"] == ["bounds", probe, "--format", "json", "--jobs", "2"]
     shared, out = str(diff_reports.SHARED), str(tmp_path / "report.out")
     assert calls["shared/check"] == ["check", shared, "--out", out]
     assert calls["shared/check-jobs2"] == ["check", shared, "--jobs", "2", "--out", out]

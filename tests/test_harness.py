@@ -46,7 +46,6 @@ from steinb.harness import (
     operator_sums,
     perturbed_law,
     result_to_dict,
-    run_checks,
     run_scenario,
 )
 from steinb.numerics import NonConvergence, sum_series
@@ -173,7 +172,7 @@ def _law_runs(scenario, fam):
     falsification law where it has one."""
     yield None, identity_suite(fam, tol=scenario.identity_tol)
     moved = scenario._replace(law_value=fam.role.value + 0.25)
-    yield moved.build_law(), run_checks(moved).identity_checks
+    yield moved.build_law(), run_scenario(moved, with_report=False).identity_checks
     try:
         wrong = perturbed_law(fam)
     except UnsupportedRole:
@@ -264,7 +263,7 @@ def test_identity_values_near_a_support_edge_keep_their_digits():
     # edge at mu0 = 4.241574 computed x - mu0 with few digits left, and
     # x^0*bump read 3.0e-12.  In base coordinates the edge sits at y = 0.
     scenario = Scenario("gamma-location-013", "gamma", "location", 4.241574, structural=(("shape", 1.75359),))
-    checks = run_checks(scenario).identity_checks
+    checks = run_scenario(scenario, with_report=False).identity_checks
     assert checks[0].test_function == "x^0*bump(R=22.8274)"
     assert max(abs(c.expectation_value) for c in checks) <= 1e-13
 
@@ -304,7 +303,7 @@ def test_discrete_sweep_identity_checks():
         if scenario.kind != "theta":
             continue
         discrete += 1
-        result = run_checks(scenario)
+        result = run_scenario(scenario, with_report=False)
         assert result.error is None and len(result.identity_checks) == 5, (seed, scenario.scenario_id)
         for check in result.identity_checks:
             where = (seed, scenario.scenario_id, check.test_function, check.expectation_value)
@@ -519,13 +518,13 @@ class TestScenarios:
 
     def test_checks_alone_match_run_scenario(self):
         for scenario in builtin_scenarios():
-            alone, full = run_checks(scenario), run_scenario(scenario)
+            alone, full = run_scenario(scenario, with_report=False), run_scenario(scenario)
             assert alone.report is None and alone.error is None
             assert alone.identity_checks == full.identity_checks
 
     def test_checks_alone_skip_a_failing_bound_report(self, monkeypatch):
-        # A bound stage that fails makes run_scenario an error row; run_checks
-        # never runs the report, so its identity checks converge, and pass.
+        # A bound stage that fails makes run_scenario an error row; without
+        # the report it never runs, so the identity checks converge, and pass.
         def failing_report(*args, **kwargs):
             raise NonConvergence("bound stage failed", 0.0, 1.0, 0)
 
@@ -533,7 +532,7 @@ class TestScenarios:
         scenario = Scenario("gamma1.75-loc", "gamma", "location", 4.242,
                             structural=(("shape", 1.754),))
         assert run_scenario(scenario).error == "NonConvergence: bound stage failed"
-        checks = run_checks(scenario)
+        checks = run_scenario(scenario, with_report=False)
         assert checks.error is None
         assert len(checks.identity_checks) == 5
         assert all(c.passed for c in checks.identity_checks)
@@ -555,7 +554,7 @@ class TestScenarios:
         # spends a quadrature cell on checks it would discard.
         for law_value in (None, 0.5):
             scenario = Scenario("exp-loc", "exponential", "location", 0.0, law_value=law_value)
-            result = run_checks(scenario)
+            result = run_scenario(scenario, with_report=False)
             assert result.identity_checks == ()
             assert result.error.startswith("UnsupportedRole")
             assert result.error == run_scenario(scenario).error
@@ -576,7 +575,7 @@ class TestScenarios:
         # over the law's support in x 432, and at one run per test function
         # 1,434.
         for scenario in builtin_scenarios():
-            run_checks(scenario)
+            run_scenario(scenario, with_report=False)
         assert count_cells() <= 156
 
     def test_edge_factors_cost_no_cascade(self, count_cells):
@@ -584,7 +583,7 @@ class TestScenarios:
         # the exponential E[h'] for h = sqrt: 174 and 202 cells before the
         # maps were graded toward the support edge.
         scenario = Scenario("gamma1.5-loc", "gamma", "location", 0.0, structural=(("shape", 1.5),))
-        run_checks(scenario)
+        run_scenario(scenario, with_report=False)
         assert count_cells() <= 14
         families.expectation_or_inf(exponential(Scale(1.0)), sqrt_fn().h_prime)
         assert count_cells() <= 14 + 10
@@ -601,6 +600,22 @@ class TestScenarios:
                           "comparators", "identity_checks"}
         assert all(set(c) == {"name", "kind", "value"} for c in d["comparators"])
         assert all(set(c) == {"f0", "value", "pass"} for c in d["identity_checks"])
+
+    def test_row_kinds_have_exact_key_sets(self):
+        scenario = builtin_scenarios()[4]
+        checks = result_to_dict(run_scenario(scenario, with_report=False))
+        assert set(checks) == {"scenario", "identity_checks"}
+        assert len(checks["identity_checks"]) == 5
+        report = result_to_dict(run_scenario(scenario))
+        assert set(report) == {"scenario", "identity_checks", "lower", "variance", "upper", "flags",
+                               "comparators"}
+        assert report["identity_checks"] == checks["identity_checks"]
+        for with_report in (True, False):
+            error = result_to_dict(run_scenario(Scenario("exp-loc", "exponential", "location", 0.0),
+                                                with_report=with_report))
+            assert set(error) == {"scenario", "identity_checks", "error"}
+            assert error["identity_checks"] == []
+            assert error["error"].startswith("UnsupportedRole: ")
 
     @pytest.mark.parametrize(
         "scenario",
