@@ -34,7 +34,7 @@ from .families import (
     expectation,
     expectation_or_inf,
 )
-from .numerics import NumericsError, TruncationUnsafe, golden_section_minimize, scan_grid
+from .numerics import NumericsError, TruncationUnsafe, finite_samples, scan_grid
 from .operators import BoundaryViolation, Laws, ScoreProfile, UnsupportedRole
 from .records import Record
 
@@ -165,8 +165,8 @@ def discrete_lower_bound(
 
 
 def poincare_constant(fam: ContinuousFamily) -> PoincareConstant:
-    """eps = inf of -(log g0)'' over the support (grid scan plus golden-section
-    polish around the minimizing bracket); d = 1/eps.
+    """eps = inf of -(log g0)'' over the support, read as its minimum on a
+    2049-point grid; d = 1/eps.
 
     Raises NotStronglyUnimodal when the infimum is not positive, e.g. for
     exp(-x^4/4) where the curvature vanishes at the origin.
@@ -174,32 +174,12 @@ def poincare_constant(fam: ContinuousFamily) -> PoincareConstant:
     if not isinstance(fam.role, Location):
         raise UnsupportedRole("the Poincare constant is computed for location families")
     curvature = fam.log_density_second_derivative
-
-    def neg_curv(y: float) -> float:
-        return -curvature(y)
-
     # A wide margin pushes unbounded grids far out (|y| ~ 1e9), so families
     # whose curvature only decays toward an endpoint are still caught.
     xs = scan_grid(fam.base_support, 2049, margin=1e-9)
-    values = []
-    for y in xs:
-        try:
-            v = neg_curv(y)
-        except (ArithmeticError, ValueError):
-            continue
-        if math.isfinite(v):
-            values.append((v, y))
-    if not values:
+    epsilon = min((v for _, v in finite_samples(lambda y: -curvature(y), xs)), default=None)
+    if epsilon is None:
         raise NotStronglyUnimodal(f"-(log g)'' not evaluable on the support of {fam.name}")
-    _, y_best = min(values)
-    idx = xs.index(y_best)
-    lo = xs[max(idx - 1, 0)]
-    hi = xs[min(idx + 1, len(xs) - 1)]
-    if lo == hi:
-        epsilon = neg_curv(y_best)
-    else:
-        _, epsilon = golden_section_minimize(neg_curv, lo, hi)
-        epsilon = min(epsilon, neg_curv(y_best))
     if epsilon <= 1e-12:
         raise NotStronglyUnimodal(
             f"inf of -(log g)'' is {epsilon:.3e}; {fam.name} is not strongly unimodal"

@@ -1,5 +1,6 @@
-"""Default numeric settings, collected so tests and the CLI can override them in one place
-(numerics reads the quadrature budget and the series term cap when called)."""
+"""Default numeric settings, collected so tests and the CLI can override them in one place:
+the quadrature's request tolerance and subdivision budget, and the series term cap
+(numerics reads the budget and the cap, and families.bulk_radius the cap, when called)."""
 
 from __future__ import annotations
 
@@ -16,12 +17,9 @@ class QuadratureDefaults(NamedTuple):
 
 
 class SeriesDefaults(NamedTuple):
-    """Stop rules for infinite-series summation."""
+    """The term cap of infinite-series summation and of the discrete bulk walk."""
 
-    tol: float = 1e-14
     max_terms: int = 10_000_000     # hard cap -> TruncationUnsafe
-    quiet_run: int = 64             # consecutive negligible terms before stopping
-    quiet_margin: float = 1e-3      # negligible means |term| < tol * quiet_margin
 
 
 QUAD = QuadratureDefaults()

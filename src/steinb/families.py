@@ -25,6 +25,7 @@ import functools
 import math
 from typing import Callable, ClassVar, NamedTuple, Sequence, Union
 
+from . import config
 from .numerics import (
     _EPS,
     Interval,
@@ -651,12 +652,12 @@ def bulk_radius(fam: Family, eps: float = 1e-8) -> float:
     centred at y = 0, straddles the whole bulk under every role.  R is found
     by doubling from 1, then 30 bisection steps; continuous families read
     the mass outside from their closed-form base tails at +-r, discrete ones
-    sum the pmf.
+    sum the pmf up to the series term cap ``config.SERIES.max_terms``.
     """
     if fam.is_discrete:
         total = 0.0
         x = 0
-        cap = fam.support_max if math.isfinite(fam.support_max) else 10_000_000
+        cap = fam.support_max if math.isfinite(fam.support_max) else config.SERIES.max_terms
         while x <= cap:
             total += fam.pmf(x)
             if total >= 1.0 - eps:

@@ -1,4 +1,4 @@
-"""Scalar numerical kernels: adaptive quadrature, series summation, differentiation, sign scans.
+"""Scalar numerical kernels: adaptive quadrature, series summation, differentiation, grid scans.
 
 Everything here operates on plain Python callables ``float -> float``.
 Improper integrals are reduced to finite ones by smooth changes of variable:
@@ -23,6 +23,11 @@ integrate_detecting_divergence a run that keeps bisecting at one endpoint
 integrates dyadic shells toward it instead and stops at once when they do
 not shrink (the idea of QUADPACK ``qags``'s endpoint handling, with Cauchy
 condensation deciding).
+
+The grid scans (the monotonicity scan here, the score's zero crossing and
+the Poincare constant elsewhere) sample a function on ``scan_grid`` through
+one rule, ``finite_samples``: a point where it raises an arithmetic error,
+a ValueError or NonFinite, or returns a value that is not finite, is skipped.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import enum
 import functools
 import heapq
 import math
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import config
 from .records import Record
@@ -537,19 +542,23 @@ def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.
 # Series summation.
 
 
+_QUIET_RUN = 64
+_QUIET_MARGIN = 1e-3
+
+
 def sum_series(
     f: Callable[[int], Any],
-    start: int = 0,
-    tol: float | Sequence[float] = config.SERIES.tol,
+    start: int,
+    tol: float | Sequence[float],
     quiet_from: int = 0,
 ) -> Any:
     """Sum f(start) + f(start+1) + ... for an absolutely convergent series.
 
-    Stops when 64 consecutive terms are each below tol * 1e-3 in absolute
-    value and the index has reached ``quiet_from`` (pass the mode of a pmf in
-    the terms, so a negligible left tail does not end the sum).  Hitting the
-    term cap ``config.SERIES.max_terms`` (read at call time) first raises
-    TruncationUnsafe, and a term that is not finite NonFinite.
+    Stops when _QUIET_RUN consecutive terms are each below tol * _QUIET_MARGIN
+    in absolute value and the index has reached ``quiet_from`` (pass the mode
+    of a pmf in the terms, so a negligible left tail does not end the sum).
+    Hitting the term cap ``config.SERIES.max_terms`` (read at call time)
+    first raises TruncationUnsafe, and a term that is not finite NonFinite.
 
     With ``tol`` a sequence of n tolerances, f(k) returns n terms and the n
     sums come from one walk over k: each component stops by these rules at
@@ -564,9 +573,9 @@ def sum_series(
     if min(tols) <= 0:
         raise ValueError("tol must be > 0")
     terms_at = (lambda x: (f(x),)) if scalar else f
-    max_terms, quiet_run = config.SERIES.max_terms, config.SERIES.quiet_run
+    max_terms = config.SERIES.max_terms
     # Each open component: its index, threshold, terms so far and quiet run.
-    open_ = [(j, t * config.SERIES.quiet_margin, [], [0]) for j, t in enumerate(tols)]
+    open_ = [(j, t * _QUIET_MARGIN, [], [0]) for j, t in enumerate(tols)]
     sums, failure = [0.0] * len(tols), None
     for x in range(start, start + max_terms):
         terms, still = terms_at(x), []
@@ -577,7 +586,7 @@ def sum_series(
                 break
             column.append(terms[j])
             quiet[0] = quiet[0] + 1 if abs(terms[j]) < threshold else 0
-            if quiet[0] >= quiet_run and x >= quiet_from:
+            if quiet[0] >= _QUIET_RUN and x >= quiet_from:
                 sums[j] = math.fsum(column)
             else:
                 still.append(component)
@@ -641,6 +650,33 @@ def scan_grid(iv: Interval, count: int, margin: float = _SCAN_MARGIN) -> list[fl
     return [t / (1.0 - t * t) for t in ts]
 
 
+def finite_samples(f: RealFn, xs: Sequence[float]) -> Iterator[tuple[float, float]]:
+    """(x, f(x)) for each x of xs in order, skipping a point where f raises
+    ArithmeticError, ValueError or NonFinite or returns a value that is not
+    finite: the one sampling rule of the grid scans."""
+    for x in xs:
+        try:
+            v = f(x)
+        except (ArithmeticError, ValueError, NonFinite):
+            continue
+        if math.isfinite(v):
+            yield x, v
+
+
+def first_sign_change(samples: Iterable[tuple[float, float]]) -> tuple[float, float] | None:
+    """(x, x) at the first sample whose value is exactly 0, or the first pair
+    of consecutive xs whose values have opposite signs, whichever comes
+    first; None when neither occurs."""
+    prev: tuple[float, float] | None = None
+    for x, v in samples:
+        if v == 0.0:
+            return x, x
+        if prev is not None and prev[1] * v < 0.0:
+            return prev[0], x
+        prev = x, v
+    return None
+
+
 def monotonicity_scan(
     f: RealFn,
     f_prime: RealFn | None,
@@ -651,47 +687,24 @@ def monotonicity_scan(
 
     Increasing needs every sampled derivative > 0, Decreasing every one < 0;
     anything else (including an exact zero) yields NotMonotone with the first
-    sign-change bracket midpoint (or the zero itself) as witness.  Non-finite
-    samples are skipped and counted; if everything is skipped the verdict is
+    sign-change bracket midpoint (or the zero itself) as witness.  The points
+    finite_samples skips are counted; if everything is skipped the verdict is
     NotMonotone with no witness and the all_skipped flag set.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
     slope = f_prime if f_prime is not None else (lambda x: derivative(f, x))
     xs = scan_grid(iv, grid)
-    samples: list[tuple[float, float]] = []
-    skipped = 0
-    for x in xs:
-        try:
-            d = slope(x)
-        except (ArithmeticError, ValueError, NonFinite):
-            skipped += 1
-            continue
-        if not math.isfinite(d):
-            skipped += 1
-            continue
-        samples.append((x, d))
+    samples = list(finite_samples(slope, xs))
+    skipped = len(xs) - len(samples)
     if not samples:
         return MonotonicityCertificate(Verdict.NOT_MONOTONE, None, skipped, all_skipped=True)
-
-    witness: float | None = None
-    prev_x, prev_d = samples[0]
-    if prev_d == 0.0:
-        witness = prev_x
-    else:
-        for x, d in samples[1:]:
-            if d == 0.0:
-                witness = x
-                break
-            if d * prev_d < 0.0:
-                witness = 0.5 * (prev_x + x)
-                break
-            prev_x, prev_d = x, d
-    if witness is not None:
-        return MonotonicityCertificate(Verdict.NOT_MONOTONE, witness, skipped)
-    if all(d > 0.0 for _, d in samples):
-        return MonotonicityCertificate(Verdict.INCREASING, None, skipped)
-    return MonotonicityCertificate(Verdict.DECREASING, None, skipped)
+    bracket = first_sign_change(samples)
+    if bracket is not None:
+        return MonotonicityCertificate(Verdict.NOT_MONOTONE, 0.5 * (bracket[0] + bracket[1]), skipped)
+    # No zero and no sign change: every sample has the first one's sign.
+    verdict = Verdict.INCREASING if samples[0][1] > 0.0 else Verdict.DECREASING
+    return MonotonicityCertificate(verdict, None, skipped)
 
 
 def bisect_root(f: RealFn, lo: float, hi: float) -> float:
@@ -714,25 +727,3 @@ def bisect_root(f: RealFn, lo: float, hi: float) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def golden_section_minimize(f: RealFn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section search for a local minimum in [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if (b - a) < 1e-14 * max(1.0, abs(a), abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)

@@ -46,6 +46,8 @@ from .numerics import (
     MonotonicityCertificate,
     RealFn,
     bisect_root,
+    finite_samples,
+    first_sign_change,
     integrate_detecting_divergence,
     monotonicity_scan,
     scan_grid,
@@ -191,23 +193,11 @@ def _fisher_information(fam: ContinuousFamily, tol: float) -> float:
 
 
 def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
-    xs = scan_grid(iv, 257)
-    prev_x: float | None = None
-    prev_v = 0.0
-    for x in xs:
-        try:
-            v = phi(x)
-        except (ArithmeticError, ValueError):
-            continue
-        if not math.isfinite(v):
-            continue
-        if v == 0.0:
-            return x
-        if prev_x is not None and prev_v * v < 0.0:
-            root = bisect_root(phi, prev_x, x)
-            return root if abs(phi(root)) < 1e-9 else None
-        prev_x, prev_v = x, v
-    return None
+    bracket = first_sign_change(finite_samples(phi, scan_grid(iv, 257)))
+    if bracket is None:
+        return None
+    root = bisect_root(phi, *bracket)  # a sampled zero brackets itself
+    return root if abs(phi(root)) < 1e-9 else None
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -125,20 +126,56 @@ class TestDiscreteLowerBound:
         assert discrete_lower_bound(binomial(4, 0.5), linear()) == pytest.approx(1.0, abs=1e-10)
 
 
+# Every catalogue Location law the Poincare constant reads, at two centres:
+# its exact (epsilon, d), or the exact NotStronglyUnimodal message.
+_GAUSSIAN_POINCARE = {
+    1e-4: (1e8, 1e-8), 0.5: (4.0, 0.25), 1.0: (1.0, 1.0),
+    2.14: (0.2183596820683029, 4.5796), 3.0: (0.1111111111111111, 9.0), 1e4: (1e-8, 1e8),
+}
+# Gamma's curvature (a - 1)/y^2 decays toward the grid's far end, y ~ 1e9.
+_GAMMA_POINCARE_INF = {
+    1.0025: "2.500e-21", 1.5: "5.000e-19", 2.0: "1.000e-18",
+    3.0: "2.000e-18", 5.0: "4.000e-18", 33.0: "3.200e-17",
+}
+
+
+def _not_strongly_unimodal(inf: str, name: str) -> str:
+    return f"inf of -(log g)'' is {inf}; {name} is not strongly unimodal"
+
+
+def _poincare_pins():
+    for mu0 in (0.0, -3.1):
+        for s, pinned in _GAUSSIAN_POINCARE.items():
+            yield pytest.param(functools.partial(gaussian, Location(mu0), sigma=s), pinned,
+                               id=f"gaussian-{s:g}-at-{mu0:g}")
+    for mu0 in (0.0, 1.5):
+        yield pytest.param(functools.partial(exponential, Location(mu0)),
+                           _not_strongly_unimodal("-0.000e+00", "exponential"), id=f"exponential-at-{mu0:g}")
+    for mu0 in (0.0, 2.0):
+        for a, inf in _GAMMA_POINCARE_INF.items():
+            yield pytest.param(functools.partial(gamma, Location(mu0), shape=a),
+                               _not_strongly_unimodal(inf, "gamma"), id=f"gamma-{a:g}-at-{mu0:g}")
+    for mu0 in (0.0, -1.0):
+        yield pytest.param(functools.partial(quartic, mu0),
+                           _not_strongly_unimodal("0.000e+00", "quartic"), id=f"quartic-at-{mu0:g}")
+
+
 class TestPoincare:
+    @pytest.mark.parametrize("build, pinned", list(_poincare_pins()))
+    def test_catalogue_location_laws(self, build, pinned):
+        if isinstance(pinned, str):
+            with pytest.raises(NotStronglyUnimodal) as raised:
+                poincare_constant(build())
+            assert str(raised.value) == pinned
+        else:
+            pc = poincare_constant(build())
+            assert (pc.epsilon, pc.d) == pinned
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
     def test_gaussian(self, s):
         pc = poincare_constant(gaussian(Location(0.0), sigma=s))
         assert pc.d == pytest.approx(s * s, abs=1e-6)
         assert pc.epsilon == pytest.approx(1.0 / s**2, rel=1e-9)
-
-    def test_quartic_not_strongly_unimodal(self):
-        with pytest.raises(NotStronglyUnimodal):
-            poincare_constant(quartic())
-
-    def test_exponential_not_strongly_unimodal(self):
-        with pytest.raises(NotStronglyUnimodal):
-            poincare_constant(exponential(Location(0.0)))
 
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):

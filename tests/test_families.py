@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from steinb import config
 from steinb.families import (
     InvalidParameter,
     Location,
@@ -280,6 +281,11 @@ class TestExpectation:
         r = bulk_radius(fam)
         tail = integrate(fam.pdf, Interval(r, math.inf), 1e-12).value
         assert tail <= 1e-8
+
+    def test_bulk_radius_walk_stops_at_the_series_cap(self, monkeypatch):
+        # 1 - 1e-8 of geometric(1e-3)'s mass needs about 18,400 terms.
+        monkeypatch.setattr(config, "SERIES", config.SERIES._replace(max_terms=100))
+        assert bulk_radius(geometric(1e-3)) == 100.0
 
 
 # (family, its base law g0 with scipy's sf / cdf): the radius is read in the

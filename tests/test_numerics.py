@@ -625,6 +625,23 @@ class TestDivergenceDetection:
         )
         assert v == pytest.approx(SQRT_PI, abs=1e-9)
 
+    @pytest.mark.parametrize("subdivisions", [200, 2000])
+    def test_unresolved_convergent_integral_reraises_its_failure(self, monkeypatch, subdivisions):
+        # sin(1/x)/x oscillates ever faster toward 0 but converges; no budget
+        # resolves it, and the magnitudes of its levels do not grow
+        # monotonically, so the run's own NonConvergence comes back.
+        _set_budget(monkeypatch, subdivisions)
+        f, iv = (lambda x: math.sin(1.0 / x) / x), Interval(-1.0, 1.0)
+        with pytest.raises(NonConvergence) as detected:
+            integrate_detecting_divergence(f, iv)
+        with pytest.raises(NonConvergence) as plain:
+            integrate(f, iv)
+        got, want = detected.value, plain.value
+        assert len(got.levels) == 2
+        assert (str(got), got.value, got.abs_error_estimate, got.levels) == (
+            str(want), want.value, want.abs_error_estimate, want.levels
+        )
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_every_level_overflowing_gives_signed_inf(self, sign):
         # all three levels end NonFinite(+-inf), with infinite error estimates
@@ -869,6 +886,32 @@ class TestMonotonicityScan:
     def test_fallback_derivative(self):
         cert = monotonicity_scan(lambda x: math.tanh(x), None, Interval(-3.0, 3.0), 64)
         assert cert.verdict is Verdict.INCREASING
+
+
+class TestFiniteSamples:
+    def test_skips_each_failure_and_keeps_grid_order(self):
+        failures = {1.0: ZeroDivisionError, 2.0: OverflowError, 3.0: ValueError,
+                    4.0: lambda: NonFinite("at 4")}
+
+        def f(x):
+            if x in failures:
+                raise failures[x]()
+            return {5.0: math.nan, 6.0: -math.inf}.get(x, -x)
+
+        xs = [7.0, *(float(i) for i in range(7))]
+        assert list(numerics.finite_samples(f, xs)) == [(7.0, -7.0), (0.0, 0.0)]
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(TypeError):
+            list(numerics.finite_samples(lambda x: x + "", [1.0]))
+
+    @pytest.mark.parametrize(
+        "values,bracket",
+        [((1.0, 2.0, -1.0, 0.0), (1.0, 2.0)), ((1.0, 2.0, 0.0, -1.0), (2.0, 2.0)),
+         ((0.0, 1.0), (0.0, 0.0)), ((-1.0, -2.0, -3.0), None), ((), None)],
+    )
+    def test_first_sign_change(self, values, bracket):
+        assert numerics.first_sign_change(enumerate(values)) == bracket
 
 
 class TestScanGrid:
