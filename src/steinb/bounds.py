@@ -17,6 +17,23 @@ bounds (Chernoff, Cacoullos, Klaassen) and fixed report flags per (family, role)
 
 A report carries the ground-truth variance, both bounds, comparators and flags,
 and nothing else; ``tightness_residual`` is the paper table's equality diagnostic.
+
+Every expectation of a continuous report is an integral in the base
+coordinate y against g0, of an integrand (``MOMENTS``) written once, in y:
+f-tilde is dy/dtheta dx/dy and phi'(x) is (dphi/dy) / (dx/dy), so the upper
+bound's integrand is h'^2 (dx/dy)^2 dy/dtheta / (-dphi/dy) with one
+``from_base`` per node.  A report's expectations (E[h^2], E[h], the lower
+bound's numerator, the upper bound's integral and the comparators' moments)
+are the components of one shared run (``vectorquad.integrate_vector_or_eject``),
+which reads g0, from_base, the role's terms and slope and h, h' once per
+node for all of them.  A moment that does not converge with the others is
+ejected: one still above its target on a cell the run has split 8 times in a
+row at one end of its interval, or one that stays non-finite at a node.
+It is integrated alone by the scalar path (``numerics.integrate``, or
+``integrate_detecting_divergence`` where a divergent integral is +-inf), as
+is a lone moment (``lower_bound``, ``upper_bound``), so every +-inf verdict,
+``levels`` list and error is that path's.  The Fisher information stays in
+the score profile, which the report's law shares.
 """
 
 from __future__ import annotations
@@ -34,9 +51,17 @@ from .families import (
     expectation,
     expectation_or_inf,
 )
-from .numerics import NumericsError, TruncationUnsafe, finite_samples, scan_grid
+from .numerics import (
+    NumericsError,
+    TruncationUnsafe,
+    finite_samples,
+    integrate,
+    integrate_detecting_divergence,
+    scan_grid,
+)
 from .operators import BoundaryViolation, Laws, ScoreProfile, UnsupportedRole
 from .records import Record
+from .vectorquad import integrate_vector_or_eject
 
 
 class NotStronglyUnimodal(Exception):
@@ -85,6 +110,146 @@ class BoundReport(NamedTuple):
 
 
 # --------------------------------------------------------------------------
+# The expectations of a report.
+#
+# Each is E[m(X)] for an integrand m of one node: the base coordinate y, x,
+# h(x), h'(x), h''(x), dx/dy, dy/dtheta, the score phi and dphi/dy (at an
+# integer x of a discrete family, y = x and only x, h, h' and phi are read).
+# In y, f-tilde (of f0 = 1) is dy/dtheta dx/dy and phi'(x) is
+# (dphi/dy) / (dx/dy), so no integrand maps x back to y.
+
+Integrand = Callable[[float, float, float, float, float, float, float, float, float], float]
+
+
+class Moment(NamedTuple):
+    integrand: Integrand   # (y, x, h, h', h'', dx/dy, dy/dtheta, phi, dphi/dy) -> m
+    reads: frozenset[str]  # of "h", "hp", "hpp", "terms" (dy/dtheta and phi), "slope"
+
+
+def _moment(integrand: Integrand, *reads: str) -> Moment:
+    return Moment(integrand, frozenset(reads))
+
+
+MOMENTS: dict[str, Moment] = {
+    "h2": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h ** 2, "h"),
+    "h": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h, "h"),
+    # h' f-tilde and h'^2 f-tilde / (-phi').
+    "lower": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * (dy * j), "hp", "terms"),
+    "upper": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * hp * (j * j) * dy / -s,
+                     "hp", "terms", "slope"),
+    "hp": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp, "hp"),
+    "hp2": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp ** 2, "hp"),
+    "x_hp2": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: x * hp ** 2, "hp"),
+    "x_hp_hpp": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: x * hp * hpp, "hp", "hpp"),
+    # (x - x(0)) h' for an affine role whose base support starts at y = 0
+    # (the gamma roles): x - x(0) = y dx/dy.
+    "edge_hp": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: y * j * hp, "hp"),
+    "phi": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi, "terms"),
+    "h_phi": _moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h * phi, "h", "terms"),
+}
+
+# A request maps moment names to how each is integrated alone: True as by
+# expectation_or_inf (a divergent integral is +-inf), False as by expectation.
+Request = dict[str, bool]
+VARIANCE: Request = {"h2": True, "h": True}
+
+
+def _integrand(fam: ContinuousFamily, h: TestFunction, names: str | Sequence[str]) -> Callable:
+    """The integrand in y of the named moments, m(node) g0(y): a float for
+    one name, a list for a sequence of them, that list times ``scale``, the
+    Jacobian of the shared run's change of variable.  g0, from_base, the
+    role's terms and slope and h, h', h'' are each read once per node, and
+    only when some moment reads them."""
+    ms = [MOMENTS[names]] if isinstance(names, str) else [MOMENTS[name] for name in names]
+    reads = frozenset().union(*(m.reads for m in ms))
+    integrands = [m.integrand for m in ms]
+    one = integrands[0] if isinstance(names, str) else None
+    zero = 0.0 if one is not None else [0.0] * len(ms)
+    g0, from_base = fam.base_density, fam.role.from_base
+    hf = h.h if "h" in reads else None
+    hpf = h.h_prime if "hp" in reads else None
+    hppf = h.h_second if "hpp" in reads else None
+    terms = fam.role.base_terms(fam) if "terms" in reads else None
+    slopef = fam.role.base_slope(fam) if "slope" in reads else None
+
+    def integrand(y: float, scale: float = 1.0) -> float | list[float]:
+        w = g0(y)
+        if w == 0.0:
+            return zero
+        x, j = from_base(y)
+        hx = hf(x) if hf is not None else 0.0
+        hp = hpf(x) if hpf is not None else 0.0
+        hpp = hppf(x) if hppf is not None else 0.0
+        dy, phi = terms(y) if terms is not None else (0.0, 0.0)
+        s = slopef(y) if slopef is not None else 0.0
+        if one is not None:
+            return one(y, x, hx, hp, hpp, j, dy, phi, s) * w
+        w *= scale
+        # Loops, not comprehensions, which would make every local a cell.
+        row = []
+        try:
+            for m in integrands:
+                row.append(m(y, x, hx, hp, hpp, j, dy, phi, s) * w)
+        except ArithmeticError:
+            # Each moment on its own, as numerics._eval_raw: inf where it raised.
+            row = []
+            for m in integrands:
+                row.append(_eval_moment(m, w, (y, x, hx, hp, hpp, j, dy, phi, s)))
+        return row
+
+    return integrand
+
+
+def _eval_moment(m: Integrand, w: float, node: tuple[float, ...]) -> float:
+    try:
+        return m(*node) * w
+    except ArithmeticError:
+        return math.inf
+
+
+def _alone(fam: Family, h: TestFunction, name: str, or_inf: bool, tol: float) -> float:
+    """One moment by the scalar path: a series over the pmf, or a quadrature
+    in y over the base support, with or without divergence detection."""
+    if fam.is_discrete:
+        m = MOMENTS[name]
+        hf, hpf, score, reads = h.h, h.h_prime, fam.score_fn, m.reads
+
+        def fn(x: float) -> float:
+            return m.integrand(x, x, hf(x) if "h" in reads else 0.0, hpf(x) if "hp" in reads else 0.0,
+                               0.0, 1.0, 0.0, score(x) if "terms" in reads else 0.0, 0.0)
+
+        return (expectation_or_inf if or_inf else expectation)(fam, fn, tol)
+    if or_inf:
+        return integrate_detecting_divergence(_integrand(fam, h, name), fam.base_support, tol)
+    return integrate(_integrand(fam, h, name), fam.base_support, tol).value
+
+
+def _expectations(fam: Family, h: TestFunction, request: Request, tol: float) -> Callable[[str], float]:
+    """The moments of ``request`` against the family's law, as a lookup by name.
+
+    A continuous family integrates two or more of them in one shared run in
+    y over the base support (``integrate_vector_or_eject``).  A moment that
+    run ejects, every moment of a shared run that raises, a lone moment and
+    a discrete family's moments are each integrated alone by the scalar
+    path (``_alone``) on first lookup, so each value, +-inf verdict and
+    error is that path's.
+    """
+    names = list(request)
+    known: dict[str, float] = {}
+    if not fam.is_discrete and len(names) > 1:
+        results = integrate_vector_or_eject(
+            lambda live: _integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support, tol)
+        known = {name: r.value for name, r in zip(names, results) if r is not None}
+
+    def lookup(name: str) -> float:
+        if name not in known:
+            known[name] = _alone(fam, h, name, request[name], tol)
+        return known[name]
+
+    return lookup
+
+
+# --------------------------------------------------------------------------
 # Continuous bounds.
 
 
@@ -103,8 +268,8 @@ def lower_bound(
     prof = laws.profile(fam, tol)
     if math.isinf(prof.fisher):
         return 0.0
-    pair = laws.pair(fam)
-    numerator = expectation(fam, lambda x: h.h_prime(x) * pair.f_tilde(x), tol)
+    laws.pair(fam)  # verifies f-tilde * g = 0 at the support edges
+    numerator = _expectations(fam, h, {"lower": False}, tol)("lower")
     return numerator * numerator / prof.fisher
 
 
@@ -122,16 +287,10 @@ def upper_bound(
     if fam.is_discrete:
         raise UnsupportedRole("no discrete upper bound is available")
     laws = laws or Laws()
-    prof = laws.profile(fam, tol)
-    if not prof.monotonicity.strictly_monotone:
+    if not laws.profile(fam, tol).monotonicity.strictly_monotone:
         return math.inf
-    pair = laws.pair(fam)
-
-    def weight(x: float) -> float:
-        hp = h.h_prime(x)
-        return hp * hp / (-prof.phi_prime(x)) * pair.f_tilde(x)
-
-    return expectation_or_inf(fam, weight, tol)
+    laws.pair(fam)  # verifies f-tilde * g = 0 at the support edges
+    return _expectations(fam, h, {"upper": True}, tol)("upper")
 
 
 def discrete_lower_bound(
@@ -190,31 +349,33 @@ def poincare_constant(fam: ContinuousFamily) -> PoincareConstant:
 # --------------------------------------------------------------------------
 # Literature comparators.
 
+Lookup = Callable[[str], float]   # a moment's value by name (``_expectations``)
 
-def _chernoff(fam: Family, h: TestFunction, tol: float) -> list[Comparator]:
+
+def _chernoff(fam: Family, h: TestFunction, e: Lookup) -> list[Comparator]:
     """sigma^2 E[h']^2 <= Var h(X) <= sigma^2 E[h'^2] for a normal law of width sigma."""
     s2 = fam.structural_value("sigma") ** 2
-    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-    e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
+    e_hp = e("hp")
+    e_hp2 = e("hp2")
     return [
         Comparator("chernoff_lower", "lower", 0.0 if math.isinf(e_hp) else e_hp**2 * s2),
         Comparator("chernoff_upper", "upper", e_hp2 * s2),
     ]
 
 
-def _exponential_uppers(fam: Family, h: TestFunction, tol: float) -> list[Comparator]:
+def _exponential_uppers(fam: Family, h: TestFunction, e: Lookup) -> list[Comparator]:
     """Cacoullos and Klaassen, plus the rewrite that needs h''."""
     lam = fam.role.sigma0
-    e_hp2 = expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2, tol)
-    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-    e_xhp2 = expectation_or_inf(fam, lambda x: x * h.h_prime(x) ** 2, tol)
+    e_hp2 = e("hp2")
+    e_hp = e("hp")
+    e_xhp2 = e("x_hp2")
     var_hp = math.inf if math.isinf(e_hp2) or math.isinf(e_hp) else e_hp2 - e_hp**2
     out = [
         Comparator("cacoullos_upper", "upper", var_hp / lam**2 + e_xhp2 / lam),
         Comparator("klaassen_exp_upper", "upper", 4.0 * e_hp2 / lam**2),
     ]
     if h.h_second is not None:
-        e_cross = expectation_or_inf(fam, lambda x: x * h.h_prime(x) * h.h_second(x), tol)
+        e_cross = e("x_hp_hpp")
         if math.isinf(e_hp2) or math.isinf(e_cross):
             rewrite = math.inf
         else:
@@ -223,12 +384,12 @@ def _exponential_uppers(fam: Family, h: TestFunction, tol: float) -> list[Compar
     return out
 
 
-def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) -> list[Comparator]:
+def _klaassen_gamma(fam: Family, h: TestFunction, e: Lookup, b: float = 1.0) -> list[Comparator]:
     """Klaassen's lower bound for the gamma law of shape a and rate b (1 under location)
     starting at mu0, the support's left edge (0 under scale); a vacuous bound is +0.0."""
-    a, mu0 = fam.structural_value("shape"), fam.support.lo
-    e_hp = expectation_or_inf(fam, lambda x: h.h_prime(x), tol)
-    e_xhp = expectation_or_inf(fam, lambda x: (x - mu0) * h.h_prime(x), tol)
+    a = fam.structural_value("shape")
+    e_hp = e("hp")
+    e_xhp = e("edge_hp")  # E[(x - mu0) h']
     if math.isinf(e_hp) or math.isinf(e_xhp):
         value = 0.0
     else:
@@ -237,18 +398,25 @@ def _klaassen_gamma(fam: Family, h: TestFunction, tol: float, b: float = 1.0) ->
 
 
 class ComparatorEntry(NamedTuple):
-    """One (family id, role kind) pair's comparator bounds, if any, and report flags."""
+    """One (family id, role kind) pair's comparator bounds, if any, the
+    moments they read (each integrated as by expectation_or_inf; one that
+    reads h'' only when h has it) and report flags."""
 
-    compute: Callable[[Family, TestFunction, float], list[Comparator]] | None = None
+    compute: Callable[[Family, TestFunction, Lookup], list[Comparator]] | None = None
+    moments: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
+
+    def request(self, h: TestFunction) -> Request:
+        return {name: True for name in self.moments
+                if h.h_second is not None or "hpp" not in MOMENTS[name].reads}
 
 
 COMPARATORS: dict[tuple[str, str], ComparatorEntry] = {
-    ("gaussian", "location"): ComparatorEntry(_chernoff),
-    ("exponential", "scale"): ComparatorEntry(_exponential_uppers),
-    ("gamma", "location"): ComparatorEntry(_klaassen_gamma),
+    ("gaussian", "location"): ComparatorEntry(_chernoff, ("hp", "hp2")),
+    ("exponential", "scale"): ComparatorEntry(_exponential_uppers, ("hp2", "hp", "x_hp2", "x_hp_hpp")),
+    ("gamma", "location"): ComparatorEntry(_klaassen_gamma, ("hp", "edge_hp")),
     ("gamma", "scale"): ComparatorEntry(
-        lambda fam, h, tol: _klaassen_gamma(fam, h, tol, fam.role.sigma0)
+        lambda fam, h, e: _klaassen_gamma(fam, h, e, fam.role.sigma0), ("hp", "edge_hp")
     ),
     # The shifted summation-by-parts weights are used here; the unshifted
     # display sometimes quoted for this bound overshoots.
@@ -263,14 +431,27 @@ def _comparator_entry(fam: Family) -> ComparatorEntry:
 def literature_bounds(fam: Family, h: TestFunction, *, tol: float = 1e-12) -> list[Comparator]:
     """The COMPARATORS bounds of this family/role; a divergent constituent integral
     makes an upper comparator +inf and a lower one the vacuous 0."""
-    compute = _comparator_entry(fam).compute
-    if compute is None:
+    entry = _comparator_entry(fam)
+    if entry.compute is None:
         raise NotApplicable(f"no comparator bounds catalogued for {fam.name} as {fam.role.kind}")
-    return compute(fam, h, tol)
+    return entry.compute(fam, h, _expectations(fam, h, entry.request(h), tol))
 
 
 # --------------------------------------------------------------------------
 # Ground truth and report assembly.
+
+
+def _variance(fam: Family, h: TestFunction, e: Lookup) -> float:
+    """E[h^2] - E[h]^2 clamped at 0, from ``e``; DivergentMoment when E[h^2]
+    diverges or its series cannot be truncated safely."""
+    try:
+        second = e("h2")
+        if math.isinf(second):
+            raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
+        first = e("h")
+    except TruncationUnsafe as exc:
+        raise DivergentMoment(str(exc)) from exc
+    return max(second - first * first, 0.0)
 
 
 def ground_truth_variance(
@@ -279,14 +460,9 @@ def ground_truth_variance(
     """Var[h(X)] by quadrature/series, or from ``moments`` (E[h^2], E[h]) when
     the caller has summed them, clamped at 0 (E[h^2] - E[h]^2 rounds below 0
     for a constant h); raises DivergentMoment when E[h^2] diverges."""
-    try:
-        second = moments[0] if moments is not None else expectation_or_inf(fam, lambda x: h.h(x) ** 2, tol)
-        if math.isinf(second):
-            raise DivergentMoment(f"E[h^2] diverges for {fam.name} with h={h.name}")
-        first = moments[1] if moments is not None else expectation_or_inf(fam, h.h, tol)
-    except TruncationUnsafe as exc:
-        raise DivergentMoment(str(exc)) from exc
-    return max(second - first * first, 0.0)
+    if moments is not None:
+        return _variance(fam, h, dict(zip(VARIANCE, moments)).__getitem__)
+    return _variance(fam, h, _expectations(fam, h, VARIANCE, tol))
 
 
 def _discrete_sums(fam: DiscreteFamily, h: TestFunction, tol: float) -> list[float] | None:
@@ -319,18 +495,20 @@ def tightness_residual(
     is the equality case of both bounds.  Only the paper table's equality
     rows compute it.  By the exchange identity E[h phi] = -E[h' f-tilde] it
     is, up to quadrature error, max(lower_slack / variance, 0) of the report.
+    For a continuous family its three expectations share one run.
     """
     if variance <= 1e-300:
         return 0.0
     if math.isinf(prof.fisher):
         return 1.0
-    e_phi = expectation(fam, prof.phi, tol)
+    e = _expectations(fam, h, {"phi": False, "h_phi": False, "h": False}, tol)
+    e_phi = e("phi")
     e_phi2 = prof.fisher
     var_phi = e_phi2 - e_phi**2
     if var_phi <= 1e-300:
         return 1.0
-    e_h_phi = expectation(fam, lambda x: h.h(x) * prof.phi(x), tol)
-    e_h = expectation(fam, h.h, tol)
+    e_h_phi = e("h_phi")
+    e_h = e("h")
     cov = e_h_phi - e_h * e_phi
     residual = (variance - cov * cov / var_phi) / variance
     return max(residual, 0.0)
@@ -345,45 +523,77 @@ def bound_report(
     laws: Laws | None = None,
 ) -> BoundReport:
     """Assemble variance / lower / upper plus comparators and flags for one
-    (family, test function) pair; the variance runs first, so its error wins.
-    The family's score profile at tol and its exchanging pair come from
-    ``laws``, which the other scenarios of the law share, when given."""
-    sums = _discrete_sums(fam, h, tol) if fam.is_discrete else None
-    try:
-        variance = ground_truth_variance(fam, h, tol=tol, moments=None if sums is None else sums[:2])
-    except DivergentMoment:
-        variance = math.inf
-    flags: list[str] = []
-    laws = laws or Laws()
-    prof = laws.profile(fam, tol)
+    (family, test function) pair.  Errors take precedence as if each stage
+    ran alone in turn: the variance, the score profile, the exchanging
+    pair, the lower bound, the upper bound, the comparators.  The family's
+    score profile at tol and its exchanging pair come from ``laws``, which
+    the other scenarios of the law share, when given.
 
-    lower = (lower_bound(fam, h=h, tol=tol, laws=laws) if sums is None
-             else discrete_lower_bound(fam, h, tol=tol, laws=laws, numerator=sums[2]))
+    A continuous report integrates all its expectations (E[h^2], E[h], the
+    lower bound's numerator, the upper bound when the score is strictly
+    monotone, and the comparators' moments) in one shared run in y; see
+    ``_expectations``.  A discrete report sums E[h^2], E[h] and the lower
+    bound's numerator in one walk (``_discrete_sums``)."""
+    laws = laws or Laws()
+    entry = _comparator_entry(fam)
+    compare = with_comparators and entry.compute is not None
+    if fam.is_discrete:
+        sums = _discrete_sums(fam, h, tol)
+        e = _expectations(fam, h, entry.request(h) if compare else {}, tol)
+        try:
+            variance = ground_truth_variance(fam, h, tol=tol, moments=None if sums is None else sums[:2])
+        except DivergentMoment:
+            variance = math.inf
+        prof = laws.profile(fam, tol)
+        lower = discrete_lower_bound(fam, h, tol=tol, laws=laws, numerator=None if sums is None else sums[2])
+        upper = math.inf
+    else:
+        try:
+            prof = laws.profile(fam, tol)
+            monotone = prof.monotonicity.strictly_monotone
+            if monotone or not math.isinf(prof.fisher):
+                laws.pair(fam)  # verifies f-tilde * g = 0 at the support edges
+        except Exception:
+            try:
+                ground_truth_variance(fam, h, tol=tol)  # its error comes first
+            except DivergentMoment:
+                pass
+            raise
+        request = dict(VARIANCE)
+        if not math.isinf(prof.fisher):
+            request["lower"] = False
+        if monotone:
+            request["upper"] = True
+        if compare:
+            request.update(entry.request(h))
+        e = _expectations(fam, h, request, tol)
+        try:
+            variance = _variance(fam, h, e)
+        except DivergentMoment:
+            variance = math.inf
+        if math.isinf(prof.fisher):
+            lower = 0.0
+        else:
+            numerator = e("lower")
+            lower = numerator * numerator / prof.fisher
+        upper = e("upper") if monotone else math.inf
+
+    flags: list[str] = []
     if math.isinf(prof.fisher):
         flags.append("vacuous-lower")
-
     witness: float | None = None
     if fam.is_discrete:
-        upper = math.inf
         flags.append("discrete-no-upper")
-    else:
-        upper = upper_bound(fam, h=h, tol=tol, laws=laws)
-        if math.isinf(upper):
-            if not prof.monotonicity.strictly_monotone:
-                witness = prof.monotonicity.witness
-                flags.append("upper-infinite")
-                if witness is not None:
-                    flags.append(f"score-not-monotone-witness={witness!r}")
-            else:
-                flags.append("upper-divergent")
-    flags.extend(_comparator_entry(fam).flags)
-
-    comparators: tuple[Comparator, ...] = ()
-    if with_comparators:
-        try:
-            comparators = tuple(literature_bounds(fam, h, tol=tol))
-        except NotApplicable:
-            pass
+    elif math.isinf(upper):
+        if not prof.monotonicity.strictly_monotone:
+            witness = prof.monotonicity.witness
+            flags.append("upper-infinite")
+            if witness is not None:
+                flags.append(f"score-not-monotone-witness={witness!r}")
+        else:
+            flags.append("upper-divergent")
+    flags.extend(entry.flags)
+    comparators = tuple(entry.compute(fam, h, e)) if compare else ()
 
     return BoundReport(
         lower=lower,

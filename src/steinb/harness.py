@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import config
 # DivergentMoment and ground_truth_variance are re-exported here.
@@ -57,6 +57,7 @@ from .operators import (
     hermite_test_function,
     require_score,
 )
+from .roles import BaseTerms
 from .vectorquad import integrate_vector
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
@@ -93,38 +94,52 @@ class ScenarioResult(NamedTuple):
 # --------------------------------------------------------------------------
 # Operator expectations.
 
-# f0 values at a base coordinate y: (f0(y) for each f0, f0'(y) for each f0,
-# or None in the bank of a discrete family, whose operator reads no
-# derivative), or None where every one of them and its derivative vanishes.
-Bank = Callable[[float], Optional[tuple[Sequence[float], Optional[Iterable[float]]]]]
+# f0(k) for each f0, for a discrete family's walk, which reads no
+# derivative; or None where every one of them vanishes.
+Bank = Callable[[float], Optional[Sequence[float]]]
+# The continuous operator's values times a weight at a base coordinate y:
+# rows(y, terms, w, j) is ((f0'(y) dy/dtheta + f0(y) phi) w) j for each f0,
+# with (dy/dtheta, phi) = terms(y) read only where some f0 or f0' is not
+# zero, or None where every one of them vanishes.
+Rows = Callable[[float, BaseTerms, float, float], Optional[Sequence[float]]]
 
 
 def _bank(f0s: Sequence[TestFunction]) -> Bank:
-    """The bank of arbitrary test functions: each evaluated on its own, the
-    derivatives only when read (a discrete operator reads none)."""
+    """The walk's bank of arbitrary test functions, each evaluated on its own."""
+    hs = [f0.h for f0 in f0s]
+    return lambda y: [h(y) for h in hs]
+
+
+def _rows(f0s: Sequence[TestFunction]) -> Rows:
+    """The operator rows of arbitrary test functions, each evaluated on its own."""
     pairs = [(f0.h, f0.h_prime) for f0 in f0s]
-    return lambda y: ([h(y) for h, _ in pairs], (hp(y) for _, hp in pairs))
+
+    def rows(y: float, terms: BaseTerms, w: float, j: float) -> list[float]:
+        dy, phi = terms(y)
+        return [(hp(y) * dy + h(y) * phi) * w * j for h, hp in pairs]
+
+    return rows
 
 
 def operator_integrals(
-    fam: ContinuousFamily, law: ContinuousFamily | None, bank: Bank, n: int, radius: float = math.inf,
+    fam: ContinuousFamily, law: ContinuousFamily | None, rows: Rows, n: int, radius: float = math.inf,
     tol: float = config.QUAD.request_tol,
 ) -> list[QuadResult]:
-    """The integrals of T(f0) g_law for the n test functions of ``bank``, with
-    T the continuous family's operator, in one vector quadrature over the
-    base coordinate y:
+    """The integrals of T(f0) g_law for the n test functions of ``rows``,
+    with T the continuous family's operator, in one vector quadrature over
+    the base coordinate y:
 
         integral of [f0'(y) dy/dtheta + f0(y) phi] w(y) dy
 
-    over [-radius, radius] (where the bank's test functions live) intersected
-    with the base support, and under another law cut at that law's support
-    edge in y where it falls inside.  The weight w is g0(y) under the
-    family's own law (``law`` None) and law.pdf(x(y)) dx/dy under another.
-    A bounded window that starts at a support edge is graded toward it,
-    as the half-line maps of ``numerics`` are (every base support here is
-    the real line or a half-line [lo, inf)).  The weight, the role's terms
-    and the bank are evaluated once per node for all n.  Any Dirac atom is
-    not included."""
+    over [-radius, radius] (where the test functions live) intersected with
+    the base support, and under another law cut at that law's support edge
+    in y where it falls inside.  The weight w is g0(y) under the family's
+    own law (``law`` None) and law.pdf(x(y)) dx/dy under another.  A bounded
+    window that starts at a support edge is graded toward it, as the
+    half-line maps of ``numerics`` are (every base support here is the real
+    line or a half-line [lo, inf)); ``rows`` multiplies in the map's
+    Jacobian.  The weight, the role's terms and the test functions are
+    evaluated once per node for all n.  Any Dirac atom is not included."""
     role = fam.role
     terms = role.base_terms(fam)
     if law is None:
@@ -138,15 +153,12 @@ def operator_integrals(
 
     zeros = [0.0] * n
 
-    def integrand(y: float) -> Sequence[float]:
+    def integrand(y: float, j: float = 1.0) -> Sequence[float]:
         w = weight(y)
         if w == 0.0:
             return zeros
-        values = bank(y)
-        if values is None:
-            return zeros
-        dy, phi = terms(y)
-        return [(hp * dy + h * phi) * w for h, hp in zip(*values)]
+        row = rows(y, terms, w, j)
+        return zeros if row is None else row
 
     lo, hi = max(-radius, fam.base_support.lo), min(radius, fam.base_support.hi)
     if law is not None:
@@ -159,12 +171,8 @@ def operator_integrals(
     # Graded toward the support edge lo, y = lo + width s^2: an edge factor
     # (y - lo)^alpha becomes s^(2 alpha + 1).
     width = hi - lo
-
-    def graded(s: float) -> Sequence[float]:
-        j = 2.0 * width * s
-        return [v * j for v in integrand(lo + width * (s * s))]
-
-    return integrate_vector(graded, n, Interval(0.0, 1.0), tol)
+    return integrate_vector(lambda s: integrand(lo + width * (s * s), 2.0 * width * s), n,
+                            Interval(0.0, 1.0), tol)
 
 
 def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n: int,
@@ -186,20 +194,22 @@ def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n
 
 
 def _checks(fam: Family, f0s: Sequence[TestFunction], law: Family | None, tol: float | None,
-            quad_tol: float, bank: Bank | None = None, radius: float = math.inf) -> list[IdentityCheck]:
+            quad_tol: float, bank: Bank | Rows | None = None, radius: float = math.inf) -> list[IdentityCheck]:
     """The checks of E[T(f0)(X)] = 0 under ``law`` (None: the family's own)
     for each f0, against ``tol`` (by default the family type's), with any
     Dirac atom folded in as coefficient * density(atom location), all from
     one run: continuous, operator_integrals over [-radius, radius] to
     quad_tol; discrete, operator_sums' one walk to min(quad_tol, 1e-13).
-    ``bank`` evaluates the f0s, by default one by one."""
-    bank = bank if bank is not None else _bank(f0s)
+    ``bank`` evaluates the f0s (``Rows`` for a continuous family), by default
+    one by one."""
     if fam.is_discrete:
+        bank = bank if bank is not None else _bank(f0s)
         values = operator_sums(fam, law, bank, len(f0s), min(quad_tol, 1e-13))
         default = DISCRETE_IDENTITY_TOL
     else:
         under = fam if law is None else law
-        values = [r.value for r in operator_integrals(fam, law, bank, len(f0s), radius, quad_tol)]
+        rows = bank if bank is not None else _rows(f0s)
+        values = [r.value for r in operator_integrals(fam, law, rows, len(f0s), radius, quad_tol)]
         for j, f0 in enumerate(f0s):
             atom = fam.role.atom(fam, f0)
             if atom is not None:
@@ -250,11 +260,12 @@ IDENTITY_EXTRAS: dict[tuple[str, str], tuple[TestFunction, ...]] = {
 DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
 
 
-def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
+def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank | Rows, float]:
     """The builtin test functions, a bank that evaluates them together (the
-    bump once per point, x^k and k x^(k-1) by recurrence; for a discrete
-    family, whose walk reads f0 alone, x^k only), and the bump's radius in
-    y, outside which every one of them vanishes."""
+    bump once per point, x^k and k x^(k-1) by recurrence): for a continuous
+    family its operator ``Rows``, for a discrete family, whose walk reads
+    f0 alone, x^k only; and the bump's radius in y, outside which every one
+    of them vanishes."""
     radius = bulk_radius(fam) + 2.0
     window = bump(radius)
     extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
@@ -263,7 +274,7 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
     b_h, b_hp = window.h, window.h_prime
     extra_pairs = [(e.h, e.h_prime) for e in extras]
 
-    def values(y: float) -> tuple[list[float], None] | None:
+    def values(y: float) -> list[float] | None:
         b = b_h(y)
         if b == 0.0:
             return None
@@ -274,26 +285,25 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank, float]:
             power *= y
         for e_h, _ in extra_pairs:
             hs.append(e_h(y) * b)
-        return hs, None
+        return hs
 
-    def bank(y: float) -> tuple[list[float], list[float]] | None:
+    def rows(y: float, terms: BaseTerms, w: float, j: float) -> list[float] | None:
         b = b_h(y)
         if b == 0.0:
             return None  # the bump's derivative vanishes with it
         bp = b_hp(y)
-        hs, hps = [], []
+        dy, phi = terms(y)
+        row = []
         power, slope = 1.0, 0.0  # y^k and k y^(k-1)
         for k in range(1, DEGREE + 2):
-            hs.append(power * b)
-            hps.append(slope * b + power * bp)
+            row.append(((slope * b + power * bp) * dy + power * b * phi) * w * j)
             power, slope = power * y, k * power
         for e_h, e_hp in extra_pairs:
             e = e_h(y)
-            hs.append(e * b)
-            hps.append(e_hp(y) * b + e * bp)
-        return hs, hps
+            row.append(((e_hp(y) * b + e * bp) * dy + e * b * phi) * w * j)
+        return row
 
-    return f0s, values if fam.is_discrete else bank, radius
+    return f0s, values if fam.is_discrete else rows, radius
 
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:

@@ -309,7 +309,7 @@ class DiscreteTheta(_Role):
             k = int(round(x))
             if k < 0 or k > nmax:
                 return 0.0
-            return self.walk(fam, lambda j: ([h(j)],), 1)(k)[1][0]
+            return self.walk(fam, lambda j: [h(j)], 1)(k)[1][0]
 
         return op, None
 
@@ -317,8 +317,8 @@ class DiscreteTheta(_Role):
         self, fam: Any, bank: Callable[[int], Any], n: int
     ) -> Callable[[int], tuple[float, list[float]]]:
         """k -> (g(k), the operator's values at k): (w(k+1) - w(k)) / g(k) for
-        the n test functions whose values f0(j) are bank(j)[0] (bank(j) None
-        where all vanish).  Called at k, k + 1, ... in turn, it carries g(k+1)
+        the n test functions whose values f0(j) are bank(j) (None where all
+        vanish).  Called at k, k + 1, ... in turn, it carries g(k+1)
         and w(k+1) into the next call, so a walk over k runs pmf_fn and the
         bank once per k; each value is the float of the operator alone."""
         theta0, nmax, pmf, phi = self.theta0, fam.support_max, fam.pmf_fn, fam.score_fn
@@ -327,7 +327,7 @@ class DiscreteTheta(_Role):
         def w(j: int, g: float) -> list[float]:
             values = bank(j)
             dphi = phi(j) - phi_at_0
-            return [h * g * dphi for h in (zeros if values is None else values[0])]
+            return [h * g * dphi for h in (zeros if values is None else values)]
 
         carried: list[tuple[float, list[float]]] = []
 

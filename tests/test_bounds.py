@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinb import config, families
+from steinb import bounds, config, families, vectorquad
 from steinb.bounds import (
     COMPARATORS,
     NotApplicable,
@@ -39,9 +39,10 @@ from steinb.families import (
     sqrt_fn,
     square,
 )
-from steinb.harness import builtin_scenarios, ground_truth_variance, run_scenario
-from steinb.numerics import scan_grid
-from steinb.operators import Laws, exchanging_pair, score_profile
+from steinb.harness import DivergentMoment, builtin_scenarios, ground_truth_variance, run_scenario
+from steinb.numerics import _EPS, NonConvergence, NonFinite, scan_grid
+from steinb.operators import Laws, UnsupportedRole, exchanging_pair, score_profile
+from steinb.vectorquad import integrate_vector_or_eject
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))
 # oracle: E[sqrt(1+X^2)] under the standard normal by scipy.integrate.quad
@@ -388,3 +389,120 @@ class TestDiscreteReportWalk:
         rep = bound_report(fam, THREE_TO_THE_X)
         assert math.isinf(rep.variance_truth)  # E[h^2] hit the term cap
         assert rep.lower == discrete_lower_bound(fam, THREE_TO_THE_X) > 0.0
+
+
+EXP_HALF = families.TestFunction("exp(x/2)", lambda x: math.exp(0.5 * x), lambda x: 0.5 * math.exp(0.5 * x),
+                                 lambda x: 0.25 * math.exp(0.5 * x))
+
+
+class TestSharedRun:
+    """A continuous report integrates its expectations together in y; a
+    moment that does not converge with the others is integrated alone, with
+    that run's value, verdict and error."""
+
+    REPORT = ["h2", "h", "lower", "upper", "hp2", "hp", "x_hp2", "x_hp_hpp"]
+
+    def test_divergent_moments_leave_the_run_with_the_scalar_verdict(self):
+        # exp-sca-h-sqrt: E[h'^2] and E[x h' h''] diverge at 0.
+        fam, h = exponential(Scale(1.0)), sqrt_fn()
+        names = self.REPORT
+        results = integrate_vector_or_eject(
+            lambda live: bounds._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
+        assert [n for n, r in zip(names, results) if r is None] == ["hp2", "x_hp_hpp"]
+        e = bounds._expectations(fam, h, dict.fromkeys(names, True), 1e-12)
+        assert e("hp2") == math.inf == families.expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2)
+        assert e("x_hp_hpp") == -math.inf == families.expectation_or_inf(
+            fam, lambda x: x * h.h_prime(x) * h.h_second(x))
+        for name, r in zip(names, results):
+            if r is not None:
+                assert e(name) == r.value
+                assert r.abs_error_estimate <= max(1e-12, 100 * _EPS * r.mass), name
+
+    def test_an_ejected_moment_raises_as_the_scalar_path_does(self, monkeypatch):
+        # h' = 1/x^2 makes the lower bound's numerator E[h' f-tilde] = E[1/X]
+        # under the rate-1 exponential: log-divergent, and integrated without
+        # divergence detection, so it ends as NonConvergence, with levels.
+        monkeypatch.setattr(config, "QUAD", config.QUAD._replace(max_subdivisions=200))
+        fam = exponential(Scale(1.0))
+        h = families.TestFunction("-1/x", lambda x: -1.0 / x, lambda x: x**-2.0)
+        e = bounds._expectations(fam, h, {"lower": False, "phi": False}, 1e-12)
+        assert abs(e("phi")) <= 1e-12
+        with pytest.raises(NonConvergence) as shared:
+            e("lower")
+        f_tilde = exchanging_pair(fam).f_tilde
+        with pytest.raises(NonConvergence) as alone:
+            families.expectation(fam, lambda x: h.h_prime(x) * f_tilde(x))
+        assert str(shared.value) == str(alone.value)
+        assert shared.value.levels == alone.value.levels and len(alone.value.levels) == 2
+
+    def test_a_moment_that_stays_non_finite_leaves_the_others_on_the_mesh(self):
+        # sas-gaussian-skew-007 (sweep seed 1): the upper bound's integrand
+        # is not finite at y = 0, where dphi/dy vanishes.
+        fam, h = sas_gaussian(0.615901), linear()
+        names = ["h2", "h", "lower", "upper"]
+        results = integrate_vector_or_eject(
+            lambda live: bounds._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
+        assert [n for n, r in zip(names, results) if r is None] == ["upper"]
+        rep = bound_report(fam, h)
+        assert math.isinf(rep.upper) and "upper-divergent" in rep.flags
+        assert rep.upper == upper_bound(fam, linear())
+
+    def test_a_discrete_lower_bound_is_the_summed_one(self):
+        fam = poisson(2.0)
+        assert lower_bound(fam, square()) == discrete_lower_bound(fam, square()) == bound_report(fam, square()).lower
+
+    def test_lone_bounds_run_on_the_scalar_kernel(self, monkeypatch):
+        fam, laws = gamma(Scale(1.0), shape=3.0), Laws()
+        laws.profile(fam, 1e-12)
+        laws.pair(fam)
+
+        def no_row_cells(*args):
+            raise AssertionError("a lone bound ran on the row kernel")
+
+        monkeypatch.setattr(vectorquad, "_gk15_vector", no_row_cells)
+        assert lower_bound(fam, linear(), laws=laws) == pytest.approx(3.0, rel=1e-12)
+        assert upper_bound(fam, linear(), laws=laws) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", [s for s in builtin_scenarios() if not s.build_family().is_discrete],
+                             ids=lambda s: s.scenario_id)
+    def test_a_report_moves_by_rounding_only_from_lone_runs(self, scenario):
+        fam, h = scenario.build_family(), scenario.build_test_function()
+        rep = bound_report(fam, h)
+        alone = {name: bounds._alone(fam, h, name, True, 1e-12) for name in ("h2", "h")}
+        variance = max(alone["h2"] - alone["h"] ** 2, 0.0)
+        pairs = [(rep.variance_truth, variance), (rep.lower, lower_bound(fam, h)), (rep.upper, upper_bound(fam, h))]
+        for got, expected in pairs:
+            assert got == expected or abs(got - expected) <= 1e-11 + 1e-10 * abs(expected), scenario.scenario_id
+
+    def test_the_variance_error_comes_before_the_profile_error(self):
+        # The exponential location law has no score profile (UnsupportedRole),
+        # and this h is not finite beyond x = 1: as when each stage ran alone
+        # in turn, the variance's NonFinite is the report's error.
+        fam = exponential(Location(0.0))
+        h = families.TestFunction("nan-past-1", lambda x: x if x < 1.0 else math.nan, lambda x: 1.0)
+        with pytest.raises(NonFinite):
+            bound_report(fam, h)
+        with pytest.raises(UnsupportedRole):
+            bound_report(fam, linear())
+        with pytest.raises(UnsupportedRole):
+            bound_report(fam, EXP_HALF)  # E[h^2] diverges: a variance of +inf raises nothing
+
+    def test_a_divergent_second_moment_is_an_infinite_variance(self):
+        # E[e^X] under the rate-1 exponential diverges at the far end.
+        fam = exponential(Scale(1.0))
+        rep = bound_report(fam, EXP_HALF)
+        assert math.isinf(rep.variance_truth) and math.isinf(rep.upper) and math.isfinite(rep.lower)
+        with pytest.raises(DivergentMoment):
+            ground_truth_variance(fam, EXP_HALF)
+
+    # Cells of both kernels of a whole report, the score profile included:
+    # at most the counts before the shared run (296 and 242).
+
+    def test_divergent_comparators_cost_no_more_cells(self, count_cells):
+        bound_report(exponential(Scale(1.0)), sqrt_fn())
+        assert count_cells() <= 296
+
+    def test_a_gamma_location_report_below_shape_2_5_costs_no_more_cells(self, count_cells):
+        # sweep-mixed seed 1 gamma-location-009.
+        bound_report(gamma(Location(-0.72322), shape=2.371224), families.polynomial((1.315738, -0.408811)))
+        assert count_cells() <= 242

@@ -19,7 +19,7 @@ import pytest
 
 from steinb.bounds import bound_report, ground_truth_variance
 from steinb.families import Location, Scale, expectation, exponential, gamma, linear, sqrt_fn
-from steinb.harness import builtin_scenarios, identity_suite
+from steinb.harness import builtin_scenarios, identity_suite, run_scenario
 from steinb.operators import score_profile
 
 F = Fraction
@@ -136,3 +136,36 @@ def test_identity_suite_under_another_law(fam, law, oracles):
     assert len(checks) == len(oracles)
     for check, oracle in zip(checks, oracles):
         assert ulps(check.expectation_value, F(oracle)) <= 32, check.test_function
+
+
+# The builtin continuous reports against their exact values.  The paper's
+# bounds are equalities for a linear h under the gaussian and gamma laws,
+# and the comparators have closed forms; gamma1.5-loc's lower bound is the
+# vacuous 0 (its Fisher information diverges).
+PI = F(math.pi)
+REPORT_REFERENCES = {
+    "gauss-loc-h-linear": {"lower": F(1), "variance": F(1), "upper": F(1),
+                           "chernoff_lower": F(1), "chernoff_upper": F(1)},
+    "gauss-sca-h-square": {"lower": F(2), "variance": F(2)},
+    "exp-sca-h-linear": {"lower": F(1), "variance": F(1), "upper": F(1), "cacoullos_upper": F(1),
+                         "klaassen_exp_upper": F(4), "exp_rewrite_upper": F(1)},
+    "exp-sca-h-sqrt": {"lower": PI / 16, "variance": 1 - PI / 4, "upper": F(1, 4)},
+    "gamma3-sca-h-linear": {"lower": F(3), "variance": F(3), "upper": F(3), "klaassen_gamma_lower": F(3)},
+    "gamma3-loc-h-linear": {"lower": F(1), "variance": F(3), "upper": F(6), "klaassen_gamma_lower": F(3)},
+    "gamma1.5-loc-h-linear": {"variance": F(3, 2), "upper": F(15, 2), "klaassen_gamma_lower": F(3, 2)},
+}
+# Ulp budget per path class.  Seen: lower 2, variance 8 (exp-sca-h-sqrt),
+# upper 2, comparators 4, both with each expectation integrated alone and
+# with a report's expectations on one shared mesh.
+REPORT_BUDGETS = {"lower": 4, "variance": 16, "upper": 4}
+COMPARATOR_BUDGET = 8
+
+
+@pytest.mark.parametrize("scenario", [s for s in builtin_scenarios() if s.scenario_id in REPORT_REFERENCES],
+                         ids=lambda s: s.scenario_id)
+def test_builtin_report(scenario):
+    rep = run_scenario(scenario).report
+    got = {"lower": rep.lower, "variance": rep.variance_truth, "upper": rep.upper}
+    got.update((c.name, c.value) for c in rep.comparators)
+    for name, exact in REPORT_REFERENCES[scenario.scenario_id].items():
+        assert ulps(got[name], exact) <= REPORT_BUDGETS.get(name, COMPARATOR_BUDGET), name

@@ -35,6 +35,7 @@ from steinb.harness import (
     DivergentMoment,
     Scenario,
     _bank,
+    _rows,
     _builtin_suite,
     builtin_scenarios,
     builtin_test_functions,
@@ -142,10 +143,11 @@ def _x_space_terms(fam):
     return terms
 
 
-def _x_space_operator_integrals(fam, law, bank, n):
+def _x_space_operator_integrals(fam, law, f0s):
     """The suites' quadrature before it moved to base coordinates, kept as the
     reference: T(f0) g_law integrated in x over the law's whole support, with
-    the x-space terms of ``_x_space_terms``."""
+    the x-space terms of ``_x_space_terms``, each f0 evaluated on its own."""
+    n = len(f0s)
     terms = _x_space_terms(fam)
     pdf = law.pdf
     zeros = [0.0] * n
@@ -158,10 +160,7 @@ def _x_space_operator_integrals(fam, law, bank, n):
         if t is None:
             return zeros
         y, dy, phi = t
-        values = bank(y)
-        if values is None:
-            return zeros
-        return [(hp * dy + h * phi) * w for h, hp in zip(*values)]
+        return [(f0.h_prime(y) * dy + f0.h(y) * phi) * w for f0 in f0s]
 
     return integrate_vector(integrand, n, law.support)
 
@@ -208,7 +207,7 @@ def test_base_coordinates_match_the_x_space_reference():
             atoms = [fam.role.atom(fam, f0) for f0 in f0s]
             atom_mass = [0.0 if a is None else a.coefficient * under.pdf(a.location) for a in atoms]
             suite = operator_integrals(fam, law, bank, len(f0s), radius)
-            reference = _x_space_operator_integrals(fam, under, bank, len(f0s))
+            reference = _x_space_operator_integrals(fam, under, f0s)
             assert [c.expectation_value for c in checks] == [r.value + m for r, m in zip(suite, atom_mass)]
             for f0, check, new, old, extra in zip(f0s, checks, suite, reference, atom_mass):
                 where = (scenario.scenario_id, f0.name, under.role, dict(under.structural))
@@ -255,7 +254,7 @@ def test_single_checks_are_one_component_runs():
             atom = fam.role.atom(fam, f0)
             for check, under in ((check_identity(fam, f0), None), (falsify_identity(fam, f0, law), law)):
                 extra = 0.0 if atom is None else atom.coefficient * (under or fam).pdf(atom.location)
-                assert check.expectation_value == operator_integrals(fam, under, _bank([f0]), 1)[0].value + extra
+                assert check.expectation_value == operator_integrals(fam, under, _rows([f0]), 1)[0].value + extra
 
 
 def test_identity_values_near_a_support_edge_keep_their_digits():

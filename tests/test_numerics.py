@@ -26,7 +26,7 @@ from steinb.numerics import (
     scan_grid,
     sum_series,
 )
-from steinb.vectorquad import integrate_vector
+from steinb.vectorquad import integrate_vector, integrate_vector_or_eject
 
 SQRT_PI = 1.7724538509055159  # oracle: math.sqrt(math.pi)
 
@@ -441,6 +441,35 @@ class TestVectorKernel:
         assert str(info.value) == str(alone.value)
         assert (info.value.value, info.value.abs_error_estimate) == (alone.value.value, alone.value.abs_error_estimate)
         assert len(info.value.levels) == 2 and info.value.levels == alone.value.levels
+
+    def test_a_total_that_overflows_raises_while_another_component_goes_on(self):
+        # resk of the first component overflows to inf in every cell, which
+        # meets its (infinite) target; the second, 1/sqrt(x), keeps the run
+        # going, so the run raises on the first total that is not finite.
+        with pytest.raises(NonConvergence, match="partial integral overflowed") as info:
+            integrate_vector(lambda x: [1.5e308, 1.0 / math.sqrt(x)], 2, Interval(0.0, 1.0))
+        assert math.isinf(info.value.value)
+        # integrate_vector_or_eject leaves both to be integrated alone.
+        def rows(live):
+            return lambda x, scale=1.0: [(1.5e308, 1.0 / math.sqrt(x))[k] * scale for k in live]
+
+        assert integrate_vector_or_eject(rows, 2, Interval(0.0, 1.0)) == [None, None]
+
+    def test_a_mesh_below_resolution_raises_as_alone(self):
+        # A jump inside an interval a few ulps wide: every cell freezes with
+        # the jump's error above tol, and the run raises as the jump alone.
+        iv = Interval(1.0, 1.0 + 4e-14)
+
+        def jump(x):
+            return 1e6 if x > 1.0 + 2e-14 else 0.0
+
+        with pytest.raises(NonConvergence, match="interval exhausted below resolution") as shared:
+            integrate_vector(lambda x: [1.0, jump(x)], 2, iv)
+        with pytest.raises(NonConvergence, match="interval exhausted below resolution") as alone:
+            integrate(jump, iv)
+        assert str(shared.value) == str(alone.value)
+        assert (shared.value.value, shared.value.abs_error_estimate) == (alone.value.value,
+                                                                         alone.value.abs_error_estimate)
 
     def test_arguments_are_checked(self):
         with pytest.raises(ValueError):
