@@ -10,6 +10,9 @@ it prints per stage:
   components all belong to the stage;
 - ``components``: row-kernel component-cells, a cell of n components
   counting n, each given to the stage of its component;
+- ``terms``: series terms of the discrete walks (``families.discrete_sums``),
+  a term of a walk whose moments span several stages counting on the
+  ``shared`` line;
 - ``ms``: self time in the stage, in milliseconds (a shared run's time is
   split over its stages in proportion to their components).
 
@@ -20,15 +23,18 @@ profiles), ``variance``, ``lower``, ``upper``, ``comparators`` and
 function (``harness.operator_integrals`` / ``operator_sums``,
 ``operators.score_profile``, ``bounds.ground_truth_variance``,
 ``lower_bound``, ``discrete_lower_bound``, ``upper_bound``,
-``literature_bounds``, ``tightness_residual``).  Where a report integrates
-its expectations together (``bounds._expectations``) each moment belongs to
-the stage that reads it: E[h^2] and E[h] to ``variance``, the lower
-bound's numerator to ``lower``, the upper bound's integrand to ``upper``,
-the rest to ``comparators``, unless the run sits inside one of the stage
+``literature_bounds``, ``tightness_residual``).  Where a request takes its
+expectations together (``families._expectations``: a shared run or a
+walk) each moment belongs to the stage that reads it: E[h^2] and E[h] to
+``variance``, the lower bound's numerator to ``lower``, the upper bound's
+integrand to ``upper``, the Fisher information to ``fisher``, the rest to
+``comparators``, unless the request sits inside one of the bound-stage
 functions above, which then takes all of it.  A row cell of such a run
 whose components span several stages counts on the ``shared`` line.  The
-same counts come out of a source tree without shared runs, so two trees
-can be compared (``--src``).
+same counts come out of a source tree whose engine still lives in
+``bounds.py``, or that has no shared runs, so two trees can be compared
+(``--src``); on this tree, a stage function or engine function that is
+missing is an error, not a stage left uncounted.
 
 ``perfbench``'s ``numerics.integrate.evals`` counts the scalar path only;
 the row kernel's evaluations are seen here.
@@ -77,7 +83,11 @@ STAGE_FUNCTIONS = (
     ("steinb.bounds", "literature_bounds", "comparators"),
     ("steinb.bounds", "tightness_residual", "tightness"),
 )
-MOMENT_STAGES = {"h2": "variance", "h": "variance", "lower": "lower", "upper": "upper"}
+MOMENT_STAGES = {"h2": "variance", "h": "variance", "lower": "lower", "upper": "upper", "phi2": "fisher"}
+# Where the expectation engine lives: this tree's module first, then the one
+# of older trees.
+ENGINE_HOMES = ("steinb.families", "steinb.bounds")
+ENGINE = ("_expectations", "_alone", "_integrand")
 
 
 class Stages:
@@ -91,6 +101,7 @@ class Stages:
         self.scalar: collections.Counter = collections.Counter()
         self.row: collections.Counter = collections.Counter()
         self.components: collections.Counter = collections.Counter()
+        self.terms: collections.Counter = collections.Counter()
 
     def _charge(self) -> None:
         now = time.perf_counter()
@@ -132,6 +143,11 @@ class Stages:
             self.components[stage] += 1
         self.row[owners[0] if len(set(owners)) == 1 else "shared"] += 1
 
+    def count_term(self) -> None:
+        """A term of a walk: the current stage's, or shared between several."""
+        shares = self.stack[-1]
+        self.terms[next(iter(shares)) if len(shares) == 1 else "shared"] += 1
+
 
 def _rebind(name: str, old: Any, new: Any) -> None:
     """Replace ``old`` by ``new`` wherever a steinb module binds it as ``name``."""
@@ -140,11 +156,20 @@ def _rebind(name: str, old: Any, new: Any) -> None:
             setattr(module, name, new)
 
 
-def install(stages: Stages) -> None:
+def install(stages: Stages, strict: bool) -> None:
+    """Count and stage the tree's kernels and functions.  ``strict`` (this
+    tree) makes a missing target an error."""
     numerics = importlib.import_module("steinb.numerics")
     vectorquad = importlib.import_module("steinb.vectorquad")
+    families = importlib.import_module("steinb.families")
     bounds = importlib.import_module("steinb.bounds")
     importlib.import_module("steinb.cli")  # every module that binds a stage function
+
+    def target(module: Any, name: str) -> Any:
+        fn = getattr(module, name, None)
+        if fn is None and strict:
+            raise SystemExit(f"stage_cells: {module.__name__}.{name} is gone; update the script")
+        return fn
 
     scalar, vector = numerics._gk15, vectorquad._gk15_vector
 
@@ -159,6 +184,15 @@ def install(stages: Stages) -> None:
     numerics._gk15 = counting_scalar
     vectorquad._gk15_vector = counting_vector
 
+    sums = target(families, "discrete_sums")
+    if sums is not None:
+        def counting_sums(fam, terms, tols):
+            def counted(k):
+                stages.count_term()
+                return terms(k)
+            return sums(fam, counted, tols)
+        _rebind("discrete_sums", sums, counting_sums)
+
     def staged(fn: Callable, shares_of: Callable[..., dict[str, float]]) -> Callable:
         def wrapper(*args, **kwargs):
             with stages.entered(shares_of(*args, **kwargs)):
@@ -166,8 +200,7 @@ def install(stages: Stages) -> None:
         return wrapper
 
     for module_name, name, stage in STAGE_FUNCTIONS:
-        module = importlib.import_module(module_name)
-        fn = getattr(module, name, None)
+        fn = target(importlib.import_module(module_name), name)
         if fn is None:
             continue
         if stage is None:
@@ -178,35 +211,45 @@ def install(stages: Stages) -> None:
                 return {stage: 1.0}
         _rebind(name, fn, staged(fn, shares_of))
 
-    # Shared runs and lone moments, where the tree has them: a shared run's
-    # integrand carries its moments' names through the change of variable.
-    expectations = getattr(bounds, "_expectations", None)
-    if expectations is not None:
-        def shared_shares(fam, h, request, tol):
-            owners = collections.Counter(stages.moment_stage(name) for name in request)
-            return {s: c / len(request) for s, c in owners.items()} or {"other": 1.0}
-        _rebind("_expectations", expectations, staged(expectations, shared_shares))
+    # An older tree's discrete report walk: E[h^2], E[h] and the lower
+    # bound's numerator.
+    walk = getattr(bounds, "_discrete_sums", None)
+    if walk is not None:
+        _rebind("_discrete_sums", walk, staged(walk, lambda *args: {"variance": 2 / 3, "lower": 1 / 3}))
 
-        def alone_shares(fam, h, name, *args):
-            return {stages.moment_stage(name): 1.0}
-        _rebind("_alone", bounds._alone, staged(bounds._alone, alone_shares))
+    # Shared runs, walks and lone moments, where the tree has them: a shared
+    # run's integrand carries its moments' names through the change of
+    # variable.
+    homes = [importlib.import_module(m) for m in ENGINE_HOMES]
+    home = homes[0] if strict else next((m for m in homes if hasattr(m, "_expectations")), None)
+    if home is None:
+        return
+    expectations, alone, integrand = (target(home, name) for name in ENGINE)
+    transformed = vectorquad._transformed_vector
 
-        integrand, transformed = bounds._integrand, vectorquad._transformed_vector
+    def shared_shares(fam, h, request, tol):
+        owners = collections.Counter(stages.moment_stage(name) for name in request)
+        return {s: c / len(request) for s, c in owners.items()} or {"other": 1.0}
 
-        def named(fam, h, names):
-            f = integrand(fam, h, names)
-            if not isinstance(names, str):
-                f.moments = list(names)
-            return f
+    def alone_shares(fam, h, name, *args):
+        return {stages.moment_stage(name): 1.0}
 
-        def carried(f, *args, **kwargs):
-            g, lo, hi = transformed(f, *args, **kwargs)
-            if g is not f and hasattr(f, "moments"):
-                g.moments = f.moments
-            return g, lo, hi
+    def named(fam, h, names):
+        f = integrand(fam, h, names)
+        if not isinstance(names, str):
+            f.moments = list(names)
+        return f
 
-        _rebind("_integrand", integrand, named)
-        _rebind("_transformed_vector", transformed, carried)
+    def carried(f, *args, **kwargs):
+        g, lo, hi = transformed(f, *args, **kwargs)
+        if g is not f and hasattr(f, "moments"):
+            g.moments = f.moments
+        return g, lo, hi
+
+    _rebind("_expectations", expectations, staged(expectations, shared_shares))
+    _rebind("_alone", alone, staged(alone, alone_shares))
+    _rebind("_integrand", integrand, named)
+    _rebind("_transformed_vector", transformed, carried)
 
 
 def _load_sweep():
@@ -234,10 +277,10 @@ def requests(command: str, seeds: list[int], tmp: Path) -> list[list[str]]:
     return calls
 
 
-def measure(command: str, seeds: list[int]) -> dict[str, Any]:
+def measure(command: str, seeds: list[int], strict: bool) -> dict[str, Any]:
     cli = importlib.import_module("steinb.cli")
     stages = Stages()
-    install(stages)
+    install(stages, strict)
     with tempfile.TemporaryDirectory() as tmp:
         calls = requests(command, seeds, Path(tmp))
         started = time.perf_counter()
@@ -248,21 +291,24 @@ def measure(command: str, seeds: list[int]) -> dict[str, Any]:
         stages._charge()
         total_ms = 1e3 * (time.perf_counter() - started)
     rows = {stage: {"scalar": stages.scalar[stage], "row": stages.row[stage],
-                    "components": stages.components[stage], "ms": round(stages.ms[stage], 1)}
+                    "components": stages.components[stage], "terms": stages.terms[stage],
+                    "ms": round(stages.ms[stage], 1)}
             for stage in STAGES}
-    rows["shared"] = {"scalar": 0, "row": stages.row["shared"], "components": 0, "ms": 0.0}
+    rows["shared"] = {"scalar": 0, "row": stages.row["shared"], "components": 0,
+                      "terms": stages.terms["shared"], "ms": 0.0}
     return {"command": command, "seeds": seeds if command == "sweep" else None,
             "stages": rows, "total_ms": round(total_ms, 1)}
 
 
 def print_table(result: dict[str, Any]) -> None:
-    print(f"{'stage':14s} {'scalar':>8s} {'row':>8s} {'components':>11s} {'ms':>9s}")
+    print(f"{'stage':14s} {'scalar':>8s} {'row':>8s} {'components':>11s} {'terms':>9s} {'ms':>9s}")
     totals = collections.Counter()
     for stage, row in result["stages"].items():
-        print(f"{stage:14s} {row['scalar']:8d} {row['row']:8d} {row['components']:11d} {row['ms']:9.1f}")
+        print(f"{stage:14s} {row['scalar']:8d} {row['row']:8d} {row['components']:11d} {row['terms']:9d} "
+              f"{row['ms']:9.1f}")
         totals.update(row)
     print(f"{'total':14s} {totals['scalar']:8d} {totals['row']:8d} {totals['components']:11d} "
-          f"{result['total_ms']:9.1f}")
+          f"{totals['terms']:9d} {result['total_ms']:9.1f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,8 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(REPO / "src"), help="src directory of the tree to measure")
     parser.add_argument("--json", action="store_true", help="print the counts as JSON")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    result = measure(args.command, [int(s) for s in args.seeds.split(",")])
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    strict = src == (REPO / "src").resolve()  # this tree: every target must be found
+    result = measure(args.command, [int(s) for s in args.seeds.split(",")], strict)
     if args.json:
         print(json.dumps(result, indent=1))
     else:

@@ -8,11 +8,13 @@ register g(x; theta) and the score d/dtheta log g(x; theta0), from which
 their operator is built.
 
 Every continuous family also carries the closed-form tails of its base law,
-from which ``bulk_radius`` reads the base mass outside [-r, r].  Expectations
-of a continuous family are integrals in the base coordinate y against g0,
-with x = x(y) from the role.  Every catalogue
-family is one entry of FAMILIES: its factory and a different law on the same
-support (falsification evidence).
+from which ``bulk_radius`` reads the base mass outside [-r, r].  Every
+catalogue family is one entry of FAMILIES: its factory and a different law
+on the same support (falsification evidence).
+
+Every expectation steinb takes is a named moment of MOMENTS, written once
+for both supports: integrated in the base coordinate y against g0, with
+x = x(y) from the role, or summed against a pmf (see "Expectations").
 
 Note the scale convention: sigma multiplies the coordinate, so the
 exponential family has rate lambda = sigma0 and the Gamma family rate
@@ -47,6 +49,7 @@ from .roles import (  # the role classes, the exceptions and sas_transform are r
     UnsupportedRole,
     sas_transform,
 )
+from .vectorquad import integrate_vector_or_eject
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -593,21 +596,142 @@ def _require_kind(name: str, kind: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Expectations and bulk radii.
+# Expectations: the moment table.
+#
+# Every expectation steinb takes is E[m(X)] for a named moment m of MOMENTS,
+# a function of one node: the base coordinate y, x, h(x), h'(x), h''(x),
+# dx/dy, dy/dtheta, the score phi and dphi/dy.  In y, f-tilde (of f0 = 1) is
+# dy/dtheta dx/dy and phi'(x) is (dphi/dy) / (dx/dy), so no integrand maps x
+# back to y.  At an integer x of a discrete family the node is y = x,
+# dx/dy = 1, h' the backward difference h(x) - h(x - 1) = D+h(x - 1),
+# dy/dtheta the registered f-tilde and phi the registered score; so "lower"
+# is the summation-by-parts numerator sum_x D+h(x - 1) f-tilde(x) g(x).
+#
+# A request names its moments, each with how it is taken alone: True as by
+# ``expectation_or_inf`` (a divergent integral is +-inf), False as by
+# ``expectation``.  Two or more of them are one shared run in y over the base
+# support (``integrate_vector_or_eject``) or one walk over the pmf
+# (``discrete_sums``); a moment that run ejects, every moment of a run or
+# walk that raises, and a lone moment are each taken alone (``_alone``) on
+# first lookup, so each value, +-inf verdict and error is that path's.
+
+Integrand = Callable[[float, float, float, float, float, float, float, float, float], float]
 
 
-def _weighted(fam: ContinuousFamily, fn: RealFn) -> RealFn:
-    """The integrand in the base coordinate: fn(x(y)) g0(y), zero wherever g0
-    is, so that its integral over the base support is E[fn(X)]."""
-    g0, from_base = fam.base_density, fam.role.from_base
+class Moment(NamedTuple):
+    integrand: Integrand       # (y, x, h, h', h'', dx/dy, dy/dtheta, phi, dphi/dy) -> m
+    reads: tuple[str, ...]     # of "h", "hp", "hpp", "terms" (dy/dtheta and phi), "slope"
+    series_tol: float = math.inf  # a walk sums it to min(tol, series_tol)
 
-    def integrand(y: float) -> float:
+
+MOMENTS: dict[str, Moment] = {
+    "h2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h ** 2, ("h",)),
+    "h": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h, ("h",)),
+    # h' f-tilde and h'^2 f-tilde / (-phi').
+    "lower": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * (dy * j), ("hp", "terms"),
+                    series_tol=1e-13),
+    "upper": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * hp * (j * j) * dy / -s,
+                    ("hp", "terms", "slope")),
+    "hp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp, ("hp",)),
+    "hp2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp ** 2, ("hp",)),
+    "x_hp2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: x * hp ** 2, ("hp",)),
+    "x_hp_hpp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: x * hp * hpp, ("hp", "hpp")),
+    # (x - x(0)) h' for an affine role whose base support starts at y = 0
+    # (the gamma roles): x - x(0) = y dx/dy.
+    "edge_hp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: y * j * hp, ("hp",)),
+    "phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi, ("terms",)),
+    "h_phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h * phi, ("h", "terms")),
+    # The Fisher information.
+    "phi2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi ** 2, ("terms",), series_tol=1e-13),
+}
+
+Request = dict[str, bool]
+
+
+def _read(names: Sequence[str]) -> tuple[list[Integrand], frozenset[str]]:
+    """The integrands of the named moments and what any of them reads."""
+    ms = [MOMENTS[name] for name in names]
+    return [m.integrand for m in ms], frozenset().union(*(m.reads for m in ms))
+
+
+def _integrand(fam: ContinuousFamily, h: TestFunction, names: str | Sequence[str]) -> Callable:
+    """The integrand in y of the named moments, m(node) g0(y): a float for
+    one name, a list for a sequence of them, that list times ``scale``, the
+    Jacobian of the shared run's change of variable.  g0, from_base, the
+    role's terms and slope and h, h', h'' are each read once per node, and
+    only when some moment reads them (x and dx/dy only with h, h' or h'')."""
+    integrands, reads = _read([names] if isinstance(names, str) else names)
+    one = integrands[0] if isinstance(names, str) else None
+    zero = 0.0 if one is not None else [0.0] * len(integrands)
+    g0 = fam.base_density
+    from_base = fam.role.from_base if not reads.isdisjoint(("h", "hp", "hpp")) else None
+    hf = h.h if "h" in reads else None
+    hpf = h.h_prime if "hp" in reads else None
+    hppf = h.h_second if "hpp" in reads else None
+    terms = fam.role.base_terms(fam) if "terms" in reads else None
+    slopef = fam.role.base_slope(fam) if "slope" in reads else None
+
+    def integrand(y: float, scale: float = 1.0) -> float | list[float]:
         w = g0(y)
         if w == 0.0:
-            return 0.0
-        return fn(from_base(y)[0]) * w
+            return zero
+        x, j = from_base(y) if from_base is not None else (y, 1.0)
+        hx = hf(x) if hf is not None else 0.0
+        hp = hpf(x) if hpf is not None else 0.0
+        hpp = hppf(x) if hppf is not None else 0.0
+        dy, phi = terms(y) if terms is not None else (0.0, 0.0)
+        s = slopef(y) if slopef is not None else 0.0
+        if one is not None:
+            return one(y, x, hx, hp, hpp, j, dy, phi, s) * w
+        w *= scale
+        # Loops, not comprehensions, which would make every local a cell.
+        row = []
+        try:
+            for m in integrands:
+                row.append(m(y, x, hx, hp, hpp, j, dy, phi, s) * w)
+        except ArithmeticError:
+            # Each moment on its own, as numerics._eval_raw: inf where it raised.
+            row = []
+            for m in integrands:
+                row.append(_eval_moment(m, w, (y, x, hx, hp, hpp, j, dy, phi, s)))
+        return row
 
     return integrand
+
+
+def _eval_moment(m: Integrand, w: float, node: tuple[float, ...]) -> float:
+    try:
+        return m(*node) * w
+    except ArithmeticError:
+        return math.inf
+
+
+def _terms(fam: DiscreteFamily, h: TestFunction, names: Sequence[str]) -> Callable[[int], list[float]]:
+    """The terms m(node) g(x) of the named moments at the integers x of one
+    walk from 0 up: h(x - 1), which h' reads, is carried from the term
+    before.  h and the registered f-tilde and score are each read once per
+    term, and only when some moment reads them."""
+    ms, reads = _read(names)
+    hf = h.h if not reads.isdisjoint(("h", "hp")) else None
+    backward = "hp" in reads
+    exchange, score = (fam.exchange_fn, fam.score_fn) if "terms" in reads else (None, None)
+    below: float | None = None
+
+    def terms(x: int) -> list[float]:
+        nonlocal below
+        hx = hf(x) if hf is not None else 0.0
+        g = fam.pmf(x)
+        hp = 0.0
+        if backward:
+            hp = hx - (hf(x - 1) if below is None else below)
+            below = hx
+        dy, phi = (exchange(x), score(x)) if exchange is not None else (0.0, 0.0)
+        row = []
+        for m in ms:
+            row.append(m(x, x, hx, hp, 0.0, 1.0, dy, phi, 0.0) * g)
+        return row
+
+    return terms
 
 
 def discrete_sums(fam: DiscreteFamily, terms: Callable[[int], Sequence[float]],
@@ -621,19 +745,55 @@ def discrete_sums(fam: DiscreteFamily, terms: Callable[[int], Sequence[float]],
     return sum_series(terms, 0, tols, quiet_from=fam.mode)
 
 
-def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
-    """E[fn(X)] by quadrature in the base coordinate (continuous) or series (discrete)."""
+def _alone(fam: Family, h: TestFunction, name: str, or_inf: bool, tol: float) -> float:
+    """One moment by the scalar path: a walk over the pmf, or a quadrature
+    in y over the base support, with or without divergence detection."""
     if fam.is_discrete:
-        return discrete_sums(fam, lambda x: (fn(x) * fam.pmf(x),), (tol,))[0]
-    return integrate(_weighted(fam, fn), fam.base_support, tol).value
+        return discrete_sums(fam, _terms(fam, h, [name]), (min(tol, MOMENTS[name].series_tol),))[0]
+    if or_inf:
+        return integrate_detecting_divergence(_integrand(fam, h, name), fam.base_support, tol)
+    return integrate(_integrand(fam, h, name), fam.base_support, tol).value
+
+
+def _expectations(fam: Family, h: TestFunction, request: Request, tol: float) -> Callable[[str], float]:
+    """The moments of ``request`` against the family's law, as a lookup by
+    name: two or more in one shared run or one walk, the rest alone on
+    first lookup (see above)."""
+    names = list(request)
+    known: dict[str, float] = {}
+    if len(names) > 1 and fam.is_discrete:
+        try:
+            tols = [min(tol, MOMENTS[name].series_tol) for name in names]
+            known = dict(zip(names, discrete_sums(fam, _terms(fam, h, names), tols)))
+        except NumericsError:
+            pass
+    elif len(names) > 1:
+        results = integrate_vector_or_eject(
+            lambda live: _integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support, tol)
+        known = {name: r.value for name, r in zip(names, results) if r is not None}
+
+    def lookup(name: str) -> float:
+        if name not in known:
+            known[name] = _alone(fam, h, name, request[name], tol)
+        return known[name]
+
+    return lookup
+
+
+def expectation(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
+    """E[fn(X)] by quadrature in the base coordinate (continuous) or series
+    (discrete): the lone moment "h" of fn."""
+    return _expectations(fam, TestFunction("fn", fn, None), {"h": False}, tol)("h")
 
 
 def expectation_or_inf(fam: Family, fn: RealFn, tol: float = 1e-12) -> float:
     """E[fn(X)] as ``expectation``, except that a divergent integral returns
     +-inf instead of raising NonConvergence."""
-    if fam.is_discrete:
-        return expectation(fam, fn, tol)
-    return integrate_detecting_divergence(_weighted(fam, fn), fam.base_support, tol)
+    return _expectations(fam, TestFunction("fn", fn, None), {"h": True}, tol)("h")
+
+
+# --------------------------------------------------------------------------
+# Family specs and bulk radii.
 
 
 def family_spec(fam: Family) -> tuple:

@@ -20,11 +20,12 @@ Where the density is positive at a support edge that moves with the parameter
 (``positive_at_moving_edge``: exponential location), the operator carries a
 Dirac atom -f0(edge) there, which expectation routines must add back.
 
-A continuous family's Fisher information is the integral of phi(y)^2 g0(y)
-over the base support, and its comparison grid and exchanging-pair endpoint
-checks sit at x(y) of points in y (``from_base``).  The score and f-tilde in
-x, which the monotonicity scan, the zero crossing and the bounds read, are
-the role's, derived from its base terms.
+A family's Fisher information is the moment "phi2" of ``families.MOMENTS``:
+the integral of phi(y)^2 g0(y) over the base support, or the series of
+phi(x)^2 g(x).  A continuous family's comparison grid and exchanging-pair
+endpoint checks sit at x(y) of points in y (``from_base``).  The score and
+f-tilde in x, which the monotonicity scan, the zero crossing and the bounds
+read, are the role's, derived from its base terms.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .families import (
     ContinuousFamily,
     Family,
     TestFunction,
+    _expectations,
     bulk_radius,
-    expectation,
     family_spec,
 )
 from .numerics import (
@@ -48,7 +49,6 @@ from .numerics import (
     bisect_root,
     finite_samples,
     first_sign_change,
-    integrate_detecting_divergence,
     monotonicity_scan,
     scan_grid,
 )
@@ -156,9 +156,9 @@ def require_score(fam: Family) -> None:
 
 
 def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
-    """Score, Fisher information E[phi^2] (by series, or by quadrature in the
-    base coordinate; +inf when the integral diverges), monotonicity
-    certificate, and zero crossing.
+    """Score, Fisher information E[phi^2] (the moment "phi2": by series, or
+    by quadrature in the base coordinate; +inf when the integral diverges),
+    monotonicity certificate, and zero crossing.
 
     Rejects the family/role pairs ``require_score`` rejects.
     """
@@ -168,28 +168,13 @@ def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
     if fam.is_discrete:
         top = min(fam.support_max, float(bulk_radius(fam)))
         scan_iv = Interval(0.0, max(top, 1.0))
-        fisher = expectation(fam, lambda x: phi(x) ** 2, min(tol, 1e-13))
     else:
         scan_iv = fam.support
-        fisher = _fisher_information(fam, tol)
+    fisher = _expectations(fam, ONE, {"phi2": True}, tol)("phi2")
 
     cert = monotonicity_scan(phi, phi_prime, scan_iv, 257)
     zero = _zero_crossing(phi, scan_iv)
     return ScoreProfile(fam, phi, phi_prime, cert, fisher, zero)
-
-
-def _fisher_information(fam: ContinuousFamily, tol: float) -> float:
-    """The integral of phi(y)^2 g0(y) over the base support, or +-inf."""
-    terms, g0 = fam.role.base_terms(fam), fam.base_density
-
-    def phi_squared(y: float) -> float:
-        w = g0(y)
-        if w == 0.0:
-            return 0.0
-        phi = terms(y)[1]
-        return phi * phi * w
-
-    return integrate_detecting_divergence(phi_squared, fam.base_support, tol)
 
 
 def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
@@ -216,9 +201,10 @@ class ExchangingPair(NamedTuple):
 
 def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
     """Build the exchanging function for the family's role and verify that
-    f-tilde * g vanishes at both support endpoints (to 1e-9); a failed
-    boundary check raises BoundaryViolation, since the bounds of the variance
-    machinery are invalid without it.
+    f-tilde * g vanishes at both support endpoints (to 1e-9, and at the
+    origin of a discrete law to 1e-12); a failed boundary check raises
+    BoundaryViolation, since the bounds of the variance machinery are
+    invalid without it.
     """
     f_tilde = fam.role.f_tilde(fam, f0)
     if fam.is_discrete:
@@ -229,14 +215,19 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
         right = f_tilde(float(far)) * fam.pmf(far) if math.isinf(fam.support_max) else (
             f_tilde(fam.support_max + 1.0) * fam.pmf(int(fam.support_max) + 1)
         )
+        # Summation by parts drops the x = 0 term D+h(-1) f-tilde(0) g(0).
+        origin_tol = 1e-12
     else:
         left = _endpoint_value(fam, f_tilde, fam.base_support.lo)
         right = _endpoint_value(fam, f_tilde, fam.base_support.hi)
+        origin_tol = math.inf
 
     if not (abs(left) < 1e-9 and abs(right) < 1e-9):
         raise BoundaryViolation(
             f"f-tilde * g = ({left:.3e}, {right:.3e}) at the support endpoints of {fam.name}"
         )
+    if abs(left) > origin_tol:
+        raise BoundaryViolation("f-tilde * g does not vanish at the origin")
     return ExchangingPair(fam, f0, f_tilde, (left, right))
 
 

@@ -16,8 +16,8 @@ from . import config
 from .bounds import (
     NotStronglyUnimodal,
     bound_report,
-    discrete_lower_bound,
     ground_truth_variance,
+    lower_bound,
     poincare_constant,
     tightness_residual,
 )
@@ -134,7 +134,7 @@ def _divergent_gamma_fisher(ctx: _Shared) -> tuple[Any, bool]:
 
 def _poisson_lower_linear(lam: float) -> RowSpec:
     def compute(ctx: _Shared) -> tuple[Any, bool]:
-        value = discrete_lower_bound(poisson(lam), linear(), tol=ctx.tol, laws=ctx.laws)
+        value = lower_bound(poisson(lam), linear(), tol=ctx.tol, laws=ctx.laws)
         return value, _close(value, lam, 1e-9)
 
     return RowSpec(f"poisson-lower-linear-{lam:g}",
@@ -143,7 +143,7 @@ def _poisson_lower_linear(lam: float) -> RowSpec:
 
 def _poisson_lower_square(ctx: _Shared) -> tuple[Any, bool]:
     fam = poisson(1.0)
-    value = discrete_lower_bound(fam, square(), tol=ctx.tol, laws=ctx.laws)
+    value = lower_bound(fam, square(), tol=ctx.tol, laws=ctx.laws)
     var = ground_truth_variance(fam, square(), tol=ctx.tol)
     return (value, var), _close(value, 9.0, 1e-8) and _close(var, 11.0, 1e-8) and value <= var
 

@@ -12,7 +12,7 @@ import pytest
 
 from steinb.bounds import (
     NotStronglyUnimodal,
-    discrete_lower_bound,
+    lower_bound,
     poincare_constant,
     tightness_residual,
 )
@@ -74,8 +74,8 @@ def test_criterion_2_gamma_fisher():
 def test_criterion_3_poisson():
     for lam in (0.5, 1.0, 2.0):
         assert score_profile(poisson(lam)).fisher == pytest.approx(1.0 / lam, abs=1e-9)
-        assert discrete_lower_bound(poisson(lam), linear()) == pytest.approx(lam, abs=1e-9)
-    bound = discrete_lower_bound(poisson(1.0), square())
+        assert lower_bound(poisson(lam), linear()) == pytest.approx(lam, abs=1e-9)
+    bound = lower_bound(poisson(1.0), square())
     variance = ground_truth_variance(poisson(1.0), square())
     assert bound == pytest.approx(9.0, abs=1e-8)
     assert variance == pytest.approx(11.0, abs=1e-8)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinb import bounds, config, families, vectorquad
+from steinb import config, families, vectorquad
 from steinb.bounds import (
     COMPARATORS,
     NotApplicable,
     NotStronglyUnimodal,
     PoincareConstant,
     bound_report,
-    discrete_lower_bound,
     literature_bounds,
     lower_bound,
     poincare_constant,
@@ -39,9 +38,9 @@ from steinb.families import (
     sqrt_fn,
     square,
 )
-from steinb.harness import DivergentMoment, builtin_scenarios, ground_truth_variance, run_scenario
+from steinb.harness import DivergentMoment, Scenario, builtin_scenarios, ground_truth_variance, run_scenario
 from steinb.numerics import _EPS, NonConvergence, NonFinite, scan_grid
-from steinb.operators import Laws, UnsupportedRole, exchanging_pair, score_profile
+from steinb.operators import BoundaryViolation, Laws, UnsupportedRole, exchanging_pair, score_profile
 from steinb.vectorquad import integrate_vector_or_eject
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))
@@ -104,27 +103,27 @@ class TestUpperBound:
 
 class TestDiscreteLowerBound:
     def test_poisson_linear_equality(self):
-        assert discrete_lower_bound(poisson(2.0), linear()) == pytest.approx(2.0, abs=1e-9)
+        assert lower_bound(poisson(2.0), linear()) == pytest.approx(2.0, abs=1e-9)
 
     def test_poisson_square_shifted_weights(self):
         # oracle: independent truncated series (moments 2, 5, 15 at rate 1)
-        bound = discrete_lower_bound(poisson(1.0), square())
+        bound = lower_bound(poisson(1.0), square())
         var = ground_truth_variance(poisson(1.0), square())
         assert bound == pytest.approx(9.0, abs=1e-8)
         assert var == pytest.approx(11.0, abs=1e-8)
         assert bound <= var
 
     def test_constant_h_gives_zero(self):
-        assert discrete_lower_bound(poisson(1.0), ONE) == 0.0
+        assert lower_bound(poisson(1.0), ONE) == 0.0
 
     def test_geometric_equality(self):
         p = 0.25
-        assert discrete_lower_bound(geometric(p), linear()) == pytest.approx(
+        assert lower_bound(geometric(p), linear()) == pytest.approx(
             (1 - p) / p**2, abs=1e-9
         )
 
     def test_binomial_equality(self):
-        assert discrete_lower_bound(binomial(4, 0.5), linear()) == pytest.approx(1.0, abs=1e-10)
+        assert lower_bound(binomial(4, 0.5), linear()) == pytest.approx(1.0, abs=1e-10)
 
 
 # Every catalogue Location law the Poincare constant reads, at two centres:
@@ -381,14 +380,83 @@ class TestDiscreteReportWalk:
     def test_one_walk_reports_each_sum_alone(self, fam, h):
         rep = bound_report(fam, h)
         assert rep.variance_truth == ground_truth_variance(fam, h)
-        assert rep.lower == discrete_lower_bound(fam, h)
+        assert rep.lower == lower_bound(fam, h)
 
     def test_a_failing_series_leaves_each_sum_to_itself(self, monkeypatch):
         monkeypatch.setattr(config, "SERIES", config.SERIES._replace(max_terms=100))
         fam = poisson(1.0)
         rep = bound_report(fam, THREE_TO_THE_X)
         assert math.isinf(rep.variance_truth)  # E[h^2] hit the term cap
-        assert rep.lower == discrete_lower_bound(fam, THREE_TO_THE_X) > 0.0
+        assert rep.lower == lower_bound(fam, THREE_TO_THE_X) > 0.0
+
+    def test_a_report_is_one_walk(self, walks):
+        fam, laws = poisson(2.5), Laws()
+        laws.profile(fam, 1e-12)  # the Fisher information, a walk of its own
+        laws.pair(fam)
+        walks.clear()
+        bound_report(fam, square(), laws=laws)
+        assert walks == [3]  # E[h^2], E[h] and the lower bound's numerator
+
+    def test_the_equality_poisson_residual_is_one_walk(self, walks):
+        # The paper table's equality-poisson row (poisson2-h-linear): its
+        # three expectations, each summed alone, give the same residual.
+        fam, h = poisson(2.0), linear()
+        prof = score_profile(fam)
+        variance = ground_truth_variance(fam, h)
+        e_phi, e_h_phi, e_h = (families.expectation(fam, fn)
+                               for fn in (fam.score_fn, lambda x: h(x) * fam.score_fn(x), h))
+        cov = e_h_phi - e_h * e_phi
+        alone = max((variance - cov * cov / (prof.fisher - e_phi**2)) / variance, 0.0)
+        walks.clear()
+        assert tightness_residual(fam, h, prof, variance) == alone
+        assert walks == [3]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The number of sums of each ``discrete_sums`` walk from here on."""
+    seen = []
+    real = families.discrete_sums
+
+    def counted(fam, terms, tols):
+        seen.append(len(tols))
+        return real(fam, terms, tols)
+
+    monkeypatch.setattr(families, "discrete_sums", counted)
+    return seen
+
+
+def _leaky_poisson(lam: float) -> families.DiscreteFamily:
+    """Poisson(lam) with f-tilde lifted so that f-tilde(0) g(0) = 1e-10."""
+    base = poisson(lam)
+    fields = dict(zip(base._fields, base._values()))
+    lift = 1e-10 / base.pmf(0)
+    fields["exchange_fn"] = lambda x: base.exchange_fn(x) + lift
+    return families.DiscreteFamily(**fields)
+
+
+class TestOriginBoundary:
+    """Summation by parts drops the x = 0 term D+h(-1) f-tilde(0) g(0), so a
+    discrete law's f-tilde g must vanish at the origin to 1e-12, well below
+    the 1e-9 the endpoint check allows."""
+
+    def test_exchanging_pair_raises(self):
+        fam = _leaky_poisson(2.0)
+        assert 1e-12 < abs(fam.exchange_fn(0.0) * fam.pmf(0)) < 1e-9
+        with pytest.raises(BoundaryViolation, match="does not vanish at the origin"):
+            exchanging_pair(fam)
+
+    def test_bound_report_raises(self):
+        with pytest.raises(BoundaryViolation, match="does not vanish at the origin"):
+            bound_report(_leaky_poisson(2.0), linear())
+
+    def test_run_scenario_makes_an_error_row(self, monkeypatch):
+        entry = FAMILIES["poisson"]
+        leaky = entry._replace(build=lambda role: _leaky_poisson(role.theta0))
+        monkeypatch.setitem(FAMILIES, "poisson", leaky)
+        result = run_scenario(Scenario("leaky-poisson", "poisson", "theta", 2.0))
+        assert result.report is None
+        assert result.error == "BoundaryViolation: f-tilde * g does not vanish at the origin"
 
 
 EXP_HALF = families.TestFunction("exp(x/2)", lambda x: math.exp(0.5 * x), lambda x: 0.5 * math.exp(0.5 * x),
@@ -407,9 +475,9 @@ class TestSharedRun:
         fam, h = exponential(Scale(1.0)), sqrt_fn()
         names = self.REPORT
         results = integrate_vector_or_eject(
-            lambda live: bounds._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
+            lambda live: families._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
         assert [n for n, r in zip(names, results) if r is None] == ["hp2", "x_hp_hpp"]
-        e = bounds._expectations(fam, h, dict.fromkeys(names, True), 1e-12)
+        e = families._expectations(fam, h, dict.fromkeys(names, True), 1e-12)
         assert e("hp2") == math.inf == families.expectation_or_inf(fam, lambda x: h.h_prime(x) ** 2)
         assert e("x_hp_hpp") == -math.inf == families.expectation_or_inf(
             fam, lambda x: x * h.h_prime(x) * h.h_second(x))
@@ -425,7 +493,7 @@ class TestSharedRun:
         monkeypatch.setattr(config, "QUAD", config.QUAD._replace(max_subdivisions=200))
         fam = exponential(Scale(1.0))
         h = families.TestFunction("-1/x", lambda x: -1.0 / x, lambda x: x**-2.0)
-        e = bounds._expectations(fam, h, {"lower": False, "phi": False}, 1e-12)
+        e = families._expectations(fam, h, {"lower": False, "phi": False}, 1e-12)
         assert abs(e("phi")) <= 1e-12
         with pytest.raises(NonConvergence) as shared:
             e("lower")
@@ -441,15 +509,17 @@ class TestSharedRun:
         fam, h = sas_gaussian(0.615901), linear()
         names = ["h2", "h", "lower", "upper"]
         results = integrate_vector_or_eject(
-            lambda live: bounds._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
+            lambda live: families._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
         assert [n for n, r in zip(names, results) if r is None] == ["upper"]
         rep = bound_report(fam, h)
         assert math.isinf(rep.upper) and "upper-divergent" in rep.flags
         assert rep.upper == upper_bound(fam, linear())
 
     def test_a_discrete_lower_bound_is_the_summed_one(self):
-        fam = poisson(2.0)
-        assert lower_bound(fam, square()) == discrete_lower_bound(fam, square()) == bound_report(fam, square()).lower
+        fam, h = poisson(2.0), square()
+        numerator = families.expectation(fam, lambda x: h.forward_difference(x - 1) * fam.exchange_fn(x), 1e-13)
+        summed = numerator * numerator / score_profile(fam).fisher
+        assert lower_bound(fam, h) == summed == bound_report(fam, h).lower
 
     def test_lone_bounds_run_on_the_scalar_kernel(self, monkeypatch):
         fam, laws = gamma(Scale(1.0), shape=3.0), Laws()
@@ -468,7 +538,7 @@ class TestSharedRun:
     def test_a_report_moves_by_rounding_only_from_lone_runs(self, scenario):
         fam, h = scenario.build_family(), scenario.build_test_function()
         rep = bound_report(fam, h)
-        alone = {name: bounds._alone(fam, h, name, True, 1e-12) for name in ("h2", "h")}
+        alone = {name: families._alone(fam, h, name, True, 1e-12) for name in ("h2", "h")}
         variance = max(alone["h2"] - alone["h"] ** 2, 0.0)
         pairs = [(rep.variance_truth, variance), (rep.lower, lower_bound(fam, h)), (rep.upper, upper_bound(fam, h))]
         for got, expected in pairs:

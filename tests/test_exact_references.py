@@ -1,8 +1,10 @@
 """Reported values against exact references, with the error measured in ulps.
 
 Every float is a rational number, so moments of the gamma and exponential
-laws (rising factorials over rate^k) and their Fisher informations have exact
-values in the scenario's own floats; ``fractions.Fraction`` computes them.
+laws (rising factorials over rate^k), the variances and lower bounds of
+polynomial h under the Poisson, geometric and binomial laws, and all their
+Fisher informations have exact values in the scenario's own floats;
+``fractions.Fraction`` computes them.
 The exponential h = sqrt chain needs pi, taken as the float ``math.pi``.  The
 identity suites under another law have no closed form: their references
 are 40-digit mpmath quadratures of the same integrals in y, hard-coded.
@@ -17,8 +19,20 @@ from fractions import Fraction
 
 import pytest
 
-from steinb.bounds import bound_report, ground_truth_variance
-from steinb.families import Location, Scale, expectation, exponential, gamma, linear, sqrt_fn
+from steinb.bounds import bound_report, ground_truth_variance, lower_bound
+from steinb.families import (
+    Location,
+    Scale,
+    binomial,
+    expectation,
+    exponential,
+    gamma,
+    geometric,
+    linear,
+    poisson,
+    sqrt_fn,
+    square,
+)
 from steinb.harness import builtin_scenarios, identity_suite, run_scenario
 from steinb.operators import score_profile
 
@@ -73,12 +87,16 @@ def test_moments(label, fam, a, rate, mu, k):
         (gamma(Scale(1.0), shape=1.5), F(3, 2)),
         (gamma(Location(0.0), shape=3.0), F(1)),             # 1/(a - 2)
         (gamma(Location(0.0), shape=4.5), F(2, 5)),
+        (poisson(2.0), F(1, 2)),                             # 1/lambda
+        (poisson(1.0), F(1)),
+        (geometric(0.25), F(64, 3)),                         # 1/(p^2 (1 - p))
+        (binomial(4, 0.5), F(16)),                           # n/(p (1 - p))
     ],
     ids=["exp-sca1", "exp-sca1.5", "gamma3-sca1", "gamma3-sca2", "gamma1.5-sca1", "gamma3-loc0",
-         "gamma4.5-loc0"],
+         "gamma4.5-loc0", "poisson2", "poisson1", "geometric0.25", "binomial4-0.5"],
 )
 def test_fisher_information(fam, exact):
-    # Seen: at most 3.6 ulps.
+    # Seen: at most 3.6 ulps (1.7 on the discrete laws, geometric).
     assert ulps(score_profile(fam).fisher, exact) <= 8
 
 
@@ -153,10 +171,17 @@ REPORT_REFERENCES = {
     "gamma3-sca-h-linear": {"lower": F(3), "variance": F(3), "upper": F(3), "klaassen_gamma_lower": F(3)},
     "gamma3-loc-h-linear": {"lower": F(1), "variance": F(3), "upper": F(6), "klaassen_gamma_lower": F(3)},
     "gamma1.5-loc-h-linear": {"variance": F(3, 2), "upper": F(15, 2), "klaassen_gamma_lower": F(3, 2)},
+    # The discrete reports: the bound is an equality for a linear h, and
+    # Poisson(1) with h = x^2 gives 9 <= 11 (the shifted summation by parts).
+    "poisson2-h-linear": {"lower": F(2), "variance": F(2)},
+    "poisson1-h-square": {"lower": F(9), "variance": F(11)},
+    "geometric-h-linear": {"lower": F(12), "variance": F(12)},
+    "binomial4-h-linear": {"lower": F(1), "variance": F(1)},
 }
 # Ulp budget per path class.  Seen: lower 2, variance 8 (exp-sca-h-sqrt),
 # upper 2, comparators 4, both with each expectation integrated alone and
-# with a report's expectations on one shared mesh.
+# with a report's expectations on one shared mesh; on the discrete reports
+# lower 1 and variance 2 (geometric-h-linear), summed alone or in one walk.
 REPORT_BUDGETS = {"lower": 4, "variance": 16, "upper": 4}
 COMPARATOR_BUDGET = 8
 
@@ -169,3 +194,20 @@ def test_builtin_report(scenario):
     got.update((c.name, c.value) for c in rep.comparators)
     for name, exact in REPORT_REFERENCES[scenario.scenario_id].items():
         assert ulps(got[name], exact) <= REPORT_BUDGETS.get(name, COMPARATOR_BUDGET), name
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_paper_table_poisson_rows(lam):
+    # fisher-poisson-* and poisson-lower-linear-*: 1/lambda and lambda.
+    # Seen: at most 1 ulp each.
+    assert ulps(score_profile(poisson(lam)).fisher, 1 / F(lam)) <= 8
+    assert ulps(lower_bound(poisson(lam), linear()), F(lam)) <= REPORT_BUDGETS["lower"]
+
+
+def test_paper_table_poisson_square_row():
+    # poisson-lower-square: 9 <= 11 at rate 1.  Seen: 0 and 1 ulps.
+    fam = poisson(1.0)
+    lower, variance = lower_bound(fam, square()), ground_truth_variance(fam, square())
+    assert ulps(lower, F(9)) <= REPORT_BUDGETS["lower"]
+    assert ulps(variance, F(11)) <= REPORT_BUDGETS["variance"]
+    assert lower <= variance
