@@ -75,15 +75,17 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 
 def _scenarios(args: argparse.Namespace) -> list[Scenario]:
     """The scenario file named on the command line (or the builtin suite),
-    with unknown families, roles, or test functions rejected up front."""
+    with unknown families, roles, or test functions rejected up front; a law
+    that fails to build otherwise (an overflow) ends as its error row."""
     scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
     for s in scenarios:
-        try:
-            s.build_family()
-            s.build_law()
-            s.build_test_function()
-        except (InvalidParameter, KeyError) as exc:
-            raise ScenarioFileError(f"scenario {s.scenario_id!r}: {exc}") from exc
+        for build in (s.build_family, s.build_law, s.build_test_function):
+            try:
+                build()
+            except (InvalidParameter, KeyError) as exc:
+                raise ScenarioFileError(f"scenario {s.scenario_id!r}: {exc}") from exc
+            except SCENARIO_ERRORS:
+                pass
     return scenarios
 
 
@@ -237,16 +239,15 @@ def cmd_fisher(args: argparse.Namespace) -> int:
     laws = Laws()
     rows = []
     for s in sorted(scenarios, key=lambda s: s.scenario_id):
-        fam = s.build_family()
         try:
-            prof = laws.profile(fam, tol)
+            prof = laws.profile(s.build_family(), tol)
         except SCENARIO_ERRORS as exc:
-            rows.append({"scenario": s.scenario_id, "family": fam.name, "role": s.kind,
+            rows.append({"scenario": s.scenario_id, "family": s.family, "role": s.kind,
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
         rows.append({
             "scenario": s.scenario_id,
-            "family": fam.name,
+            "family": s.family,
             "role": s.kind,
             "fisher": "inf" if math.isinf(prof.fisher) else prof.fisher,
             "monotonicity": prof.monotonicity.verdict.value,

@@ -18,11 +18,12 @@ bisection) in ``_adapt``, the one adaptive loop, which
 so integrable endpoint singularities are never sampled directly; those the
 grading leaves singular (bounded intervals are not graded here) cost extra
 bisections near the offending endpoint.  A non-integrable one would cost
-the whole subdivision budget, so for
-integrate_detecting_divergence a run that keeps bisecting at one endpoint
-integrates dyadic shells toward it instead and stops at once when they do
-not shrink (the idea of QUADPACK ``qags``'s endpoint handling, with Cauchy
-condensation deciding).
+the whole subdivision budget, so ``_adapt`` counts a run's splits in a row
+at one endpoint and hands a long streak to one of two end hooks (the idea
+of QUADPACK ``qags``'s endpoint handling): integrate_detecting_divergence's
+probe, whose dyadic shells toward the endpoint stop the run at once when
+they do not shrink (Cauchy condensation), or the ejection of
+``vectorquad.integrate_vector_or_eject``.
 
 The grid scans (the monotonicity scan here, the score's zero crossing and
 the Poincare constant elsewhere) sample a function on ``scan_grid`` through
@@ -69,12 +70,15 @@ class NonConvergence(NumericsError):
 
 
 class NonFinite(NumericsError):
-    """A function returned NaN/inf at an interior point, even after nudging."""
+    """A function returned NaN/inf at an interior point, even after nudging.
+    A quadrature kernel names the ``components`` that did (the scalar one 0)."""
 
-    def __init__(self, message: str, point: float | None = None, observed: float | None = None):
+    def __init__(self, message: str, point: float | None = None, observed: float | None = None,
+                 components: tuple[int, ...] | None = None):
         super().__init__(message)
         self.point = point
         self.observed = observed
+        self.components = components
 
 
 class TruncationUnsafe(NumericsError):
@@ -193,7 +197,7 @@ def _nudged(f: RealFn, x: float, lo: float, hi: float) -> float:
     value2 = _eval_raw(f, _nudge(x, lo, hi))
     if math.isfinite(value2):
         return value2
-    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2)
+    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2, components=(0,))
 
 
 # Signed Kronrod abscissae in evaluation order: the center, then the
@@ -288,9 +292,9 @@ _ANCHOR_EVERY = 50
 # fsum's partial sums stay below the summed |f| mass and error, so beneath it
 # they cannot overflow and fsum's result does not depend on the cell order.
 _HUGE = 2.0**1000
-# The divergence probe: after this many consecutive splits of a cell touching
-# one endpoint, up to _PROBE_SHELLS dyadic shells toward that endpoint are
-# integrated, one GK15 cell each, and the last _PROBE_TAIL of them decide.
+# The divergence probe, an end hook: after this many consecutive splits at one
+# endpoint, up to _PROBE_SHELLS dyadic shells toward it are integrated, one
+# GK15 cell each, and the last _PROBE_TAIL of them decide.
 _PROBE_AFTER = 30
 _PROBE_SHELLS = 40
 _PROBE_TAIL = 8
@@ -339,7 +343,7 @@ _HEAD = 4
 
 def _adapt(
     cell: Callable[[float, float], Sequence[float]], n: int, t_lo: float, t_hi: float,
-    tol: float, probe: RealFn | None,
+    tol: float, at_end: tuple[int, Callable[[float, tuple, list], tuple[float | None, int]]] | None,
 ) -> list[QuadResult]:
     """Adaptively integrate n integrands over [t_lo, t_hi] on one shared mesh.
 
@@ -364,12 +368,12 @@ def _adapt(
     quarter and at half of the budget: what runs with those budgets end on.
     The results share one ``evaluations`` count.
 
-    ``probe``, the scalar integrand of integrate_detecting_divergence: once
-    a run has split a cell touching the same endpoint _PROBE_AFTER times in
-    a row, it probes that endpoint with _probe_endpoint, and on a verdict
-    returns a value of +-inf with an infinite error estimate.  Any other
-    probe outcome leaves the run as it is without ``probe``, except that
-    ``evaluations`` then counts the probe's cells too.
+    ``at_end`` = (after, hook) watches the run's ends: the first time the run
+    is to split a cell touching t_lo (side +1.0) or t_hi (side -1.0) for the
+    ``after``-th time in a row, it calls hook(side, entry, entries) with the
+    heap entries of that cell and of the whole mesh (that one included).  The
+    hook returns a value to end the run with (error estimate inf) or None,
+    and the cells it integrated, which ``evaluations`` counts; or it raises.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -408,7 +412,7 @@ def _adapt(
             push(t_lo + i * width, t_lo + (i + 1) * width)
 
         splits = anchored = streak = 0
-        streak_side, probed = 0.0, set()
+        streak_side, hooked = 0.0, set()
         tot = totals()
         # exact: tot is totals(); drift bounds how far each error and mass
         # total may have drifted from it; huge: some total is huge or not finite.
@@ -452,17 +456,17 @@ def _adapt(
             if (b - a) < 1e-300 + 50.0 * _EPS * max(abs(a), abs(b)):
                 frozen.append(parent)  # the totals do not change
                 continue
-            if probe is not None:
+            if at_end is not None:
                 # +1.0: the cell touches t_lo; -1.0: it touches t_hi.
                 side = 1.0 if a == t_lo else -1.0 if b == t_hi else 0.0
                 streak = streak + 1 if side == streak_side else 1
                 streak_side = side
-                if side and streak == _PROBE_AFTER and side not in probed:
-                    probed.add(side)
-                    verdict, cells = _probe_endpoint(probe, t_lo if side > 0 else t_hi, side, b - a)
+                if side and streak == at_end[0] and side not in hooked:
+                    hooked.add(side)
+                    verdict, cells = at_end[1](side, parent, heap + frozen + [parent])
                     seq += cells
                     if verdict is not None:
-                        return [QuadResult(value=verdict, abs_error_estimate=math.inf, evaluations=15 * seq)]
+                        return [QuadResult(value=verdict, abs_error_estimate=math.inf, evaluations=15 * seq)] * n
             mid = 0.5 * (a + b)
             left, right = push(a, mid), push(mid, b)
             splits += 1
@@ -490,9 +494,13 @@ def integrate(
 ) -> QuadResult:
     """Adaptively integrate f over iv to absolute tolerance tol: _adapt with
     one component, after _transformed's change of variable.  ``_probe`` is
-    integrate_detecting_divergence's: _adapt then probes the endpoints."""
+    integrate_detecting_divergence's: _adapt's end hook is then the probe."""
     g, t_lo, t_hi = _transformed(f, iv)
-    return _adapt(functools.partial(_gk15, g), 1, t_lo, t_hi, tol, g if _probe else None)[0]
+
+    def probe(side: float, entry: tuple, entries: list) -> tuple[float | None, int]:
+        return _probe_endpoint(g, entry[2] if side > 0 else entry[3], side, entry[3] - entry[2])
+
+    return _adapt(functools.partial(_gk15, g), 1, t_lo, t_hi, tol, (_PROBE_AFTER, probe) if _probe else None)[0]
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:

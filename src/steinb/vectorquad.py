@@ -6,7 +6,8 @@ evaluated once for all of them, the design of DCUHRE (Berntsen, Espelid and
 Genz 1991) in one dimension.  The identity checks run a whole suite of test
 functions through it, and a bound report all its expectations through
 ``integrate_vector_or_eject``, which lets a component that does not
-converge with the others leave the run.  Its changes of variable are
+converge with the others leave the run (``_adapt``'s end streak calls its
+hook ``_eject``).  Its changes of variable are
 ``numerics._transformed``'s, graded half-line maps included, with the same
 arithmetic in every component.  A scalar integrand keeps
 ``numerics._gk15``: through the row kernel, a one-component cell of a bound
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import config
 from .numerics import (
+    _HEAD,
     _NODES,
     Interval,
     NonFinite,
@@ -37,32 +39,31 @@ from .numerics import (
 
 VectorFn = Callable[[float], Sequence[float]]   # n floats per point
 
-# integrate_vector_or_eject ejects a component after this many consecutive
-# splits at one end (the scalar path probes an end after 30).  At 3, moments
-# of sweep-mixed seeds 1-3 that converge were ejected too.
+# integrate_vector_or_eject's end hook stops a run after this many
+# consecutive splits at one end (the scalar path's probe after 30).  At 3,
+# moments of sweep-mixed seeds 1-3 that converge were ejected too.
 _EJECT_AFTER = 8
-
-
-def _eval_row(f: VectorFn, n: int, x: float) -> Sequence[float]:
-    # As numerics._eval_raw, for every component at once.
-    try:
-        return f(x)
-    except (OverflowError, ZeroDivisionError):
-        return [math.inf] * n
-    except ValueError:
-        return [math.nan] * n
 
 
 def _nudged_row(f: VectorFn, n: int, row: Sequence[float], x: float, lo: float, hi: float) -> list[float]:
     """numerics._nudged for the non-finite components of row: one evaluation
-    at _nudge(x) replaces them, and the finite ones keep their values."""
+    at _nudge(x) replaces them, the finite ones keep their values, and the
+    NonFinite raised names every component that stays non-finite."""
     row = list(row)
     bad = [j for j, v in enumerate(row) if not math.isfinite(v)]
     if bad:
-        row2 = _eval_row(f, n, _nudge(x, lo, hi))
+        # As numerics._eval_raw, for every component at once.
+        try:
+            row2 = f(_nudge(x, lo, hi))
+        except (OverflowError, ZeroDivisionError):
+            row2 = [math.inf] * n
+        except ValueError:
+            row2 = [math.nan] * n
+        stuck = tuple(j for j in bad if not math.isfinite(row2[j]))
+        if stuck:
+            raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=row2[stuck[0]],
+                            components=stuck)
         for j in bad:
-            if not math.isfinite(row2[j]):
-                raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=row2[j])
             row[j] = row2[j]
     return row
 
@@ -77,7 +78,7 @@ def _gk15_vector(f: VectorFn, n: int, lo: float, hi: float) -> tuple[float, ...]
     rows = []
     for t in _NODES:
         x = center + half * t
-        # As _eval_row, inline: the kernel runs once per 15 evaluations.
+        # As numerics._eval_raw, inline: the kernel runs once per 15 evaluations.
         try:
             row = f(x)
         except (OverflowError, ZeroDivisionError):
@@ -128,16 +129,13 @@ def integrate_vector(
 
 
 class _Ejected(Exception):
-    """Ends a run of ``integrate_vector_or_eject``: args are the positions of
-    the components that stayed non-finite, or None, and the results of the
-    cell split at an end, or None."""
+    """Ends a run of ``integrate_vector_or_eject``: args are the heap entry
+    of the cell split at an end and the entries of the run's mesh."""
 
 
-def _stuck(f: VectorFn, n: int, x: float, lo: float, hi: float) -> list[int]:
-    """The components of f not finite at node x of [lo, hi] nor at _nudge(x),
-    as _nudged_row found them."""
-    at, near = _eval_row(f, n, x), _eval_row(f, n, _nudge(x, lo, hi))
-    return [j for j in range(n) if not (math.isfinite(at[j]) or math.isfinite(near[j]))] or list(range(n))
+def _eject(side: float, entry: tuple, entries: list) -> NoReturn:
+    """integrate_vector_or_eject's end hook for numerics._adapt."""
+    raise _Ejected(entry, entries)
 
 
 def integrate_vector_or_eject(
@@ -152,7 +150,8 @@ def integrate_vector_or_eject(
 
     A component that stays non-finite at a node is ejected, and the others
     start again.  Once a run has split a cell touching one end of the
-    transformed interval _EJECT_AFTER times in a row, it stops: every
+    transformed interval _EJECT_AFTER times in a row (``numerics._adapt``'s
+    streak, with ``_eject`` its end hook), it stops: every
     component whose error on that cell is above its target
     max(tol, 100 eps mass) is ejected (if none is, every component above its
     target is), the others keep their exact totals where these meet their
@@ -166,49 +165,37 @@ def integrate_vector_or_eject(
     while live:
         m = len(live)
         f, t_lo, t_hi = _transformed_vector(rows(live), iv, scaling=True)
-        # This run's mesh: each cell's right end and results, by its left end.
-        leaves: dict[float, tuple[float, Sequence[float]]] = {}
-        streak = [0.0, 0]  # the side of the last split (+1 t_lo, -1 t_hi, 0 neither) and its run
 
         def cell(a: float, b: float) -> Sequence[float]:
-            parent = leaves.get(a)
-            if parent is not None and 0.5 * (a + parent[0]) == b:  # the left half of a split
-                side = 1.0 if a == t_lo else -1.0 if parent[0] == t_hi else 0.0
-                streak[:] = side, streak[1] + 1 if side == streak[0] else 1
-                if side and streak[1] == _EJECT_AFTER:
-                    raise _Ejected(None, parent[1])
             held = cache.get((a, b))
             if held is None:
-                try:
-                    c = _gk15_vector(f, m, a, b)
-                except NonFinite as exc:
-                    raise _Ejected(_stuck(f, m, exc.point, a, b), None) from exc
+                c = _gk15_vector(f, m, a, b)
                 cache[a, b] = live, c
-            else:
-                at = {k: i for i, k in enumerate(held[0])}
-                c = tuple(held[1][3 * at[k] + i] for k in live for i in range(3))
-            leaves[a] = b, c
-            return c
+                return c
+            at = {k: i for i, k in enumerate(held[0])}
+            return tuple(held[1][3 * at[k] + i] for k in live for i in range(3))
 
         try:
-            results = _adapt(cell, m, t_lo, t_hi, tol, None)
+            results = _adapt(cell, m, t_lo, t_hi, tol, (_EJECT_AFTER, _eject))
         except _Ejected as exc:
-            stuck, edge = exc.args
+            edge, mesh = exc.args
+        except NonFinite as exc:
+            # The kernel names the components that stayed non-finite; a
+            # NonFinite the integrand raised itself names none, and all leave.
+            stuck = exc.components or range(m)
+            live = tuple(k for i, k in enumerate(live) if i not in stuck)
+            continue
         except NumericsError:
             break
         else:
             for k, r in zip(live, results):
                 out[k] = QuadResult(r.value, r.abs_error_estimate, 15 * len(cache), r.mass)
             break
-        if stuck is not None:
-            live = tuple(k for i, k in enumerate(live) if i not in stuck)
-            continue
-        mesh = [c for _, c in leaves.values()]
         going_on, ejected = [], False
         for i, k in enumerate(live):
-            value, err, mass = (math.fsum([c[v] for c in mesh]) for v in range(3 * i, 3 * i + 3))
+            value, err, mass = (math.fsum([c[v] for c in mesh]) for v in range(_HEAD + 3 * i, _HEAD + 3 * i + 3))
             target = _target(tol, mass)
-            if edge[3 * i + 1] > target:
+            if edge[_HEAD + 3 * i + 1] > target:
                 ejected = True
             elif math.isfinite(value) and err <= target:
                 out[k] = QuadResult(value, err, 15 * len(cache), mass)

@@ -100,6 +100,10 @@ class TestUpperBound:
                 value = pair.f_tilde(x) / (-prof.phi_prime(x)) * fam.pdf(x)
                 assert value >= -1e-12
 
+    def test_a_discrete_law_has_no_upper_bound(self):
+        with pytest.raises(UnsupportedRole, match="no discrete upper bound is available"):
+            upper_bound(poisson(2.0), linear())
+
 
 class TestDiscreteLowerBound:
     def test_poisson_linear_equality(self):
@@ -180,6 +184,12 @@ class TestPoincare:
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             PoincareConstant(epsilon=0.0, d=math.inf)
+
+    @pytest.mark.parametrize("build", [functools.partial(gaussian, Scale(1.0)), functools.partial(sas_gaussian, 0.5)],
+                             ids=["gaussian-scale", "sas-gaussian-skew"])
+    def test_only_location_roles_have_one(self, build):
+        with pytest.raises(UnsupportedRole, match="computed for location families"):
+            poincare_constant(build())
 
 
 class TestLiteratureBounds:
@@ -514,6 +524,28 @@ class TestSharedRun:
         rep = bound_report(fam, h)
         assert math.isinf(rep.upper) and "upper-divergent" in rep.flags
         assert rep.upper == upper_bound(fam, linear())
+
+    def test_a_stuck_moment_leaves_after_one_restart(self, monkeypatch):
+        # The same workload input through bound_report: the row kernel's
+        # NonFinite at y ~ -4.07e-9 names "upper" (position 3) alone, and the
+        # other three moments finish on one more run, which reuses its cells.
+        ends = []
+        adapt = vectorquad._adapt
+
+        def recording(cell, n, *args):
+            try:
+                results = adapt(cell, n, *args)
+            except NonFinite as exc:
+                ends.append((n, exc.components))
+                raise
+            ends.append((n, None))
+            return results
+
+        monkeypatch.setattr(vectorquad, "_adapt", recording)
+        rep = bound_report(sas_gaussian(0.615901), linear())
+        assert ends == [(4, (3,)), (3, None)]
+        assert (rep.lower, rep.variance_truth, rep.upper) == (1.119008909217392, 1.5008130956417047, math.inf)
+        assert rep.flags == ("upper-divergent",)
 
     def test_a_discrete_lower_bound_is_the_summed_one(self):
         fam, h = poisson(2.0), square()

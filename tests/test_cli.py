@@ -244,6 +244,31 @@ class TestCommands:
         runner = functools.partial(run_laws, tol=config.resolve_tol(None), with_report=False)
         assert out.read_text() == emit_json(run_all(load_scenarios(probes), runner, jobs=1))
 
+    @pytest.mark.parametrize("fmt,lines", [
+        ("csv", ["binomial-n-2000,,,,error:OverflowError: int too large to convert to float,,",
+                 "poisson-theta-800,,,,error:ZeroDivisionError: float division by zero,,"]),
+        ("md", ["| binomial-n-2000 | - | - | - | error: OverflowError: int too large to convert to float | |",
+                "| poisson-theta-800 | - | - | - | error: ZeroDivisionError: float division by zero | |"]),
+    ])
+    def test_bounds_csv_and_md_error_rows(self, capsys, fmt, lines):
+        probes = Path(__file__).parent / "data" / "probe_scenarios.jsonl"
+        assert main(["bounds", str(probes), "--format", fmt]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "error" in line] == lines
+
+    @pytest.mark.parametrize("command,code", [("bounds", 1), ("check", 1), ("fisher", 0)])
+    def test_a_law_whose_constants_overflow_ends_as_an_error_row(self, tmp_path, capsys, command, code):
+        # lgamma(1e308) overflows while the gamma law is built: the scenario
+        # ends as a typed error row, not as a traceback.
+        p = tmp_path / "scn.jsonl"
+        p.write_text('{"id": "gamma-shape-huge", "family": "gamma", "role": {"kind": "scale", "value": 1.0}, '
+                     '"shape": 1e308, "test_function": {"name": "linear"}}\n')
+        out = tmp_path / "out.json"
+        assert main([command, str(p), "--out", str(out)]) == code
+        [row] = json.loads(out.read_text())
+        assert row["scenario"] == "gamma-shape-huge"
+        assert row["error"] == "OverflowError: math range error"
+
     def test_fisher_table(self, demo_file, capsys):
         assert main(["fisher", str(demo_file)]) == 0
         out = capsys.readouterr().out

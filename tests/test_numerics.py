@@ -156,7 +156,7 @@ def _reference_safe_eval(f, x, lo, hi):
     value2 = numerics._eval_raw(f, x2)
     if math.isfinite(value2):
         return value2
-    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2)
+    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2, components=(0,))
 
 
 def _reference_gk15(f, lo, hi):
