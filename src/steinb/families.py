@@ -148,25 +148,32 @@ def shifted(tf: TestFunction, c: float) -> TestFunction:
     )
 
 
+def bump_terms(radius: float) -> Callable[[float], tuple[float, float]]:
+    """The value and slope at x of ``bump(radius)``, from one exp."""
+    R = float(radius)
+
+    def terms(x: float) -> tuple[float, float]:
+        u = x / R
+        w = 1.0 - u * u
+        if w <= 1e-12:
+            return 0.0, 0.0
+        e = math.exp(1.0 - 1.0 / w)
+        return e, e * (-2.0 * u / R) / (w * w)
+
+    return terms
+
+
 def bump(radius: float) -> TestFunction:
     """Smooth compactly supported bump exp(1 - 1/(1 - (x/R)^2)) on |x| < R."""
     R = float(radius)
+    terms = bump_terms(R)
 
     def b(x: float) -> float:
         u = x / R
         w = 1.0 - u * u
-        if w <= 1e-12:
-            return 0.0
-        return math.exp(1.0 - 1.0 / w)
+        return 0.0 if w <= 1e-12 else math.exp(1.0 - 1.0 / w)
 
-    def bp(x: float) -> float:
-        u = x / R
-        w = 1.0 - u * u
-        if w <= 1e-12:
-            return 0.0
-        return math.exp(1.0 - 1.0 / w) * (-2.0 * u / R) / (w * w)
-
-    return TestFunction(f"bump(R={R:g})", b, bp)
+    return TestFunction(f"bump(R={R:g})", b, lambda x: terms(x)[1])
 
 
 def product(f: TestFunction, g: TestFunction, name: str | None = None) -> TestFunction:
@@ -620,7 +627,7 @@ Integrand = Callable[[float, float, float, float, float, float, float, float, fl
 
 class Moment(NamedTuple):
     integrand: Integrand       # (y, x, h, h', h'', dx/dy, dy/dtheta, phi, dphi/dy) -> m
-    reads: tuple[str, ...]     # of "h", "hp", "hpp", "terms" (dy/dtheta and phi), "slope"
+    reads: tuple[str, ...]     # of "h", "hp", "hpp", "dy" (dy/dtheta), "phi", "slope"
     series_tol: float = math.inf  # a walk sums it to min(tol, series_tol)
 
 
@@ -628,10 +635,10 @@ MOMENTS: dict[str, Moment] = {
     "h2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h ** 2, ("h",)),
     "h": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h, ("h",)),
     # h' f-tilde and h'^2 f-tilde / (-phi').
-    "lower": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * (dy * j), ("hp", "terms"),
+    "lower": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * (dy * j), ("hp", "dy"),
                     series_tol=1e-13),
     "upper": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp * hp * (j * j) * dy / -s,
-                    ("hp", "terms", "slope")),
+                    ("hp", "dy", "slope")),
     "hp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp, ("hp",)),
     "hp2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: hp ** 2, ("hp",)),
     "x_hp2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: x * hp ** 2, ("hp",)),
@@ -639,10 +646,10 @@ MOMENTS: dict[str, Moment] = {
     # (x - x(0)) h' for an affine role whose base support starts at y = 0
     # (the gamma roles): x - x(0) = y dx/dy.
     "edge_hp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: y * j * hp, ("hp",)),
-    "phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi, ("terms",)),
-    "h_phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h * phi, ("h", "terms")),
+    "phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi, ("phi",)),
+    "h_phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h * phi, ("h", "phi")),
     # The Fisher information.
-    "phi2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi ** 2, ("terms",), series_tol=1e-13),
+    "phi2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi ** 2, ("phi",), series_tol=1e-13),
 }
 
 Request = dict[str, bool]
@@ -668,7 +675,7 @@ def _integrand(fam: ContinuousFamily, h: TestFunction, names: str | Sequence[str
     hf = h.h if "h" in reads else None
     hpf = h.h_prime if "hp" in reads else None
     hppf = h.h_second if "hpp" in reads else None
-    terms = fam.role.base_terms(fam) if "terms" in reads else None
+    terms = fam.role.base_terms(fam) if not reads.isdisjoint(("dy", "phi")) else None
     slopef = fam.role.base_slope(fam) if "slope" in reads else None
 
     def integrand(y: float, scale: float = 1.0) -> float | list[float]:
@@ -709,12 +716,13 @@ def _eval_moment(m: Integrand, w: float, node: tuple[float, ...]) -> float:
 def _terms(fam: DiscreteFamily, h: TestFunction, names: Sequence[str]) -> Callable[[int], list[float]]:
     """The terms m(node) g(x) of the named moments at the integers x of one
     walk from 0 up: h(x - 1), which h' reads, is carried from the term
-    before.  h and the registered f-tilde and score are each read once per
-    term, and only when some moment reads them."""
+    before.  h, the registered f-tilde and the score are each read once per
+    term, and each only when some moment reads it."""
     ms, reads = _read(names)
     hf = h.h if not reads.isdisjoint(("h", "hp")) else None
     backward = "hp" in reads
-    exchange, score = (fam.exchange_fn, fam.score_fn) if "terms" in reads else (None, None)
+    exchange = fam.exchange_fn if "dy" in reads else None
+    score = fam.score_fn if "phi" in reads else None
     below: float | None = None
 
     def terms(x: int) -> list[float]:
@@ -725,7 +733,8 @@ def _terms(fam: DiscreteFamily, h: TestFunction, names: Sequence[str]) -> Callab
         if backward:
             hp = hx - (hf(x - 1) if below is None else below)
             below = hx
-        dy, phi = (exchange(x), score(x)) if exchange is not None else (0.0, 0.0)
+        dy = exchange(x) if exchange is not None else 0.0
+        phi = score(x) if score is not None else 0.0
         row = []
         for m in ms:
             row.append(m(x, x, hx, hp, 0.0, 1.0, dy, phi, 0.0) * g)

@@ -42,6 +42,7 @@ from .families import (
     TestFunction,
     bulk_radius,
     bump,
+    bump_terms,
     discrete_sums,
     family_spec,
     make_family,
@@ -252,27 +253,26 @@ def perturbed_law(fam: Family) -> Family:
 # --------------------------------------------------------------------------
 # Built-in test function family.
 
-# Extra identity-check test functions (times the same bump) per (family id, role kind).
-IDENTITY_EXTRAS: dict[tuple[str, str], tuple[TestFunction, ...]] = {
-    ("gaussian", "location"): tuple(hermite_test_function(n) for n in (1, 2, 3)),
-}
+# The Hermite polynomials H_1 .. H_n (times the same bump) that join the
+# identity suite of a continuous (family id, role kind) pair.
+HERMITE_EXTRAS: dict[tuple[str, str], int] = {("gaussian", "location"): 3}
 
 DEGREE = 4  # the builtin polynomials are x^0, ..., x^DEGREE
 
 
 def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank | Rows, float]:
-    """The builtin test functions, a bank that evaluates them together (the
-    bump once per point, x^k and k x^(k-1) by recurrence): for a continuous
-    family its operator ``Rows``, for a discrete family, whose walk reads
-    f0 alone, x^k only; and the bump's radius in y, outside which every one
+    """The builtin test functions, a bank that evaluates them together: for
+    a continuous family its operator ``Rows``, with the bump's value and
+    slope from one exp per node, x^k and k x^(k-1), then H_n and n H_(n-1),
+    by recurrence; for a discrete family, whose walk reads f0 alone, the
+    bump and x^k only; and the bump's radius in y, outside which every one
     of them vanishes."""
     radius = bulk_radius(fam) + 2.0
     window = bump(radius)
-    extras = IDENTITY_EXTRAS.get((fam.name, fam.role.kind), ())
+    orders = HERMITE_EXTRAS.get((fam.name, fam.role.kind), 0)
     f0s = [product(polynomial([0.0] * k + [1.0], name=f"x^{k}"), window) for k in range(DEGREE + 1)]
-    f0s.extend(product(f0, window) for f0 in extras)
-    b_h, b_hp = window.h, window.h_prime
-    extra_pairs = [(e.h, e.h_prime) for e in extras]
+    f0s.extend(product(hermite_test_function(n), window) for n in range(1, orders + 1))
+    b_h, b_terms = window.h, bump_terms(radius)
 
     def values(y: float) -> list[float] | None:
         b = b_h(y)
@@ -283,24 +283,22 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank | Rows, float]
         for _ in range(DEGREE + 1):
             hs.append(power * b)
             power *= y
-        for e_h, _ in extra_pairs:
-            hs.append(e_h(y) * b)
         return hs
 
     def rows(y: float, terms: BaseTerms, w: float, j: float) -> list[float] | None:
-        b = b_h(y)
+        b, bp = b_terms(y)
         if b == 0.0:
             return None  # the bump's derivative vanishes with it
-        bp = b_hp(y)
         dy, phi = terms(y)
         row = []
         power, slope = 1.0, 0.0  # y^k and k y^(k-1)
         for k in range(1, DEGREE + 2):
             row.append(((slope * b + power * bp) * dy + power * b * phi) * w * j)
             power, slope = power * y, k * power
-        for e_h, e_hp in extra_pairs:
-            e = e_h(y)
-            row.append(((e_hp(y) * b + e * bp) * dy + e * b * phi) * w * j)
+        value, below = y, 1.0  # H_n and H_(n-1)
+        for n in range(1, orders + 1):
+            row.append(((n * below * b + value * bp) * dy + value * b * phi) * w * j)
+            value, below = y * value - n * below, value
         return row
 
     return f0s, values if fam.is_discrete else rows, radius
@@ -308,7 +306,7 @@ def _builtin_suite(fam: Family) -> tuple[list[TestFunction], Bank | Rows, float]
 
 def builtin_test_functions(fam: Family) -> list[TestFunction]:
     """Polynomials x^k (k <= 4) times a smooth bump covering the family's
-    bulk, then the family/role's IDENTITY_EXTRAS times the same bump.
+    bulk, then the family/role's HERMITE_EXTRAS times the same bump.
 
     Operators evaluate f0 in base coordinates (x - mu0, sigma0 * x, or the
     skew image), so the bump is centred at y = 0 and sized from the bulk

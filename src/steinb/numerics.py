@@ -293,8 +293,8 @@ _ANCHOR_EVERY = 50
 # they cannot overflow and fsum's result does not depend on the cell order.
 _HUGE = 2.0**1000
 # The divergence probe, an end hook: after this many consecutive splits at one
-# endpoint, up to _PROBE_SHELLS dyadic shells toward it are integrated, one
-# GK15 cell each, and the last _PROBE_TAIL of them decide.
+# endpoint, up to _PROBE_SHELLS dyadic shells toward it are laid out and the
+# last _PROBE_TAIL of them, which alone decide, are integrated, one GK15 cell each.
 _PROBE_AFTER = 30
 _PROBE_SHELLS = 40
 _PROBE_TAIL = 8
@@ -304,30 +304,32 @@ def _probe_endpoint(g: RealFn, end: float, direction: float, width: float) -> tu
     """Cauchy condensation toward ``end``: (+-inf or None, cells integrated).
 
     The shells are end + direction * [w/2, w] for w = width, width/2, ...,
-    while end + direction * w/2 is distinct from end.  Shell integrals that
-    are finite, non-zero, of one sign and non-decreasing in magnitude (within
-    a few ulps) toward the endpoint mean the integral diverges there; any
-    other outcome, a raised NumericsError included, gives None.
+    while end + direction * w/2 is distinct from end; only the innermost
+    _PROBE_TAIL are integrated.  Their integrals being finite, non-zero, of
+    one sign and non-decreasing in magnitude (within a few ulps) toward the
+    endpoint means the integral diverges there; any other outcome, fewer
+    shells or a raised NumericsError included, gives None.
     """
-    shells: list[float] = []
+    shells: list[tuple[float, float]] = []
     w = width
+    while len(shells) < _PROBE_SHELLS and end + direction * 0.5 * w != end:
+        near, far = end + direction * 0.5 * w, end + direction * w
+        shells.append((min(near, far), max(near, far)))
+        w *= 0.5
+    if len(shells) < _PROBE_TAIL:
+        return None, 0
+    tail: list[float] = []
     try:
-        for _ in range(_PROBE_SHELLS):
-            near, far = end + direction * 0.5 * w, end + direction * w
-            if near == end:
-                break
-            shells.append(_gk15(g, min(near, far), max(near, far))[0])
-            w *= 0.5
+        for lo, hi in shells[-_PROBE_TAIL:]:
+            tail.append(_gk15(g, lo, hi)[0])
     except NumericsError:
-        return None, len(shells) + 1
-    tail = shells[-_PROBE_TAIL:]
-    last = tail[-1] if tail else 0.0
+        return None, len(tail) + 1
+    last = tail[-1]
     diverges = (
-        len(tail) == _PROBE_TAIL
-        and all(math.isfinite(s) and s != 0.0 and (s > 0.0) == (last > 0.0) for s in tail)
+        all(math.isfinite(s) and s != 0.0 and (s > 0.0) == (last > 0.0) for s in tail)
         and all(abs(inner) >= abs(outer) * (1.0 - 4.0 * _EPS) for outer, inner in zip(tail, tail[1:]))
     )
-    return (math.copysign(math.inf, last) if diverges else None), len(shells)
+    return (math.copysign(math.inf, last) if diverges else None), _PROBE_TAIL
 
 
 def _target(tol: float, mass: float) -> float:
@@ -508,7 +510,7 @@ def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.
 
     The run probes an endpoint it has bisected _PROBE_AFTER times in a row:
     dyadic shells toward it that are finite, of one sign and non-decreasing
-    in magnitude end the run with their sign times inf at once (1,590
+    in magnitude end the run with their sign times inf at once (1,110
     evaluations for 1/x on (0, 1), not a whole failing run).  Otherwise the run
     goes on as integrate() would, and a failure is judged on three
     refinement levels: the run's ``levels`` and the result it ended on,

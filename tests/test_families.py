@@ -5,19 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from steinb import config
+from steinb import config, families
 from steinb.families import (
+    DiscreteFamily,
     InvalidParameter,
     Location,
     Scale,
     binomial,
     bulk_radius,
     bump,
+    bump_terms,
     expectation,
     exponential,
     gamma,
     gaussian,
     geometric,
+    linear,
     make_family,
     named_test_function,
     poisson,
@@ -264,6 +267,11 @@ class TestTestFunctions:
         for x in (0.5, 1.0, 1.5):
             assert b.h_prime(x) == pytest.approx(derivative(b.h, x), rel=1e-5, abs=1e-9)
 
+    def test_bump_terms_are_the_bumps_value_and_slope(self):
+        b, terms = bump(2.0), bump_terms(2.0)
+        for x in (-2.5, -2.0, -1.9999999, -1.3, 0.0, 0.4, 1.0, 1.99, 2.0, 3.0):
+            assert terms(x) == (b.h(x), b.h_prime(x))
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             named_test_function("cubic-spline")
@@ -281,6 +289,35 @@ class TestExpectation:
         r = bulk_radius(fam)
         tail = integrate(fam.pdf, Interval(r, math.inf), 1e-12).value
         assert tail <= 1e-8
+
+    def test_a_walk_reads_the_exchanging_function_and_the_score_only_where_read(self, monkeypatch):
+        # The Fisher walk ("phi2") reads the score alone, the lower bound's
+        # numerator ("lower") f-tilde alone, and a walk of both reads each
+        # once per term.  Oracle: under Poisson(3), E[phi^2] = 1/3 and, with
+        # f-tilde(x) = -x/3 and h = x, sum D+h(x - 1) f-tilde(x) g(x) = -1.
+        base = poisson(3.0)
+        calls = {"exchange": 0, "score": 0, "terms": 0}
+
+        def counted(key, f):
+            def wrapped(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapped
+
+        fam = DiscreteFamily(base.name, base.role, base.support_max, base.pmf_fn,
+                             counted("exchange", base.exchange_fn), counted("score", base.score_fn),
+                             base.theta_domain, base.structural, base.mode)
+        monkeypatch.setattr(families, "sum_series",
+                            lambda f, *args, **kwargs: sum_series(counted("terms", f), *args, **kwargs))
+        for request, reads in (({"phi2": False}, {"score"}), ({"lower": False}, {"exchange"}),
+                               ({"lower": False, "phi2": False}, {"exchange", "score"})):
+            calls.update(exchange=0, score=0, terms=0)
+            lookup = families._expectations(fam, linear(), request, 1e-12)
+            exact = {"phi2": 1.0 / 3.0, "lower": -1.0}
+            assert [lookup(name) for name in request] == pytest.approx([exact[name] for name in request])
+            assert calls["terms"] > 20
+            assert calls["exchange"] == (calls["terms"] if "exchange" in reads else 0)
+            assert calls["score"] == (calls["terms"] if "score" in reads else 0)
 
     def test_bulk_radius_walk_stops_at_the_series_cap(self, monkeypatch):
         # 1 - 1e-8 of geometric(1e-3)'s mass needs about 18,400 terms.

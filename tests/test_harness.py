@@ -420,8 +420,9 @@ class TestDiscreteWalk:
         assert walked[0] > 64 and calls[0] == walked[0] + 1
 
     def test_a_discrete_suite_evaluates_no_derivative(self, monkeypatch):
-        # The walk reads f0(j) alone; the builtin bank computes f0'(y) only
-        # when it is read, as a continuous suite does.
+        # The walk reads f0(j) alone; the builtin bank computes the bump's
+        # slope only when it is read, as a continuous suite's rows do (with
+        # the bump's value, from one exp).
         reads = []
 
         def counting_bump(radius):
@@ -433,7 +434,17 @@ class TestDiscreteWalk:
 
             return window._replace(h_prime=b_prime)
 
+        def counting_bump_terms(radius):
+            terms = families.bump_terms(radius)
+
+            def value_and_slope(y):
+                reads.append(y)
+                return terms(y)
+
+            return value_and_slope
+
         monkeypatch.setattr(harness, "bump", counting_bump)
+        monkeypatch.setattr(harness, "bump_terms", counting_bump_terms)
         assert all(c.passed for c in identity_suite(poisson(3.0)))
         assert reads == []
         assert all(c.passed for c in identity_suite(gaussian(Location(0.0))))
@@ -566,7 +577,7 @@ class TestScenarios:
     def test_builtin_matrix_gk15_cells(self, count_cells):
         for scenario in builtin_scenarios():
             run_scenario(scenario)
-        assert count_cells() <= 1_452
+        assert count_cells() <= 758
 
     def test_builtin_identity_suite_gk15_cells(self, count_cells):
         # One shared mesh per suite, in base coordinates over the bump's

@@ -568,10 +568,10 @@ class TestDivergenceDetection:
 
         assert integrate_detecting_divergence(f, Interval(0.0, 1.0), 1e-12) == math.inf
         # The cell at 0 is split from the first split on, so the probe fires
-        # on the 30th: 8 initial cells, two per earlier split and 40 shells,
-        # 15 Kronrod nodes each; 1/x is finite at every interior node, so
-        # there are no nudge retries.
-        assert calls[0] <= 15 * (8 + 2 * 29 + 40)
+        # on the 30th: 8 initial cells, two per earlier split and the 8
+        # deciding shells, 15 Kronrod nodes each; 1/x is finite at every
+        # interior node, so there are no nudge retries.
+        assert calls[0] <= 15 * (8 + 2 * 29 + 8)
 
     def test_verdict_carries_its_evaluations(self):
         calls = [0]
@@ -597,11 +597,35 @@ class TestDivergenceDetection:
             _ladder, integrand, fam.support, 1e-12
         )
 
-    def test_shells_stop_where_they_meet_the_endpoint(self):
+    def test_shells_stop_where_they_meet_the_endpoint(self, monkeypatch):
         # 1 - w/2 rounds to 1 once w <= 2^-53, so from w = 2^-32 on only the
-        # shells w = 2^-32 ... 2^-52 are distinct from t = 1.
+        # 21 shells w = 2^-32 ... 2^-52 are distinct from t = 1; the probe
+        # integrates the innermost 8 of them, w = 2^-45 ... 2^-52.
+        shells = []
+        gk15 = numerics._gk15
+
+        def recording(f, lo, hi):
+            shells.append((lo, hi))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk15", recording)
         _, cells = numerics._probe_endpoint(lambda t: 1.0 / (1.0 - t), 1.0, -1.0, 2.0**-32)
-        assert cells == 21
+        assert cells == 8
+        assert shells == [(1.0 - 2.0**-k, 1.0 - 2.0**-(k + 1)) for k in range(45, 53)]
+
+    def test_only_the_deciding_shells_are_evaluated(self):
+        # From w = 2^-32, 40 shells toward t = 0 reach w = 2^-71, and the
+        # deciding 8 are w = 2^-64 ... 2^-71.  Here the integrand is not
+        # finite beyond t = 2^-60, where only outer shells lie: they are
+        # never integrated, so they do not decline the probe.  A deciding
+        # shell that raises does.
+        outer_nan = lambda t: math.nan if t > 2.0**-60 else 1.0 / t
+        assert numerics._probe_endpoint(outer_nan, 0.0, 1.0, 2.0**-32) == (math.inf, 8)
+        tail_nan = lambda t: math.nan if t > 2.0**-66 else 1.0 / t
+        assert numerics._probe_endpoint(tail_nan, 0.0, 1.0, 2.0**-32) == (None, 1)
+        # From w = 2^-50 only 3 shells are distinct from t = 1: too few to
+        # decide, so none is integrated.
+        assert numerics._probe_endpoint(lambda t: 1.0 / (1.0 - t), 1.0, -1.0, 2.0**-50) == (None, 0)
 
     @pytest.mark.parametrize(
         "f,iv",
