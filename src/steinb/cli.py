@@ -38,7 +38,7 @@ from .harness import (
     result_to_dict,
     run_laws,
 )
-from .operators import Laws
+from .operators import Laws, zero_crossing
 
 
 class InputError(Exception):
@@ -74,19 +74,30 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 
 
 def _scenarios(args: argparse.Namespace) -> list[Scenario]:
-    """The scenario file named on the command line (or the builtin suite),
-    with unknown families, roles, or test functions rejected up front; a law
-    that fails to build otherwise (an overflow) ends as its error row."""
-    scenarios = load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
+    """The scenario file named on the command line, or the builtin suite."""
+    return load_scenarios(args.scenarios) if args.scenarios else builtin_scenarios()
+
+
+def _law_groups(scenarios: Sequence[Scenario]) -> dict[tuple, list[Scenario]]:
+    """The scenarios grouped by the spec of their law
+    (``families.family_spec``), in order of first appearance, each built
+    once, with unknown families, roles, or test functions rejected up front
+    (ScenarioFileError).  A scenario whose law fails to build otherwise (an
+    overflow) is keyed by its id: it runs alone, to its error row."""
+    groups: dict[tuple, list[Scenario]] = {}
     for s in scenarios:
+        key: tuple = ("unbuilt", s.scenario_id)
         for build in (s.build_family, s.build_law, s.build_test_function):
             try:
-                build()
+                built = build()
             except (InvalidParameter, KeyError) as exc:
                 raise ScenarioFileError(f"scenario {s.scenario_id!r}: {exc}") from exc
             except SCENARIO_ERRORS:
-                pass
-    return scenarios
+                continue
+            if build == s.build_family:
+                key = family_spec(built)
+        groups.setdefault(key, []).append(s)
+    return groups
 
 
 def _tol(args: argparse.Namespace) -> float:
@@ -97,31 +108,19 @@ def _tol(args: argparse.Namespace) -> float:
         raise InputError(str(exc)) from exc
 
 
-def _law_key(s: Scenario) -> tuple:
-    """The spec of the scenario's law (``families.family_spec``), or, when
-    its family cannot be built, its id: that scenario runs alone, to its
-    error row."""
-    try:
-        return family_spec(s.build_family())
-    except SCENARIO_ERRORS:
-        return ("unbuilt", s.scenario_id)
-
-
 def run_all(
     scenarios: Sequence[Scenario], runner: Callable[[list[Scenario]], list[ScenarioResult]], jobs: int
 ) -> list[ScenarioResult]:
     """The results of runner (``harness.run_laws``) on each group of
-    scenarios that share a law, sorted by scenario id.  Under jobs > 1 the
-    groups go to a process pool of at most one worker per piece, a group of
-    more than 1/jobs of the scenarios in pieces of that size, so that one
-    law with many test functions still keeps every worker busy; each piece
-    computes the law's suite and profile once.  jobs below 1 is an
-    InputError."""
+    scenarios that share a law (``_law_groups``), sorted by scenario id.
+    Under jobs > 1 the groups go to a process pool of at most one worker per
+    piece, a group of more than 1/jobs of the scenarios in pieces of that
+    size, so that one law with many test functions still keeps every worker
+    busy; each piece computes the law's suite and profile once.  An unknown
+    name, or jobs below 1, is an InputError."""
+    groups = _law_groups(scenarios)
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
-    groups: dict[tuple, list[Scenario]] = {}
-    for s in scenarios:
-        groups.setdefault(_law_key(s), []).append(s)
     if jobs > 1:
         # Imported here: concurrent.futures loads logging, which a serial run never needs.
         import concurrent.futures
@@ -235,12 +234,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_fisher(args: argparse.Namespace) -> int:
     scenarios = _scenarios(args)
+    _law_groups(scenarios)  # rejects unknown names up front
     tol = _tol(args)
     laws = Laws()
     rows = []
     for s in sorted(scenarios, key=lambda s: s.scenario_id):
         try:
-            prof = laws.profile(s.build_family(), tol)
+            fam = s.build_family()
+            prof, zero = laws.profile(fam, tol), zero_crossing(fam)
         except SCENARIO_ERRORS as exc:
             rows.append({"scenario": s.scenario_id, "family": s.family, "role": s.kind,
                          "error": f"{type(exc).__name__}: {exc}"})
@@ -251,7 +252,7 @@ def cmd_fisher(args: argparse.Namespace) -> int:
             "role": s.kind,
             "fisher": "inf" if math.isinf(prof.fisher) else prof.fisher,
             "monotonicity": prof.monotonicity.verdict.value,
-            "zero_crossing": prof.zero_crossing,
+            "zero_crossing": zero,
         })
     if args.format == "json" or args.out:
         _write_out(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)

@@ -439,10 +439,6 @@ class DiscreteFamily(_Structural):
     def pmf(self, x: int) -> float:
         return self.role.mass(self, x, self.role.theta0)
 
-    @property
-    def support(self) -> Interval:
-        return Interval(0.0, self.support_max)
-
 
 def poisson(lam: float) -> DiscreteFamily:
     """Poisson(lambda) on the nonnegative integers."""

@@ -22,10 +22,13 @@ Dirac atom -f0(edge) there, which expectation routines must add back.
 
 A family's Fisher information is the moment "phi2" of ``families.MOMENTS``:
 the integral of phi(y)^2 g0(y) over the base support, or the series of
-phi(x)^2 g(x).  A continuous family's comparison grid and exchanging-pair
-endpoint checks sit at x(y) of points in y (``from_base``).  The score and
-f-tilde in x, which the monotonicity scan, the zero crossing and the bounds
-read, are the role's, derived from its base terms.
+phi(x)^2 g(x).  A continuous law's score and exchanging function are its
+role's base terms, read in y: the monotonicity scan and the zero crossing
+run on a grid in y (whose odd count samples the centre of a symmetric base
+support, such as y = 0, where the SAS slope vanishes), and the
+exchanging-pair check takes f0(y) dy/dtheta g0(y) at the base endpoints.
+Only a reported point (a witness, a zero) is mapped to x, as is the
+comparison grid, x(y) of points in y (``from_base``).
 """
 
 from __future__ import annotations
@@ -132,15 +135,12 @@ def comparison_grid(fam: Family, points: int = 200) -> list[float]:
 
 
 class ScoreProfile(NamedTuple):
-    """Score phi = d/dtheta log g(x;theta)|theta0 in x-space, with derivative,
-    a monotonicity certificate, Fisher information, and an interior zero."""
+    """Fisher information and a monotonicity certificate of the score
+    phi = d/dtheta log g(x;theta)|theta0, its witness in x."""
 
     family: Family
-    phi: RealFn
-    phi_prime: RealFn
     monotonicity: MonotonicityCertificate
     fisher: float
-    zero_crossing: float | None
 
 
 def require_score(fam: Family) -> None:
@@ -155,34 +155,46 @@ def require_score(fam: Family) -> None:
         )
 
 
+def _score_scan(fam: Family) -> tuple[RealFn, RealFn | None, Interval, RealFn]:
+    """The score, its slope (None: by central differences), the interval
+    the grid scans cover and the map of a point of it to x: in y on the base
+    support for a continuous law, whose slope dphi/dy has the sign of
+    phi'(x) since every ``to_base`` increases in x; in x on the bulk of a
+    discrete one."""
+    if fam.is_discrete:
+        top = min(fam.support_max, float(bulk_radius(fam)))
+        return fam.score_fn, None, Interval(0.0, max(top, 1.0)), lambda x: x
+    terms, from_base = fam.role.base_terms(fam), fam.role.from_base
+    return (lambda y: terms(y)[1]), fam.role.base_slope(fam), fam.base_support, lambda y: from_base(y)[0]
+
+
 def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
-    """Score, Fisher information E[phi^2] (the moment "phi2": by series, or
-    by quadrature in the base coordinate; +inf when the integral diverges),
-    monotonicity certificate, and zero crossing.
+    """Fisher information E[phi^2] (the moment "phi2": by series, or by
+    quadrature in the base coordinate; +inf when the integral diverges) and
+    the monotonicity certificate of the score, scanned where
+    ``_score_scan`` says.
 
     Rejects the family/role pairs ``require_score`` rejects.
     """
     require_score(fam)
-    phi, phi_prime = fam.role.score(fam)
-
-    if fam.is_discrete:
-        top = min(fam.support_max, float(bulk_radius(fam)))
-        scan_iv = Interval(0.0, max(top, 1.0))
-    else:
-        scan_iv = fam.support
+    phi, slope, iv, to_x = _score_scan(fam)
     fisher = _expectations(fam, ONE, {"phi2": True}, tol)("phi2")
+    cert = monotonicity_scan(phi, slope, iv, 257)
+    if cert.witness is not None:
+        cert = cert._replace(witness=to_x(cert.witness))
+    return ScoreProfile(fam, cert, fisher)
 
-    cert = monotonicity_scan(phi, phi_prime, scan_iv, 257)
-    zero = _zero_crossing(phi, scan_iv)
-    return ScoreProfile(fam, phi, phi_prime, cert, fisher, zero)
 
-
-def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
+def zero_crossing(fam: Family) -> float | None:
+    """x of the first zero of the score on the scan grid of ``_score_scan``,
+    refined by bisection, or None when the grid shows no sign change or
+    the bisection ends where |phi| >= 1e-9."""
+    phi, _, iv, to_x = _score_scan(fam)
     bracket = first_sign_change(finite_samples(phi, scan_grid(iv, 257)))
     if bracket is None:
         return None
     root = bisect_root(phi, *bracket)  # a sampled zero brackets itself
-    return root if abs(phi(root)) < 1e-9 else None
+    return to_x(root) if abs(phi(root)) < 1e-9 else None
 
 
 # --------------------------------------------------------------------------
@@ -190,26 +202,26 @@ def _zero_crossing(phi: RealFn, iv: Interval) -> float | None:
 
 
 class ExchangingPair(NamedTuple):
-    """f-tilde with d/dtheta(f g) = d/dx(f-tilde g) (or the forward-difference
-    analogue), plus f-tilde * g at the support endpoints, both below 1e-9."""
+    """f-tilde * g at the support endpoints, both below 1e-9, where f-tilde
+    has d/dtheta(f g) = d/dx(f-tilde g) (or the forward-difference
+    analogue): the role's dy/dtheta read in y, or the discrete law's
+    registered ``exchange_fn``."""
 
     family: Family
     f0: TestFunction
-    f_tilde: RealFn
     boundary_values: tuple[float, float]
 
 
 def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
-    """Build the exchanging function for the family's role and verify that
-    f-tilde * g vanishes at both support endpoints (to 1e-9, and at the
-    origin of a discrete law to 1e-12); a failed boundary check raises
-    BoundaryViolation, since the bounds of the variance machinery are
+    """Verify that f-tilde * g vanishes at both support endpoints (to 1e-9,
+    and at the origin of a discrete law to 1e-12); a failed boundary check
+    raises BoundaryViolation, since the bounds of the variance machinery are
     invalid without it.
     """
-    f_tilde = fam.role.f_tilde(fam, f0)
     if fam.is_discrete:
         if f0 is not ONE:
             raise UnsupportedRole("discrete exchanging pairs are registered for f0 = 1 only")
+        f_tilde = fam.exchange_fn
         left = f_tilde(0.0) * fam.pmf(0)
         far = int(min(fam.support_max, bulk_radius(fam, 1e-12) * 2 + 8))
         right = f_tilde(float(far)) * fam.pmf(far) if math.isinf(fam.support_max) else (
@@ -218,8 +230,8 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
         # Summation by parts drops the x = 0 term D+h(-1) f-tilde(0) g(0).
         origin_tol = 1e-12
     else:
-        left = _endpoint_value(fam, f_tilde, fam.base_support.lo)
-        right = _endpoint_value(fam, f_tilde, fam.base_support.hi)
+        left = _endpoint_value(fam, f0, fam.base_support.lo)
+        right = _endpoint_value(fam, f0, fam.base_support.hi)
         origin_tol = math.inf
 
     if not (abs(left) < 1e-9 and abs(right) < 1e-9):
@@ -228,19 +240,18 @@ def exchanging_pair(fam: Family, f0: TestFunction = ONE) -> ExchangingPair:
         )
     if abs(left) > origin_tol:
         raise BoundaryViolation("f-tilde * g does not vanish at the origin")
-    return ExchangingPair(fam, f0, f_tilde, (left, right))
+    return ExchangingPair(fam, f0, (left, right))
 
 
-def _endpoint_value(fam: ContinuousFamily, f_tilde: RealFn, y: float) -> float:
-    """f-tilde * g at x(y) for a base endpoint y, or 1.5 bulk radii out where
-    it is infinite; g(x) = g0(y) / (dx/dy)."""
+def _endpoint_value(fam: ContinuousFamily, f0: TestFunction, y: float) -> float:
+    """f-tilde * g = f0(y) dy/dtheta g0(y) at a base endpoint y, or 1.5 bulk
+    radii out where it is infinite."""
     if not math.isfinite(y):
         y = math.copysign(bulk_radius(fam, 1e-12) * 1.5, y)
     w = fam.base_density(y)
     if w == 0.0:
         return 0.0
-    x, dx_dy = fam.role.from_base(y)
-    return f_tilde(x) * w / dx_dy
+    return f0.h(y) * fam.role.base_terms(fam)(y)[0] * w
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,9 @@ density g0 with L = g0'/g0 (and L' where known):
 
 with S_delta(x) = sinh(asinh(x) + delta) and C_delta its cosh companion; the
 test function moves with the same base coordinate, f(x;theta) = f0(y).
-Discrete families register g(x;theta) on {0, ..., N} and the score phi;
-their operator is the forward-difference analogue, built from those two
-and scaled by g(0; theta0) > 0:
+Discrete families register g(x;theta) on {0, ..., N}, the score phi and
+f-tilde for f0 = 1; their operator is the forward-difference analogue,
+built from g and phi and scaled by g(0; theta0) > 0:
 
     T f0(k) = (w(k+1) - w(k)) / g(k),    w(j) = f0(j) g(j) (phi(j) - phi(0)).
 
@@ -37,13 +37,15 @@ another law), and so do every expectation and the Fisher information.
 
 A continuous role is its coordinate map and its base terms: ``to_base``
 (y(x; theta), increasing in x for every continuous role, so tails in x are
-base tails), ``from_base`` (x(y) and dx/dy at theta0), ``base_terms``
-(dy/dtheta and phi in y) and ``base_slope`` (dphi/dy), with its ``value``
-and density g(.; theta).  ``_ContinuousRole`` reads everything else from
-them, once for every role: the support is x of the base endpoints, the
-score in x is phi(y(x)) with phi'(x) = (dphi/dy) / (dx/dy), and the
-exchanging function is f-tilde(x) = f0(y) dy/dtheta dx/dy, since
-f g dx = f0 g0 dy.  It also holds the operator, the Dirac atom of a moving
+base tails and dphi/dy has the sign of phi'(x)), ``from_base`` (x(y) and
+dx/dy at theta0), ``base_terms`` (dy/dtheta and phi in y) and
+``base_slope`` (dphi/dy), with its ``value`` and density g(.; theta).  The
+base terms are the role's score and exchanging function: as
+f g dx = f0 g0 dy, f-tilde g at x(y) is f0 g0 dy/dtheta, the theta-derivative
+of the mass below x, so every check, bound and scan reads them in y, and
+only a reported point is mapped to x.
+``_ContinuousRole`` reads the rest from them, once for every role: the
+support (x of the base endpoints), the operator, the Dirac atom of a moving
 edge where g > 0 (``positive_at_moving_edge``) and the generic quotient by
 central differencing in theta, against which every operator is checked.
 Adding a continuous role is one class here, in ROLE_KINDS, with its field
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, ClassVar, NamedTuple, Optional, Union
 
-from .numerics import Interval, RealFn, derivative
+from .numerics import Interval, RealFn
 from .records import Record
 
 
@@ -103,8 +105,8 @@ class _Role(Record):
 
 
 class _ContinuousRole(_Role):
-    """What the continuous roles share: everything in x, read from the
-    coordinate map and the base terms, and the generic quotient."""
+    """What the continuous roles share: the support and the operator in x,
+    read from the coordinate map and the base terms, and the generic quotient."""
 
     __slots__ = ()
 
@@ -133,29 +135,6 @@ class _ContinuousRole(_Role):
     def support(self, base: Interval) -> Interval:
         """Support of g(.; theta0): x of the base endpoints."""
         return Interval(self.from_base(base.lo)[0], self.from_base(base.hi)[0])
-
-    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
-        """phi(x) = phi(y) and phi'(x) = (dphi/dy) / (dx/dy) at y = y(x; theta0)."""
-        terms, slope = self.base_terms(fam), self.base_slope(fam)
-        theta0, to_base, from_base = self.value, self.to_base, self.from_base
-
-        def phi_prime(x: float) -> float:
-            y = to_base(x, theta0)
-            return slope(y) / from_base(y)[1]
-
-        return (lambda x: terms(to_base(x, theta0))[1]), phi_prime
-
-    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
-        """f0(y) dy/dtheta dx/dy at y = y(x; theta0): as f g dx = f0 g0 dy,
-        f-tilde g is f0 g0 dy/dtheta, the theta-derivative of the mass below x."""
-        terms = self.base_terms(fam)
-        theta0, to_base, from_base, h = self.value, self.to_base, self.from_base, f0.h
-
-        def exchanging(x: float) -> float:
-            y = to_base(x, theta0)
-            return h(y) * terms(y)[0] * from_base(y)[1]
-
-        return exchanging
 
     def atom(self, fam: Any, f0: Any) -> Optional[Atom]:
         """The Dirac term f0(y) dy/dtheta at a support edge that moves with
@@ -356,13 +335,6 @@ class DiscreteTheta(_Role):
             return f0.h(j) * (ratio_p - ratio_m) / (2.0 * step)
 
         return (w(k + 1) - w(k)) * self.mass(fam, 0, theta0) / self.mass(fam, k, theta0)
-
-    def score(self, fam: Any) -> tuple[RealFn, RealFn]:
-        phi = fam.score_fn
-        return phi, (lambda x: derivative(phi, x))
-
-    def f_tilde(self, fam: Any, f0: Any) -> RealFn:
-        return fam.exchange_fn  # registered for f0 = 1
 
 
 ParamRole = Union[Location, Scale, SkewSAS, DiscreteTheta]

@@ -42,6 +42,7 @@ from steinb.harness import DivergentMoment, Scenario, builtin_scenarios, ground_
 from steinb.numerics import _EPS, NonConvergence, NonFinite, scan_grid
 from steinb.operators import BoundaryViolation, Laws, UnsupportedRole, exchanging_pair, score_profile
 from steinb.vectorquad import integrate_vector_or_eject
+from x_space_reference import x_space_f_tilde
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))
 # oracle: E[sqrt(1+X^2)] under the standard normal by scipy.integrate.quad
@@ -90,14 +91,18 @@ class TestUpperBound:
         assert laws.profile(fam, 1e-12).monotonicity.witness == 0.0  # the profile upper_bound read
 
     def test_positive_integrand_when_monotone(self):
-        # f-tilde / (-phi') is nonnegative wherever the score is monotone
+        # f-tilde / (-phi') g is nonnegative wherever the score is monotone:
+        # at x(y), f-tilde = dy/dtheta dx/dy, phi' = (dphi/dy) / (dx/dy) and
+        # g = g0(y) / (dx/dy).
         for fam in (gaussian(Location(0.0)), exponential(Scale(1.0)), gamma(Scale(1.0), shape=3)):
-            prof = score_profile(fam)
-            pair = exchanging_pair(fam)
-            for x in scan_grid(fam.support, 64):
-                if fam.pdf(x) == 0.0:
+            assert score_profile(fam).monotonicity.strictly_monotone
+            exchanging_pair(fam)
+            terms, slope = fam.role.base_terms(fam), fam.role.base_slope(fam)
+            for y in scan_grid(fam.base_support, 64):
+                w, dx_dy = fam.base_density(y), fam.role.from_base(y)[1]
+                if w == 0.0:
                     continue
-                value = pair.f_tilde(x) / (-prof.phi_prime(x)) * fam.pdf(x)
+                value = terms(y)[0] * dx_dy / (-slope(y) / dx_dy) * (w / dx_dy)
                 assert value >= -1e-12
 
     def test_a_discrete_law_has_no_upper_bound(self):
@@ -342,11 +347,19 @@ class TestBoundReport:
         assert "discrete-no-upper" in rep.flags
         assert "poisson-display-suspected-typo" in rep.flags
 
-    def test_witness_flag(self):
-        rep = bound_report(sas_gaussian(0.0), linear())
-        assert math.isinf(rep.upper)
-        assert rep.upper_witness == 0.0
-        assert any(f.startswith("score-not-monotone-witness") for f in rep.flags)
+    @pytest.mark.parametrize("delta0,lower,variance", [
+        (0.0, 0.7826377574676655, 1.0),
+        (0.615901, 1.119008909217392, 1.5008130956417047),  # sweep seed 1 sas-gaussian-skew-007
+        (-0.3, 0.8552137987143551, 1.1080563291385297),
+    ], ids=["delta0=0", "delta0=0.615901", "delta0=-0.3"])
+    def test_witness_flag(self, delta0, lower, variance):
+        # dphi/dy vanishes at y = 0 for every delta0, and the scan in y
+        # samples it: the witness is x(0) = sinh(-delta0).
+        fam = sas_gaussian(delta0)
+        rep = bound_report(fam, linear())
+        witness = fam.role.from_base(0.0)[0]
+        assert (rep.lower, rep.variance_truth, rep.upper, rep.upper_witness) == (lower, variance, math.inf, witness)
+        assert rep.flags == ("upper-infinite", f"score-not-monotone-witness={witness!r}")
 
     def test_slacks(self):
         rep = bound_report(exponential(Scale(1.0)), sqrt_fn())
@@ -507,7 +520,7 @@ class TestSharedRun:
         assert abs(e("phi")) <= 1e-12
         with pytest.raises(NonConvergence) as shared:
             e("lower")
-        f_tilde = exchanging_pair(fam).f_tilde
+        f_tilde = x_space_f_tilde(fam, ONE)
         with pytest.raises(NonConvergence) as alone:
             families.expectation(fam, lambda x: h.h_prime(x) * f_tilde(x))
         assert str(shared.value) == str(alone.value)
@@ -521,14 +534,14 @@ class TestSharedRun:
         results = integrate_vector_or_eject(
             lambda live: families._integrand(fam, h, [names[k] for k in live]), len(names), fam.base_support)
         assert [n for n, r in zip(names, results) if r is None] == ["upper"]
-        rep = bound_report(fam, h)
-        assert math.isinf(rep.upper) and "upper-divergent" in rep.flags
-        assert rep.upper == upper_bound(fam, linear())
+        e = families._expectations(fam, h, {"h2": True, "h": True, "lower": False, "upper": True}, 1e-12)
+        assert e("upper") == math.inf == families._alone(fam, h, "upper", True, 1e-12)
 
     def test_a_stuck_moment_leaves_after_one_restart(self, monkeypatch):
-        # The same workload input through bound_report: the row kernel's
-        # NonFinite at y ~ -4.07e-9 names "upper" (position 3) alone, and the
-        # other three moments finish on one more run, which reuses its cells.
+        # The same input, as one request: the row kernel's NonFinite at
+        # y ~ -4.07e-9 names "upper" (position 3) alone, and the other three
+        # moments finish on one more run, which reuses its cells and gives
+        # the report's values.
         ends = []
         adapt = vectorquad._adapt
 
@@ -542,10 +555,14 @@ class TestSharedRun:
             return results
 
         monkeypatch.setattr(vectorquad, "_adapt", recording)
-        rep = bound_report(sas_gaussian(0.615901), linear())
+        fam, h = sas_gaussian(0.615901), linear()
+        e = families._expectations(fam, h, {"h2": True, "h": True, "lower": False, "upper": True}, 1e-12)
         assert ends == [(4, (3,)), (3, None)]
-        assert (rep.lower, rep.variance_truth, rep.upper) == (1.119008909217392, 1.5008130956417047, math.inf)
-        assert rep.flags == ("upper-divergent",)
+        assert e("upper") == math.inf
+        rep = bound_report(fam, h)
+        assert ends[2:] == [(3, None)]  # the report's run has no "upper": no restart
+        assert (rep.lower, rep.variance_truth) == (e("lower") ** 2 / score_profile(fam).fisher,
+                                                   max(e("h2") - e("h") ** 2, 0.0))
 
     def test_a_discrete_lower_bound_is_the_summed_one(self):
         fam, h = poisson(2.0), square()

@@ -387,17 +387,30 @@ class TestLawGroups:
         assert len(calls["suite"]) == SHARED_LAWS_SUITES
         assert sorted(calls["profile"]) == ([] if command == "check" else ["exponential", "gaussian", "poisson"])
 
+    def test_each_scenario_builds_its_law_once_before_its_run(self, tmp_path, capsys, monkeypatch):
+        # _law_groups builds a law once to validate and group its scenario,
+        # and run_scenario builds it again: 2 builds per builtin line.
+        from steinb import harness
+
+        built = []
+        make_family = harness.make_family
+        monkeypatch.setattr(harness, "make_family", lambda *a, **k: built.append(a[0]) or make_family(*a, **k))
+        self._out(["bounds", "--format", "json", "--out"], tmp_path / "out.json", capsys)
+        assert len(built) == 2 * len(builtin_scenarios()) == 24
+
     def test_scenarios_group_by_the_spec_of_the_built_law(self):
         # A sigma written out equals its default, so both lines are one law;
         # -0.0 is a role of its own, as in the memo's key; a family that
-        # cannot be built runs alone, to its error row.
+        # cannot be built (lgamma overflows) runs alone, to its error row,
+        # and an invalid parameter is rejected before anything runs.
+        huge = {"family": "gamma", "role": {"kind": "scale", "value": 1.0}, "shape": 1e308}
         lines = [
             {"id": "default-sigma", "family": "gaussian", "role": {"kind": "location", "value": 0.0}},
             {"id": "explicit-sigma", "family": "gaussian", "role": {"kind": "location", "value": 0.0},
              "sigma": 1.0},
             {"id": "negative-zero", "family": "gaussian", "role": {"kind": "location", "value": -0.0}},
-            {"id": "bad-scale-1", "family": "gaussian", "role": {"kind": "scale", "value": -1.0}},
-            {"id": "bad-scale-2", "family": "gaussian", "role": {"kind": "scale", "value": -1.0}},
+            {"id": "huge-shape-1", **huge},
+            {"id": "huge-shape-2", **huge},
         ]
         groups = []
 
@@ -406,10 +419,13 @@ class TestLawGroups:
             return [run_scenario(s) for s in group]
 
         results = run_all([Scenario.from_dict(raw) for raw in lines], runner, jobs=1)
-        assert sorted(groups) == [["bad-scale-1"], ["bad-scale-2"], ["default-sigma", "explicit-sigma"],
+        assert sorted(groups) == [["default-sigma", "explicit-sigma"], ["huge-shape-1"], ["huge-shape-2"],
                                   ["negative-zero"]]
         assert [r.scenario_id for r in results] == sorted(raw["id"] for raw in lines)
-        assert [r.error is not None for r in results] == [True, True, False, False, False]
+        assert [r.error is not None for r in results] == [False, False, True, True, False]
+        bad_scale = {"id": "bad-scale", "family": "gaussian", "role": {"kind": "scale", "value": -1.0}}
+        with pytest.raises(ScenarioFileError, match="'bad-scale'"):
+            run_all([Scenario.from_dict(bad_scale)], runner, jobs=1)
 
     def test_no_memo_outlives_a_command(self, shared, tmp_path, capsys, count_cells):
         spent = []

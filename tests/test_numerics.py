@@ -967,6 +967,22 @@ class TestFiniteSamples:
         assert numerics.first_sign_change(enumerate(values)) == bracket
 
 
+class TestBisectRoot:
+    def test_a_root_at_either_end_is_returned_as_it_is(self):
+        assert numerics.bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert numerics.bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_a_bracket_without_a_sign_change_is_a_value_error(self):
+        with pytest.raises(ValueError, match="root not bracketed"):
+            numerics.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_bisection_ends_after_200_halvings(self):
+        # From a bracket of width 2e300 the width test needs about 1,050
+        # halvings; after the first step's lo = 0, the cap returns the
+        # midpoint of [0, 1e300 / 2^199].
+        assert numerics.bisect_root(lambda x: x - 1e-20, -1e300, 1e300) == 1e300 / 2**200
+
+
 class TestScanGrid:
     def test_odd_count_includes_center(self):
         xs = scan_grid(Interval.real_line(), 256)

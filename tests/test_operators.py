@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinb.families import (
+    InvalidParameter,
     Location,
     ONE,
     Scale,
@@ -35,10 +36,23 @@ from steinb.operators import (
     hermite_test_function,
     make_operator,
     score_profile,
+    zero_crossing,
 )
 from x_space_reference import x_space_f_tilde, x_space_score
 
 KAPPA = 3 - math.sqrt(math.e * math.pi / 2) * math.erfc(1 / math.sqrt(2))  # ~2.34432
+
+
+def base_f_tilde(fam, f0=ONE):
+    """f-tilde(x) = f0(y) dy/dtheta dx/dy at y = y(x; theta0), from the
+    role's base terms: f-tilde g = f0 g0 dy/dtheta, as f g dx = f0 g0 dy."""
+    role, terms = fam.role, fam.role.base_terms(fam)
+
+    def f_tilde(x):
+        y = role.to_base(x, role.value)
+        return f0.h(y) * terms(y)[0] * role.from_base(y)[1]
+
+    return f_tilde
 
 
 def sas_lifted(f1):
@@ -96,6 +110,10 @@ class TestLocationOperator:
         op = make_operator(gaussian(Location(0.0)), hermite_test_function(1))
         assert op(0.0) == pytest.approx(-1.0)
 
+    def test_zero_below_the_support(self):
+        # gamma location's support starts at mu0
+        assert make_operator(gamma(Location(1.0), shape=3.0), linear())(0.5) == 0.0
+
     def test_exponential_atom(self):
         op = make_operator(exponential(Location(0.0)), linear())
         assert op(3.0) == pytest.approx(2.0)
@@ -149,6 +167,15 @@ class TestDiscreteOperator:
     def test_poisson(self):
         op = make_operator(poisson(1.0), ONE)
         assert op(2.0) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_zero_off_the_support(self):
+        op = make_operator(binomial(4, 0.5), linear())
+        assert op(-1.0) == op(5.0) == 0.0
+
+    def test_a_parameter_outside_the_domain_is_invalid(self):
+        fam = poisson(2.0)
+        with pytest.raises(InvalidParameter, match=r"poisson parameter -0\.5 outside \(0\.0, inf\)"):
+            fam.role.mass(fam, 0, -0.5)
 
     def test_geometric_sign_follows_defining_quotient(self):
         # The defining quotient fixes the sign as d/dp (1-p)^x < 0; the often
@@ -252,7 +279,7 @@ def test_one_operator_matches_the_role_closed_forms(fam):
         assert op.atom == fam.role.atom(fam, f0)
         for x in grid:
             y = fam.role.to_base(x, fam.role.value)
-            scale = abs(f0.h_prime(y)) * max(1.0, abs(x)) + abs(f0.h(y)) * abs(fam.role.score(fam)[0](x)) \
+            scale = abs(f0.h_prime(y)) * max(1.0, abs(x)) + abs(f0.h(y)) * abs(fam.role.base_terms(fam)(y)[1]) \
                 if x != 0.0 else abs(f0.h(y))
             assert abs(op(x) - reference(x)) <= 1e-14 * max(scale, 1e-300), (f0.name, x)
             if isinstance(fam.role, Location):  # the same operations, in the same order
@@ -261,12 +288,12 @@ def test_one_operator_matches_the_role_closed_forms(fam):
 
 @pytest.mark.parametrize("fam", CONTINUOUS_OPERATOR_CASES, ids=lambda f: f"{f.name}-{f.role}")
 def test_derived_score_and_f_tilde_match_the_x_space_reference(fam):
-    # phi(y(x)), (dphi/dy) / (dx/dy) and f0(y) dy/dtheta dx/dy regroup the
-    # x-space formulas each role once stated, so they agree to rounding:
-    # within 1e-14 of the terms' magnitude.  Location keeps its arithmetic
-    # exactly.
+    # At y = y(x), phi(y), (dphi/dy) / (dx/dy) and f0(y) dy/dtheta dx/dy
+    # regroup the x-space formulas each role once stated for phi(x), phi'(x)
+    # and f-tilde(x), so they agree to rounding: within 1e-14 of the terms'
+    # magnitude.  Location keeps its arithmetic exactly.
     role = fam.role
-    phi, phi_prime = role.score(fam)
+    terms, slope = role.base_terms(fam), role.base_slope(fam)
     ref_phi, ref_phi_prime = x_space_score(fam)
     L, Lp = fam.log_density_derivative, fam.log_density_second_derivative
     f0s = [ONE, linear(), square(), *builtin_test_functions(fam)]
@@ -281,10 +308,11 @@ def test_derived_score_and_f_tilde_match_the_x_space_reference(fam):
             c = math.hypot(1.0, y)
             phi_scale = abs(y / c) + abs(c * L(y))
             slope_scale = (1.0 / c**2 + abs(y * L(y)) + c * c * abs(Lp(y))) / math.hypot(1.0, x)
-        pairs = [(phi(x), ref_phi(x), phi_scale), (phi_prime(x), ref_phi_prime(x), slope_scale)]
+        dx_dy = role.from_base(y)[1]
+        pairs = [(terms(y)[1], ref_phi(x), phi_scale), (slope(y) / dx_dy, ref_phi_prime(x), slope_scale)]
         for f0 in f0s:
             reference = x_space_f_tilde(fam, f0)(x)
-            pairs.append((role.f_tilde(fam, f0)(x), reference, abs(reference)))
+            pairs.append((base_f_tilde(fam, f0)(x), reference, abs(reference)))
         for derived, reference, scale in pairs:
             if isinstance(role, Location):  # the same operations, in the same order
                 assert derived == reference, x
@@ -294,33 +322,38 @@ def test_derived_score_and_f_tilde_match_the_x_space_reference(fam):
 
 class TestScoreProfile:
     def test_gaussian_location(self):
-        prof = score_profile(gaussian(Location(0.0)))
+        fam = gaussian(Location(0.0))
+        prof = score_profile(fam)
         assert prof.fisher == pytest.approx(1.0, abs=1e-10)
-        assert prof.phi(1.3) == pytest.approx(1.3)
+        assert fam.role.base_terms(fam)(1.3)[1] == pytest.approx(1.3)
         assert prof.monotonicity.verdict is Verdict.INCREASING
-        assert abs(prof.zero_crossing) < 1e-9
+        assert abs(zero_crossing(fam)) < 1e-9
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_gaussian_scale(self, s):
-        prof = score_profile(gaussian(Scale(s)))
+        fam = gaussian(Scale(s))
+        prof = score_profile(fam)
         assert prof.fisher == pytest.approx(2.0 / s**2, abs=1e-9)
-        assert prof.phi(0.0) == pytest.approx(1.0 / s)
+        assert fam.role.base_terms(fam)(0.0)[1] == pytest.approx(1.0 / s)
         assert prof.monotonicity.verdict is Verdict.NOT_MONOTONE
+        assert prof.monotonicity.witness == 0.0  # dphi/dy = -2y/s vanishes at y = 0
 
     def test_sas_kappa(self):
-        prof = score_profile(sas_gaussian(0.0))
+        fam = sas_gaussian(0.0)
+        prof = score_profile(fam)
         # oracle: closed form quoted for E[X^6/(1+X^2)] under the standard normal
         assert prof.fisher == pytest.approx(KAPPA, abs=1e-9)
         assert prof.fisher == pytest.approx(2.34432, abs=1e-4)
-        assert prof.phi(1.0) == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
+        assert fam.role.base_terms(fam)(1.0)[1] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
         assert prof.monotonicity.verdict is Verdict.NOT_MONOTONE
         assert prof.monotonicity.witness == 0.0
 
     @pytest.mark.parametrize("a,expected", [(3.0, 1.0), (5.0, 1.0 / 3.0)])
     def test_gamma_location(self, a, expected):
-        prof = score_profile(gamma(Location(0.0), shape=a))
+        fam = gamma(Location(0.0), shape=a)
+        prof = score_profile(fam)
         assert prof.fisher == pytest.approx(expected, abs=1e-7)
-        assert prof.phi(2.0) == pytest.approx((2.0 - (a - 1.0)) / 2.0)
+        assert fam.role.base_terms(fam)(2.0)[1] == pytest.approx((2.0 - (a - 1.0)) / 2.0)
         assert prof.monotonicity.verdict is Verdict.INCREASING
 
     def test_gamma_location_divergent_fisher(self):
@@ -333,10 +366,15 @@ class TestScoreProfile:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_poisson(self, lam):
-        prof = score_profile(poisson(lam))
+        fam = poisson(lam)
+        prof = score_profile(fam)
         assert prof.fisher == pytest.approx(1.0 / lam, abs=1e-10)
-        assert prof.phi(3.0) == pytest.approx(3.0 / lam - 1.0)
-        assert prof.zero_crossing == pytest.approx(lam, abs=1e-9)
+        assert fam.score_fn(3.0) == pytest.approx(3.0 / lam - 1.0)
+        assert zero_crossing(fam) == pytest.approx(lam, abs=1e-9)
+
+    def test_no_zero_crossing_where_the_grid_sees_no_sign_change(self):
+        # phi(y) = 1e-7 - y changes sign below the scan grid's first point, y ~ 1e-6
+        assert zero_crossing(gamma(Scale(1.0), shape=1e-7)) is None
 
     def test_exponential_location_rejected(self):
         with pytest.raises(UnsupportedRole) as err:
@@ -347,10 +385,11 @@ class TestScoreProfile:
         )
 
     def test_exponential_scale(self):
-        prof = score_profile(exponential(Scale(2.0)))
+        fam = exponential(Scale(2.0))
+        prof = score_profile(fam)
         assert prof.fisher == pytest.approx(0.25, abs=1e-10)
         assert prof.monotonicity.verdict is Verdict.DECREASING
-        assert prof.zero_crossing == pytest.approx(0.5, abs=1e-9)
+        assert zero_crossing(fam) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("fam,expected", [
         # gamma location 1/(a - 2), inf for a < 2: the integral runs in y,
@@ -382,21 +421,23 @@ class TestScoreProfile:
 
 class TestExchangingPair:
     def test_gaussian_location(self):
-        pair = exchanging_pair(gaussian(Location(0.0)))
-        assert pair.f_tilde(3.7) == -1.0
+        fam = gaussian(Location(0.0))
+        pair = exchanging_pair(fam)
+        assert base_f_tilde(fam)(3.7) == -1.0
         assert max(map(abs, pair.boundary_values)) < 1e-9
 
     def test_exponential_scale(self):
         lam = 2.0
-        pair = exchanging_pair(exponential(Scale(lam)))
-        assert pair.f_tilde(3.0) == pytest.approx(3.0 / lam)
+        fam = exponential(Scale(lam))
+        pair = exchanging_pair(fam)
+        assert base_f_tilde(fam)(3.0) == pytest.approx(3.0 / lam)
         assert max(map(abs, pair.boundary_values)) < 1e-9
 
     def test_poisson_exchange_identity_exact(self):
         lam = 2.0
         fam = poisson(lam)
-        pair = exchanging_pair(fam)
-        w = lambda j: pair.f_tilde(float(j)) * fam.pmf(j)
+        exchanging_pair(fam)
+        w = lambda j: fam.exchange_fn(float(j)) * fam.pmf(j)
         for x in range(0, 61):
             lhs = fam.pmf(x) * (x / lam - 1.0)  # d/dlambda of the pmf
             assert abs(lhs - (w(x + 1) - w(x))) < 1e-9
@@ -408,9 +449,9 @@ class TestExchangingPair:
     )
     def test_discrete_exchange_identity_generic(self, fam):
         theta = fam.role.theta0
-        pair = exchanging_pair(fam)
+        exchanging_pair(fam)
         top = 40 if math.isinf(fam.support_max) else int(fam.support_max)
-        w = lambda j: pair.f_tilde(float(j)) * fam.pmf_fn(j, theta) if j <= fam.support_max else 0.0
+        w = lambda j: fam.exchange_fn(float(j)) * fam.pmf_fn(j, theta) if j <= fam.support_max else 0.0
         for x in range(top + 1):
             step = 1e-7
             lhs = (fam.pmf_fn(x, theta + step) - fam.pmf_fn(x, theta - step)) / (2 * step)
@@ -423,13 +464,17 @@ class TestExchangingPair:
         ids=lambda f: f"{f.name}-{f.role}",
     )
     def test_continuous_exchange_identity(self, fam):
-        pair = exchanging_pair(fam)
-        theta0 = fam.role.value
+        exchanging_pair(fam)
+        f_tilde, theta0 = base_f_tilde(fam), fam.role.value
         density_at = lambda theta: fam.role.density(fam.base_density, theta)
         for x in (0.3, 0.9, 1.7, 2.5):
             lhs = (density_at(theta0 + 1e-6)(x) - density_at(theta0 - 1e-6)(x)) / 2e-6
-            rhs = derivative(lambda y: pair.f_tilde(y) * fam.pdf(y), x)
+            rhs = derivative(lambda y: f_tilde(y) * fam.pdf(y), x)
             assert abs(lhs - rhs) <= 1e-6
+
+    def test_a_discrete_pair_is_registered_for_the_constant_only(self):
+        with pytest.raises(UnsupportedRole, match="f0 = 1 only"):
+            exchanging_pair(poisson(2.0), linear())
 
     def test_exponential_location_boundary_violation(self):
         # f-tilde * g = -1 at the moving left edge, where the density is positive
