@@ -4,9 +4,11 @@
 For a command, run in process through ``steinb.cli.main`` with ``--jobs 1``,
 it prints per stage:
 
-- ``scalar``: cells of the scalar kernel ``numerics._gk15`` (the probe
-  shells of ``integrate_detecting_divergence`` included);
-- ``row``: cells of the row kernel ``vectorquad._gk15_vector`` whose
+- ``scalar``: cells of one-component runs, the GK15 cells
+  (``vectorquad._gk15_vector``) made inside ``numerics.integrate``, the
+  probe shells of ``integrate_detecting_divergence`` included; on a tree
+  that still has a scalar kernel, the cells of ``numerics._gk15``;
+- ``row``: the other cells of ``vectorquad._gk15_vector``, those whose
   components all belong to the stage;
 - ``components``: row-kernel component-cells, a cell of n components
   counting n, each given to the stage of its component;
@@ -36,8 +38,8 @@ same counts come out of a source tree whose engine still lives in
 (``--src``); on this tree, a stage function or engine function that is
 missing is an error, not a stage left uncounted.
 
-``perfbench``'s ``numerics.integrate.evals`` counts the scalar path only;
-the row kernel's evaluations are seen here.
+``perfbench``'s ``numerics.integrate.evals`` counts the one-component runs
+only; the evaluations of the shared runs and suites are seen here.
 
 Usage:
     python3 scripts/stage_cells.py {bounds,paper-table,sweep} [--seeds 1,2,3]
@@ -171,18 +173,32 @@ def install(stages: Stages, strict: bool) -> None:
             raise SystemExit(f"stage_cells: {module.__name__}.{name} is gone; update the script")
         return fn
 
-    scalar, vector = numerics._gk15, vectorquad._gk15_vector
-
-    def counting_scalar(f, lo, hi):
-        stages.count_scalar()
-        return scalar(f, lo, hi)
+    vector, integrate = vectorquad._gk15_vector, target(numerics, "integrate")
+    scalar = getattr(numerics, "_gk15", None)  # an older tree's scalar kernel
+    lone = [0]  # numerics.integrate calls in progress
 
     def counting_vector(f, n, lo, hi):
-        stages.count_row(n, getattr(f, "moments", None))
+        if lone[0]:
+            stages.count_scalar()
+        else:
+            stages.count_row(n, getattr(f, "moments", None))
         return vector(f, n, lo, hi)
 
-    numerics._gk15 = counting_scalar
+    def counting_integrate(*args, **kwargs):
+        lone[0] += 1
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            lone[0] -= 1
+
     vectorquad._gk15_vector = counting_vector
+    _rebind("integrate", integrate, counting_integrate)
+    if scalar is not None:
+        def counting_scalar(f, lo, hi):
+            stages.count_scalar()
+            return scalar(f, lo, hi)
+
+        numerics._gk15 = counting_scalar
 
     sums = target(families, "discrete_sums")
     if sums is not None:

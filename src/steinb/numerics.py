@@ -1,7 +1,10 @@
-"""Scalar numerical kernels: adaptive quadrature, series summation, differentiation, grid scans.
+"""Numerical kernels: adaptive quadrature, series summation, differentiation, grid scans.
 
-Everything here operates on plain Python callables ``float -> float``.
-Improper integrals are reduced to finite ones by smooth changes of variable:
+Everything here takes plain Python callables ``float -> float``; the one
+GK15 kernel, which evaluates an integrand that returns a row of floats, and
+the changes of variable live in ``vectorquad``, and ``integrate`` runs a
+scalar integrand as a row of one.  Improper integrals are reduced to finite
+ones by smooth changes of variable:
 
     (-inf, inf)  :  x = t / (1 - t^2),  t in (-1, 1)
     [a, inf)     :  x = a + u^2,        u = t / (1 - t),  t in [0, 1)
@@ -13,8 +16,8 @@ dx = 2u du, a factor |x - a|^alpha becomes u^(2 alpha + 1), so the edge
 factors of the gamma and exponential laws, y^(a-1) and x^(-1/2) among them,
 are smooth or milder in t.  The transformed integrand is then handled by a
 globally adaptive 15-point Gauss-Kronrod rule (worst-interval-first
-bisection) in ``_adapt``, the one adaptive loop, which
-``vectorquad.integrate_vector`` shares.  Kronrod nodes are interior points,
+bisection) in ``_adapt``, the one adaptive loop, which ``integrate`` and
+``vectorquad.integrate_vector`` share.  Kronrod nodes are interior points,
 so integrable endpoint singularities are never sampled directly; those the
 grading leaves singular (bounded intervals are not graded here) cost extra
 bisections near the offending endpoint.  A non-integrable one would cost
@@ -71,7 +74,7 @@ class NonConvergence(NumericsError):
 
 class NonFinite(NumericsError):
     """A function returned NaN/inf at an interior point, even after nudging.
-    A quadrature kernel names the ``components`` that did (the scalar one 0)."""
+    The quadrature kernel names the ``components`` that did."""
 
     def __init__(self, message: str, point: float | None = None, observed: float | None = None,
                  components: tuple[int, ...] | None = None):
@@ -191,37 +194,9 @@ def _nudge(x: float, lo: float, hi: float) -> float:
     return x + (step if x < 0.5 * (lo + hi) else -step)
 
 
-def _nudged(f: RealFn, x: float, lo: float, hi: float) -> float:
-    """Singularity-avoidance nudge for a node where f was not finite: retry
-    at _nudge(x), or raise NonFinite."""
-    value2 = _eval_raw(f, _nudge(x, lo, hi))
-    if math.isfinite(value2):
-        return value2
-    raise NonFinite(f"integrand not finite near {x!r}", point=x, observed=value2, components=(0,))
-
-
 # Signed Kronrod abscissae in evaluation order: the center, then the
 # positive nodes, then their mirror images.
 _NODES = (0.0, *_XGK[:7], *(-x for x in _XGK[:7]))
-
-
-def _gk15(f: RealFn, lo: float, hi: float) -> tuple[float, float, float]:
-    """One Gauss-Kronrod pass over [lo, hi]: (kronrod value, error estimate, integral of |f|)."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    fv = []
-    for t in _NODES:
-        x = center + half * t
-        # As _eval_raw, inline: the kernel runs once per 15 evaluations.
-        try:
-            y = f(x)
-        except (OverflowError, ZeroDivisionError):
-            y = math.inf
-        except ValueError:
-            y = math.nan
-        fv.append(y if math.isfinite(y) else _nudged(f, x, lo, hi))
-    return _rule(fv, half)
 
 
 def _rule(fv: Sequence[float], half: float) -> tuple[float, float, float]:
@@ -255,35 +230,6 @@ def _rule(fv: Sequence[float], half: float) -> tuple[float, float, float]:
     return value, err, resabs
 
 
-# --------------------------------------------------------------------------
-# Variable changes onto a bounded parameter interval.
-
-
-def _transformed(f: RealFn, iv: Interval) -> tuple[RealFn, float, float]:
-    """Return (g, t_lo, t_hi) with integral of f over iv equal to integral of g over [t_lo, t_hi]."""
-    lo, hi = iv.lo, iv.hi
-    if iv.bounded:
-        return f, lo, hi
-    if math.isfinite(lo):  # [a, inf)
-        def g(t: float, a: float = lo) -> float:
-            onemt = 1.0 - t
-            u = t / onemt
-            return f(a + u * u) * (2.0 * u / (onemt * onemt))
-        return g, 0.0, 1.0
-    if math.isfinite(hi):  # (-inf, b]
-        def g(t: float, b: float = hi) -> float:
-            onemt = 1.0 - t
-            u = t / onemt
-            return f(b - u * u) * (2.0 * u / (onemt * onemt))
-        return g, 0.0, 1.0
-
-    def g(t: float) -> float:
-        onemt2 = 1.0 - t * t
-        return f(t / onemt2) * (1.0 + t * t) / (onemt2 * onemt2)
-
-    return g, -1.0, 1.0
-
-
 # The adaptive loop keeps running totals, updated by child1 + child2 - parent
 # at each split, and re-anchors them on the exact fsum totals every this many
 # splits (and whenever the rounding band could change a decision).
@@ -300,8 +246,10 @@ _PROBE_SHELLS = 40
 _PROBE_TAIL = 8
 
 
-def _probe_endpoint(g: RealFn, end: float, direction: float, width: float) -> tuple[float | None, int]:
-    """Cauchy condensation toward ``end``: (+-inf or None, cells integrated).
+def _probe_endpoint(cell: Callable[[float, float], Sequence[float]], end: float, direction: float,
+                    width: float) -> tuple[float | None, int]:
+    """Cauchy condensation toward ``end``: (+-inf or None, cells integrated),
+    each shell one ``cell`` of the run (its value first).
 
     The shells are end + direction * [w/2, w] for w = width, width/2, ...,
     while end + direction * w/2 is distinct from end; only the innermost
@@ -321,7 +269,7 @@ def _probe_endpoint(g: RealFn, end: float, direction: float, width: float) -> tu
     tail: list[float] = []
     try:
         for lo, hi in shells[-_PROBE_TAIL:]:
-            tail.append(_gk15(g, lo, hi)[0])
+            tail.append(cell(lo, hi)[0])
     except NumericsError:
         return None, len(tail) + 1
     last = tail[-1]
@@ -494,15 +442,21 @@ def _adapt(
 def integrate(
     f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
 ) -> QuadResult:
-    """Adaptively integrate f over iv to absolute tolerance tol: _adapt with
-    one component, after _transformed's change of variable.  ``_probe`` is
-    integrate_detecting_divergence's: _adapt's end hook is then the probe."""
-    g, t_lo, t_hi = _transformed(f, iv)
+    """Adaptively integrate f over iv to absolute tolerance tol: _adapt on
+    the one-component row (f(y),), through the row kernel and its change of
+    variable, which scales the row after f (every value is f(y) times the
+    Jacobian, as for a scalar integrand).  ``_probe`` is
+    integrate_detecting_divergence's: _adapt's end hook is then the probe,
+    on the run's own cell."""
+    from .vectorquad import _gk15_vector, _transformed_vector  # which import this module
+
+    g, t_lo, t_hi = _transformed_vector(lambda y: (f(y),), iv)
+    cell = functools.partial(_gk15_vector, g, 1)
 
     def probe(side: float, entry: tuple, entries: list) -> tuple[float | None, int]:
-        return _probe_endpoint(g, entry[2] if side > 0 else entry[3], side, entry[3] - entry[2])
+        return _probe_endpoint(cell, entry[2] if side > 0 else entry[3], side, entry[3] - entry[2])
 
-    return _adapt(functools.partial(_gk15, g), 1, t_lo, t_hi, tol, (_PROBE_AFTER, probe) if _probe else None)[0]
+    return _adapt(cell, 1, t_lo, t_hi, tol, (_PROBE_AFTER, probe) if _probe else None)[0]
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:

@@ -1,17 +1,15 @@
-"""The row kernel: GK15 for an integrand that returns n floats per point.
+"""The GK15 kernel, for an integrand that returns n floats per point.
 
-``integrate_vector`` hands it to ``numerics._adapt``, the adaptive loop of
-``numerics.integrate``, so n integrals share one mesh and every node is
-evaluated once for all of them, the design of DCUHRE (Berntsen, Espelid and
-Genz 1991) in one dimension.  The identity checks run a whole suite of test
-functions through it, and a bound report all its expectations through
-``integrate_vector_or_eject``, which lets a component that does not
-converge with the others leave the run (``_adapt``'s end streak calls its
-hook ``_eject``).  Its changes of variable are
-``numerics._transformed``'s, graded half-line maps included, with the same
-arithmetic in every component.  A scalar integrand keeps
-``numerics._gk15``: through the row kernel, a one-component cell of a bound
-integrand costs about 1.5 scalar cells (CPython 3.11, best of 30 timings).
+``integrate_vector`` hands it to ``numerics._adapt``, the one adaptive
+loop, so n integrals share one mesh and every node is evaluated once for
+all of them, the design of DCUHRE (Berntsen, Espelid and Genz 1991) in one
+dimension; ``numerics.integrate`` runs a scalar integrand as a row of one.
+The identity checks run a whole suite of test functions through it, and a
+bound report all its expectations through ``integrate_vector_or_eject``,
+which lets a component that does not converge with the others leave the
+run (``_adapt``'s end streak calls its hook ``_eject``).  Its changes of
+variable are the maps of ``numerics``' docstring, graded half-line maps
+included, with the same arithmetic in every component.
 
 (A module of its own: when no bytecode cache exists, compiling these lines
 inside ``numerics.py`` raises the peak memory of every import.)
@@ -40,15 +38,16 @@ from .numerics import (
 VectorFn = Callable[[float], Sequence[float]]   # n floats per point
 
 # integrate_vector_or_eject's end hook stops a run after this many
-# consecutive splits at one end (the scalar path's probe after 30).  At 3,
+# consecutive splits at one end (integrate_detecting_divergence's probe after 30).  At 3,
 # moments of sweep-mixed seeds 1-3 that converge were ejected too.
 _EJECT_AFTER = 8
 
 
 def _nudged_row(f: VectorFn, n: int, row: Sequence[float], x: float, lo: float, hi: float) -> list[float]:
-    """numerics._nudged for the non-finite components of row: one evaluation
-    at _nudge(x) replaces them, the finite ones keep their values, and the
-    NonFinite raised names every component that stays non-finite."""
+    """The singularity-avoidance nudge for the non-finite components of row:
+    one evaluation at numerics._nudge(x) replaces them, the finite ones keep
+    their values, and the NonFinite raised names every component that stays
+    non-finite."""
     row = list(row)
     bad = [j for j, v in enumerate(row) if not math.isfinite(v)]
     if bad:
@@ -69,9 +68,10 @@ def _nudged_row(f: VectorFn, n: int, row: Sequence[float], x: float, lo: float, 
 
 
 def _gk15_vector(f: VectorFn, n: int, lo: float, hi: float) -> tuple[float, ...]:
-    """numerics._gk15 for n components: each node is evaluated once and the
-    rule applied to each component's 15 values.  The value, error estimate
-    and integral of |f| of component j are at 3j, 3j + 1 and 3j + 2."""
+    """One Gauss-Kronrod pass over [lo, hi] for n components: each node is
+    evaluated once and the rule applied to each component's 15 values.  The
+    kronrod value, error estimate and integral of |f| of component j are at
+    3j, 3j + 1 and 3j + 2."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
@@ -91,8 +91,10 @@ def _gk15_vector(f: VectorFn, n: int, lo: float, hi: float) -> tuple[float, ...]
 
 
 def _transformed_vector(f: Callable, iv: Interval, scaling: bool = False) -> tuple[VectorFn, float, float]:
-    """numerics._transformed for n components, each scaled by the same
-    arithmetic as there.  With ``scaling``, f(y, j) multiplies its own
+    """Return (g, t_lo, t_hi) with the integral of each component of f over
+    iv equal to that of g over [t_lo, t_hi].  g scales each value v of f(y)
+    by the Jacobian after f: v * j on a half-line, v * (1 + t^2) / (1 - t^2)^2
+    on the real line.  With ``scaling``, f(y, j) multiplies its own
     components by the Jacobian j, so no row is copied (on the real line j is
     then the one factor (1 + t^2) / (1 - t^2)^2), and f(y) is j = 1."""
     lo, hi = iv.lo, iv.hi

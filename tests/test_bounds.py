@@ -570,17 +570,21 @@ class TestSharedRun:
         summed = numerator * numerator / score_profile(fam).fisher
         assert lower_bound(fam, h) == summed == bound_report(fam, h).lower
 
-    def test_lone_bounds_run_on_the_scalar_kernel(self, monkeypatch):
+    def test_lone_bounds_run_one_component_at_a_time(self, monkeypatch):
         fam, laws = gamma(Scale(1.0), shape=3.0), Laws()
         laws.profile(fam, 1e-12)
         laws.pair(fam)
+        widths = []
+        kernel = vectorquad._gk15_vector
 
-        def no_row_cells(*args):
-            raise AssertionError("a lone bound ran on the row kernel")
+        def recording(f, n, lo, hi):
+            widths.append(n)
+            return kernel(f, n, lo, hi)
 
-        monkeypatch.setattr(vectorquad, "_gk15_vector", no_row_cells)
+        monkeypatch.setattr(vectorquad, "_gk15_vector", recording)
         assert lower_bound(fam, linear(), laws=laws) == pytest.approx(3.0, rel=1e-12)
         assert upper_bound(fam, linear(), laws=laws) == pytest.approx(3.0, rel=1e-12)
+        assert widths and set(widths) == {1}
 
     @pytest.mark.parametrize("scenario", [s for s in builtin_scenarios() if not s.build_family().is_discrete],
                              ids=lambda s: s.scenario_id)

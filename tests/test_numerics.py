@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 
@@ -190,12 +191,38 @@ def _reference_gk15(f, lo, hi):
     return value, err, resabs
 
 
+def _reference_transformed(f, iv):
+    """The changes of variable of a scalar integrand as first written:
+    (g, t_lo, t_hi) with the integral of f over iv that of g over [t_lo, t_hi]."""
+    lo, hi = iv.lo, iv.hi
+    if iv.bounded:
+        return f, lo, hi
+    if math.isfinite(lo):  # [a, inf)
+        def g(t, a=lo):
+            onemt = 1.0 - t
+            u = t / onemt
+            return f(a + u * u) * (2.0 * u / (onemt * onemt))
+        return g, 0.0, 1.0
+    if math.isfinite(hi):  # (-inf, b]
+        def g(t, b=hi):
+            onemt = 1.0 - t
+            u = t / onemt
+            return f(b - u * u) * (2.0 * u / (onemt * onemt))
+        return g, 0.0, 1.0
+
+    def g(t):
+        onemt2 = 1.0 - t * t
+        return f(t / onemt2) * (1.0 + t * t) / (onemt2 * onemt2)
+
+    return g, -1.0, 1.0
+
+
 def _reference_integrate(f, iv, tol=config.QUAD.request_tol):
     """integrate() as it was before running totals: every cell re-summed with
-    math.fsum after every split, and the kernel above."""
+    math.fsum after every split, the kernel and the maps above."""
     eps = numerics._EPS
     budget = config.QUAD.max_subdivisions
-    g, t_lo, t_hi = numerics._transformed(f, iv)
+    g, t_lo, t_hi = _reference_transformed(f, iv)
     evaluations = seq = 0
     heap, frozen, levels = [], [], []
 
@@ -379,7 +406,7 @@ class TestRunningTotals:
 
     @pytest.mark.parametrize("f,iv,tol", FSUM_CASES)
     def test_final_totals_equal_a_full_fsum(self, monkeypatch, f, iv, tol):
-        _assert_totals_are_leaf_fsums(monkeypatch, numerics, "_gk15", lambda: [integrate(f, iv, tol)])
+        _assert_totals_are_leaf_fsums(monkeypatch, vectorquad, "_gk15_vector", lambda: [integrate(f, iv, tol)])
 
 
 def _one_component(f, iv, tol):
@@ -535,6 +562,11 @@ def _seen(run):
     return repr(("value", r.value, r.abs_error_estimate)), r.evaluations
 
 
+def _cell(f):
+    """One GK15 cell of the scalar integrand f, as integrate's run makes it."""
+    return functools.partial(vectorquad._gk15_vector, lambda t: (f(t),), 1)
+
+
 class TestDivergenceDetection:
     @pytest.mark.parametrize(
         "f,iv,tol",
@@ -597,19 +629,18 @@ class TestDivergenceDetection:
             _ladder, integrand, fam.support, 1e-12
         )
 
-    def test_shells_stop_where_they_meet_the_endpoint(self, monkeypatch):
+    def test_shells_stop_where_they_meet_the_endpoint(self):
         # 1 - w/2 rounds to 1 once w <= 2^-53, so from w = 2^-32 on only the
         # 21 shells w = 2^-32 ... 2^-52 are distinct from t = 1; the probe
         # integrates the innermost 8 of them, w = 2^-45 ... 2^-52.
         shells = []
-        gk15 = numerics._gk15
+        cell = _cell(lambda t: 1.0 / (1.0 - t))
 
-        def recording(f, lo, hi):
+        def recording(lo, hi):
             shells.append((lo, hi))
-            return gk15(f, lo, hi)
+            return cell(lo, hi)
 
-        monkeypatch.setattr(numerics, "_gk15", recording)
-        _, cells = numerics._probe_endpoint(lambda t: 1.0 / (1.0 - t), 1.0, -1.0, 2.0**-32)
+        _, cells = numerics._probe_endpoint(recording, 1.0, -1.0, 2.0**-32)
         assert cells == 8
         assert shells == [(1.0 - 2.0**-k, 1.0 - 2.0**-(k + 1)) for k in range(45, 53)]
 
@@ -620,12 +651,12 @@ class TestDivergenceDetection:
         # never integrated, so they do not decline the probe.  A deciding
         # shell that raises does.
         outer_nan = lambda t: math.nan if t > 2.0**-60 else 1.0 / t
-        assert numerics._probe_endpoint(outer_nan, 0.0, 1.0, 2.0**-32) == (math.inf, 8)
+        assert numerics._probe_endpoint(_cell(outer_nan), 0.0, 1.0, 2.0**-32) == (math.inf, 8)
         tail_nan = lambda t: math.nan if t > 2.0**-66 else 1.0 / t
-        assert numerics._probe_endpoint(tail_nan, 0.0, 1.0, 2.0**-32) == (None, 1)
+        assert numerics._probe_endpoint(_cell(tail_nan), 0.0, 1.0, 2.0**-32) == (None, 1)
         # From w = 2^-50 only 3 shells are distinct from t = 1: too few to
         # decide, so none is integrated.
-        assert numerics._probe_endpoint(lambda t: 1.0 / (1.0 - t), 1.0, -1.0, 2.0**-50) == (None, 0)
+        assert numerics._probe_endpoint(_cell(lambda t: 1.0 / (1.0 - t)), 1.0, -1.0, 2.0**-50) == (None, 0)
 
     @pytest.mark.parametrize(
         "f,iv",
