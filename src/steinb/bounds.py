@@ -24,10 +24,11 @@ integrand on both supports, taken through ``families._expectations``.  A
 report's expectations (E[h^2], E[h], the lower bound's numerator, the upper
 bound's integral and the comparators' moments) are one request: one shared
 run in y for a continuous family, one walk over the pmf for a discrete one.
-A lone bound (``lower_bound``, ``upper_bound``) is a lone moment, taken by
-the scalar path, and so is a moment the run ejects, so every +-inf verdict,
-``levels`` list and error is that path's.  The Fisher information is the
-score profile's moment, which the report's law shares.
+A lone bound (``lower_bound``, ``upper_bound``) is a lone moment, taken
+alone (a one-component run or a one-sum walk), and so is a moment the run
+ejects, so every +-inf verdict, ``levels`` list and error is that path's.
+The Fisher information is the score profile's, which the report's law
+shares: a closed form for every catalogue law (``operators.FISHER``).
 """
 
 from __future__ import annotations

@@ -488,8 +488,6 @@ def binomial(n: int, p: float) -> DiscreteFamily:
     n = int(n)
 
     def pmf_fn(x: int, theta: float) -> float:
-        if x < 0 or x > n:
-            return 0.0
         return math.comb(n, x) * theta**x * (1.0 - theta) ** (n - x)
 
     return DiscreteFamily(
@@ -644,7 +642,7 @@ MOMENTS: dict[str, Moment] = {
     "edge_hp": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: y * j * hp, ("hp",)),
     "phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi, ("phi",)),
     "h_phi": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: h * phi, ("h", "phi")),
-    # The Fisher information.
+    # The Fisher information of a law without an ``operators.FISHER`` entry.
     "phi2": Moment(lambda y, x, h, hp, hpp, j, dy, phi, s: phi ** 2, ("phi",), series_tol=1e-13),
 }
 
@@ -751,7 +749,7 @@ def discrete_sums(fam: DiscreteFamily, terms: Callable[[int], Sequence[float]],
 
 
 def _alone(fam: Family, h: TestFunction, name: str, or_inf: bool, tol: float) -> float:
-    """One moment by the scalar path: a walk over the pmf, or a quadrature
+    """One moment alone: a walk over the pmf, or a one-component quadrature
     in y over the base support, with or without divergence detection."""
     if fam.is_discrete:
         return discrete_sums(fam, _terms(fam, h, [name]), (min(tol, MOMENTS[name].series_tol),))[0]

@@ -443,12 +443,11 @@ def integrate(
     f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
 ) -> QuadResult:
     """Adaptively integrate f over iv to absolute tolerance tol: _adapt on
-    the one-component row (f(y),), through the row kernel and its change of
-    variable, which scales the row after f (every value is f(y) times the
-    Jacobian, as for a scalar integrand).  ``_probe`` is
-    integrate_detecting_divergence's: _adapt's end hook is then the probe,
-    on the run's own cell."""
-    from .vectorquad import _gk15_vector, _transformed_vector  # which import this module
+    the one-component row (f(y),), through vectorquad's kernel and change of
+    variable, which multiplies each value f(y) by the Jacobian.  ``_probe``
+    is integrate_detecting_divergence's: _adapt's end hook is then the
+    probe, on the run's own cell."""
+    from .vectorquad import _gk15_vector, _transformed_vector  # vectorquad imports this module
 
     g, t_lo, t_hi = _transformed_vector(lambda y: (f(y),), iv)
     cell = functools.partial(_gk15_vector, g, 1)

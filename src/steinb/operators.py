@@ -20,13 +20,15 @@ Where the density is positive at a support edge that moves with the parameter
 (``positive_at_moving_edge``: exponential location), the operator carries a
 Dirac atom -f0(edge) there, which expectation routines must add back.
 
-A family's Fisher information is the moment "phi2" of ``families.MOMENTS``:
-the integral of phi(y)^2 g0(y) over the base support, or the series of
-phi(x)^2 g(x).  A continuous law's score and exchanging function are its
-role's base terms, read in y: the monotonicity scan and the zero crossing
-run on a grid in y (whose odd count samples the centre of a symmetric base
-support, such as y = 0, where the SAS slope vanishes), and the
-exchanging-pair check takes f0(y) dy/dtheta g0(y) at the base endpoints.
+A family's Fisher information is read off its closed form in ``FISHER``,
+keyed by (family id, role kind); a law with no entry takes the moment "phi2"
+of ``families.MOMENTS``, the integral of phi(y)^2 g0(y) over the base
+support or the series of phi(x)^2 g(x).  A continuous law's score and
+exchanging function are its role's base terms, read in y: the monotonicity
+scan and the zero crossing run on a grid in y (whose odd count samples the
+centre of a symmetric base support, such as y = 0, where the SAS slope
+vanishes), and the exchanging-pair check takes f0(y) dy/dtheta g0(y) at the
+base endpoints.
 Only a reported point (a witness, a zero) is mapped to x, as is the
 comparison grid, x(y) of points in y (``from_base``).
 """
@@ -46,6 +48,7 @@ from .families import (
     family_spec,
 )
 from .numerics import (
+    _EPS,
     Interval,
     MonotonicityCertificate,
     RealFn,
@@ -168,17 +171,57 @@ def _score_scan(fam: Family) -> tuple[RealFn, RealFn | None, Interval, RealFn]:
     return (lambda y: terms(y)[1]), fam.role.base_slope(fam), fam.base_support, lambda y: from_base(y)[0]
 
 
+def _erfcx(z: float) -> float:
+    """e^(z^2) erfc(z) for z >= 0: the product below z = 26, where e^(z^2) is
+    finite and erfc(z) normal; above, the asymptotic series
+    sum_k (-1)^k (2k - 1)!! / (2 z^2)^k / (z sqrt(pi)), 8 terms to eps there."""
+    if z < 26.0:
+        return math.exp(z * z) * math.erfc(z)
+    term = total = 1.0
+    k = 0
+    while abs(term) > _EPS * total:
+        k += 1
+        term *= -(2 * k - 1) / (2.0 * z * z)
+        total += term
+    return total / (z * math.sqrt(math.pi))
+
+
+def _skew_fisher(s: float) -> float:
+    """The SAS skew Fisher information over a normal base of width s:
+    phi = y/c - c y/s^2 with c^2 = 1 + y^2, so E[phi^2] = 2 + 1/s^2 - E[1/c^2],
+    and E[1/(1 + Y^2)] = sqrt(pi/2)/s erfcx(1/(s sqrt 2))."""
+    return 2.0 + 1.0 / (s * s) - math.sqrt(math.pi / 2.0) / s * _erfcx(1.0 / (s * math.sqrt(2.0)))
+
+
+# The Fisher information E[phi^2] of each catalogue (family id, role kind) in
+# closed form, with theta0 the role's value (a rate under scale).
+FISHER: dict[tuple[str, str], Callable[[Family], float]] = {
+    ("gaussian", "location"): lambda fam: 1.0 / fam.structural_value("sigma") ** 2,
+    ("gaussian", "scale"): lambda fam: 2.0 / fam.role.sigma0 ** 2,
+    ("gaussian", "skew"): lambda fam: _skew_fisher(fam.structural_value("sigma")),
+    ("sas-gaussian", "skew"): lambda fam: _skew_fisher(1.0),
+    ("exponential", "scale"): lambda fam: 1.0 / fam.role.sigma0 ** 2,
+    # E[((a - 1)/y - 1)^2] = 1/(a - 2); E[1/y^2] diverges for a <= 2.
+    ("gamma", "location"): lambda fam: 1.0 / (a - 2.0) if (a := fam.structural_value("shape")) > 2.0 else math.inf,
+    ("gamma", "scale"): lambda fam: fam.structural_value("shape") / fam.role.sigma0 ** 2,
+    ("poisson", "theta"): lambda fam: 1.0 / fam.role.theta0,
+    ("binomial", "theta"): lambda fam: fam.structural_value("n") / (fam.role.theta0 * (1.0 - fam.role.theta0)),
+    ("geometric", "theta"): lambda fam: 1.0 / (fam.role.theta0 ** 2 * (1.0 - fam.role.theta0)),
+}
+
+
 def score_profile(fam: Family, *, tol: float = 1e-12) -> ScoreProfile:
-    """Fisher information E[phi^2] (the moment "phi2": by series, or by
-    quadrature in the base coordinate; +inf when the integral diverges) and
-    the monotonicity certificate of the score, scanned where
-    ``_score_scan`` says.
+    """Fisher information E[phi^2] (``FISHER``'s closed form, or for a law
+    with no entry the moment "phi2": by series, or by quadrature in y, +inf
+    when the integral diverges) and the monotonicity certificate of the
+    score, scanned where ``_score_scan`` says.
 
     Rejects the family/role pairs ``require_score`` rejects.
     """
     require_score(fam)
     phi, slope, iv, to_x = _score_scan(fam)
-    fisher = _expectations(fam, ONE, {"phi2": True}, tol)("phi2")
+    closed = FISHER.get((fam.name, fam.role.kind))
+    fisher = closed(fam) if closed is not None else _expectations(fam, ONE, {"phi2": True}, tol)("phi2")
     cert = monotonicity_scan(phi, slope, iv, 257)
     if cert.witness is not None:
         cert = cert._replace(witness=to_x(cert.witness))

@@ -59,6 +59,15 @@ class TestScenarioFile:
         assert [s.scenario_id for s in scenarios] == ["exp-sca-h-sqrt", "gamma3-sca"]
         assert scenarios[1].structural == (("shape", 3.0),)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+    def test_a_file_without_scenarios_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "empty.jsonl"
+        p.write_text(text)
+        with pytest.raises(ScenarioFileError, match="no scenarios found"):
+            load_scenarios(p)
+        assert main(["check", str(p)]) == 2
+        assert "no scenarios found" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioFileError):
             load_scenarios(tmp_path / "nope.jsonl")

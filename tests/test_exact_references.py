@@ -21,12 +21,15 @@ import pytest
 
 from steinb.bounds import bound_report, ground_truth_variance, lower_bound
 from steinb.families import (
+    ONE,
     Location,
     Scale,
+    _expectations,
     binomial,
     expectation,
     exponential,
     gamma,
+    gaussian,
     geometric,
     linear,
     poisson,
@@ -80,6 +83,10 @@ def test_moments(label, fam, a, rate, mu, k):
 @pytest.mark.parametrize(
     "fam,exact",
     [
+        (gaussian(Location(0.0)), F(1)),                     # 1/s^2
+        (gaussian(Location(1.5), sigma=0.3), 1 / F(0.3) ** 2),
+        (gaussian(Scale(1.0)), F(2)),                        # 2/theta0^2
+        (gaussian(Scale(0.3), sigma=2.0), 2 / F(0.3) ** 2),
         (exponential(Scale(1.0)), F(1)),                     # 1/lambda^2
         (exponential(Scale(1.5)), 1 / F(3, 2) ** 2),
         (gamma(Scale(1.0), shape=3.0), F(3)),                # a/sigma0^2
@@ -90,14 +97,20 @@ def test_moments(label, fam, a, rate, mu, k):
         (poisson(2.0), F(1, 2)),                             # 1/lambda
         (poisson(1.0), F(1)),
         (geometric(0.25), F(64, 3)),                         # 1/(p^2 (1 - p))
+        (geometric(0.4), 1 / (F(0.4) ** 2 * (1 - F(0.4)))),
         (binomial(4, 0.5), F(16)),                           # n/(p (1 - p))
+        (binomial(10, 0.3), 10 / (F(0.3) * (1 - F(0.3)))),
     ],
-    ids=["exp-sca1", "exp-sca1.5", "gamma3-sca1", "gamma3-sca2", "gamma1.5-sca1", "gamma3-loc0",
-         "gamma4.5-loc0", "poisson2", "poisson1", "geometric0.25", "binomial4-0.5"],
+    ids=["gauss-loc1", "gauss-loc0.3", "gauss-sca1", "gauss-sca0.3", "exp-sca1", "exp-sca1.5", "gamma3-sca1",
+         "gamma3-sca2", "gamma1.5-sca1", "gamma3-loc0", "gamma4.5-loc0", "poisson2", "poisson1",
+         "geometric0.25", "geometric0.4", "binomial4-0.5", "binomial10-0.3"],
 )
 def test_fisher_information(fam, exact):
-    # Seen: at most 3.6 ulps (1.7 on the discrete laws, geometric).
+    # The score profile's closed form and the "phi2" moment it replaced,
+    # integrated or summed.  Seen: at most 3.6 ulps (1.7 on the discrete
+    # laws, geometric).
     assert ulps(score_profile(fam).fisher, exact) <= 8
+    assert ulps(_expectations(fam, ONE, {"phi2": True}, 1e-12)("phi2"), exact) <= 8
 
 
 @pytest.mark.parametrize(
@@ -178,10 +191,12 @@ REPORT_REFERENCES = {
     "geometric-h-linear": {"lower": F(12), "variance": F(12)},
     "binomial4-h-linear": {"lower": F(1), "variance": F(1)},
 }
-# Ulp budget per path class.  Seen: lower 2, variance 8 (exp-sca-h-sqrt),
+# Ulp budget per path class.  Seen: lower 4 (gamma3-loc and gamma3-sca: 2
+# while the Fisher information was integrated, whose error cancelled the
+# numerator's; now the exact closed form), variance 8 (exp-sca-h-sqrt),
 # upper 2, comparators 4, both with each expectation integrated alone and
 # with a report's expectations on one shared mesh; on the discrete reports
-# lower 1 and variance 2 (geometric-h-linear), summed alone or in one walk.
+# lower 3 and variance 2 (geometric-h-linear), summed alone or in one walk.
 REPORT_BUDGETS = {"lower": 4, "variance": 16, "upper": 4}
 COMPARATOR_BUDGET = 8
 

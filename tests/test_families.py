@@ -207,6 +207,17 @@ class TestFamilyConstruction:
             gamma(Location(0.0), shape=0.8)
         gamma(Scale(1.0), shape=0.8)  # scale role tolerates any positive shape
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(self, sigma):
+        with pytest.raises(InvalidParameter, match="gaussian width must be finite and > 0"):
+            gaussian(Location(0.0), sigma=sigma)
+
+    def test_a_required_structural_constant_must_be_given(self):
+        with pytest.raises(InvalidParameter, match="gamma requires a structural 'shape'"):
+            make_family("gamma", "scale", 1.0)
+        with pytest.raises(InvalidParameter, match="binomial requires a structural 'n'"):
+            make_family("binomial", "theta", 0.5)
+
     def test_gamma_rejects_nonpositive_shape(self):
         with pytest.raises(InvalidParameter):
             gamma(Scale(1.0), shape=0.0)

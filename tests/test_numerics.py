@@ -1025,6 +1025,14 @@ class TestScanGrid:
         assert all(x > 2.0 for x in xs)
         assert xs == sorted(xs)
 
+    def test_left_half_line_mirrors_the_right_one(self):
+        # (-inf, b] is [b, inf) reflected about b, in increasing order.
+        right = scan_grid(Interval.half_line(0.0), 101)
+        assert scan_grid(Interval(-math.inf, 0.0), 101) == [-x for x in reversed(right)]
+        left = scan_grid(Interval(-math.inf, 2.0), 101)
+        assert left == sorted(left) and all(x < 2.0 for x in left)
+        assert left == [2.0 - x for x in reversed(right)]
+
 
 class TestQuadResult:
     def test_invariants(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinb import families, operators
 from steinb.families import (
     InvalidParameter,
     Location,
@@ -356,10 +357,6 @@ class TestScoreProfile:
         assert fam.role.base_terms(fam)(2.0)[1] == pytest.approx((2.0 - (a - 1.0)) / 2.0)
         assert prof.monotonicity.verdict is Verdict.INCREASING
 
-    def test_gamma_location_divergent_fisher(self):
-        prof = score_profile(gamma(Location(0.0), shape=1.5))
-        assert math.isinf(prof.fisher)
-
     def test_gamma_scale(self):
         prof = score_profile(gamma(Scale(2.0), shape=3.0))
         assert prof.fisher == pytest.approx(3.0 / 4.0, abs=1e-9)
@@ -392,8 +389,9 @@ class TestScoreProfile:
         assert zero_crossing(fam) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("fam,expected", [
-        # gamma location 1/(a - 2), inf for a < 2: the integral runs in y,
-        # where the support edge sits at 0 whatever mu0.
+        # gamma location 1/(a - 2), inf for a < 2: FISHER's entry, and the
+        # "phi2" integral, which runs in y, where the support edge sits at 0
+        # whatever mu0.
         (gamma(Location(-0.72322), shape=2.371224), 1.0 / (2.371224 - 2.0)),
         (gamma(Location(4.5), shape=2.2), 1.0 / (2.2 - 2.0)),
         (gamma(Location(4.242), shape=1.754), math.inf),
@@ -405,11 +403,11 @@ class TestScoreProfile:
         (exponential(Scale(4.0)), 1.0 / 4.0**2),
     ], ids=lambda v: f"{v.name}-{v.role}" if hasattr(v, "role") else None)
     def test_closed_form_fisher_in_shifted_and_scaled_coordinates(self, fam, expected):
-        fisher = score_profile(fam).fisher
-        if math.isinf(expected):
-            assert fisher == expected
-        else:
-            assert abs(fisher - expected) <= 1e-12 * expected
+        for fisher in (score_profile(fam).fisher, _phi2(fam)):
+            if math.isinf(expected):
+                assert fisher == expected
+            else:
+                assert abs(fisher - expected) <= 1e-12 * expected
 
     def test_fisher_stable_under_tolerance_halving(self):
         for fam in (gaussian(Scale(1.0)), gamma(Location(0.0), shape=3.0), sas_gaussian(0.0)):
@@ -418,6 +416,69 @@ class TestScoreProfile:
             assert coarse > 0.0
             assert fine == pytest.approx(coarse, rel=1e-6)
 
+
+
+def _phi2(fam):
+    """The Fisher information integrated (or summed) as the moment "phi2"."""
+    return families._expectations(fam, ONE, {"phi2": True}, 1e-12)("phi2")
+
+
+# Laws of every FISHER entry, over the parameter ranges of perfbench/sweep.py
+# (widths 0.5-3, rates 0.25-4, shifts -5-5, shapes 1.5-10, Poisson 0.5-40,
+# probabilities 0.05-0.95, binomial counts 1-100).
+FISHER_GRID = [
+    *(make_family("gaussian", "location", -4.9, sigma=s) for s in (0.5, 1.0, 3.0)),
+    *(make_family("gaussian", "scale", r, sigma=s) for r in (0.25, 1.0, 4.0) for s in (0.5, 3.0)),
+    *(make_family("gaussian", "skew", d, sigma=s) for s, d in ((0.5, 0.3), (1.0, -1.0), (3.0, 0.7))),
+    *(make_family("sas-gaussian", "skew", d) for d in (-1.0, 0.0, 1.0)),
+    *(make_family("exponential", "scale", r) for r in (0.25, 1.0, 4.0)),
+    *(make_family("gamma", "location", m, shape=a) for a, m in ((1.5, 0.0), (2.5, -5.0), (5.0, 4.2), (10.0, 0.0))),
+    *(make_family("gamma", "scale", r, shape=a) for a, r in ((1.5, 0.25), (5.0, 1.0), (10.0, 4.0))),
+    *(make_family("poisson", "theta", lam) for lam in (0.5, 5.0, 40.0)),
+    *(make_family("geometric", "theta", p) for p in (0.05, 0.5, 0.95)),
+    *(make_family("binomial", "theta", p, n=n) for n, p in ((1, 0.05), (50, 0.5), (100, 0.95))),
+]
+
+
+class TestFisherClosedForms:
+    def test_the_grid_covers_every_entry(self):
+        assert {(fam.name, fam.role.kind) for fam in FISHER_GRID} == set(operators.FISHER)
+
+    @pytest.mark.parametrize("fam", FISHER_GRID, ids=lambda f: f"{f.name}-{f.role}-{f.structural}")
+    def test_entry_matches_the_phi2_moment(self, fam):
+        # Seen: at most 2.3e-15 relative (gamma scale, shape 10).
+        fisher = score_profile(fam).fisher
+        assert fisher == operators.FISHER[fam.name, fam.role.kind](fam)
+        oracle = _phi2(fam)
+        assert fisher == oracle if math.isinf(oracle) else abs(fisher - oracle) <= 1e-13 * oracle
+
+    @pytest.mark.parametrize("s", [0.01, 0.02, 0.0266, 0.0272, 0.05, 0.1, 0.3, 1.0, 2.0, 7.5, 20.0, 50.0])
+    def test_gaussian_skew_against_scipy_erfcx(self, s):
+        # 1/(s sqrt 2) runs from 70.7 to 0.014: both sides of the switch to
+        # the asymptotic series at 26 (s = 0.0272).  Seen: 2.5e-16 relative.
+        special = pytest.importorskip("scipy.special")
+        oracle = 2.0 + 1.0 / s**2 - math.sqrt(math.pi / 2.0) / s * special.erfcx(1.0 / (s * math.sqrt(2.0)))
+        fisher = score_profile(make_family("gaussian", "skew", 0.2, sigma=s)).fisher
+        assert abs(fisher - oracle) <= 4e-15 * oracle
+        assert operators._skew_fisher(1.0) == KAPPA
+
+    def test_a_law_without_an_entry_integrates_phi2(self, count_cells):
+        # quartic location: phi = y^3, so I = E[Y^6] = 8 Gamma(7/4) / Gamma(1/4).
+        fam = quartic(0.3)
+        assert (fam.name, fam.role.kind) not in operators.FISHER
+        fisher = score_profile(fam).fisher
+        assert count_cells() > 0
+        assert fisher == pytest.approx(2.0279347202018543, rel=1e-13)
+
+    def test_a_law_with_an_entry_runs_no_quadrature(self, count_cells):
+        assert score_profile(gamma(Scale(2.0), shape=3.0)).fisher == 0.75
+        assert count_cells() == 0
+
+    @pytest.mark.parametrize("a,expected", [(1.5, math.inf), (2.0, math.inf), (2.0001, 1.0 / (2.0001 - 2.0))])
+    def test_gamma_location_edge(self, a, expected):
+        fisher = score_profile(gamma(Location(0.0), shape=a)).fisher
+        assert fisher == expected
+        assert math.isfinite(fisher) == (a > 2.0)
 
 class TestExchangingPair:
     def test_gaussian_location(self):
