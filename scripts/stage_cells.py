@@ -5,8 +5,9 @@ For a command, run in process through ``steinb.cli.main`` with ``--jobs 1``,
 it prints per stage:
 
 - ``scalar``: cells of one-component runs, the GK15 cells
-  (``vectorquad._gk15_vector``) made inside ``numerics.integrate``, the
-  probe shells of ``integrate_detecting_divergence`` included; on a tree
+  (``vectorquad._gk15_vector``) made inside ``numerics.integrate`` of a
+  scalar integrand (no ``n``), the probe shells of
+  ``integrate_detecting_divergence`` included; on a tree
   that still has a scalar kernel, the cells of ``numerics._gk15``;
 - ``row``: the other cells of ``vectorquad._gk15_vector``, those whose
   components all belong to the stage;
@@ -39,7 +40,8 @@ same counts come out of a source tree whose engine still lives in
 missing is an error, not a stage left uncounted.
 
 ``perfbench``'s ``numerics.integrate.evals`` counts the one-component runs
-only; the evaluations of the shared runs and suites are seen here.
+and the identity suites (``integrate`` with ``n``) only; the evaluations of
+the shared runs are seen here.
 
 Usage:
     python3 scripts/stage_cells.py {bounds,paper-table,sweep} [--seeds 1,2,3]
@@ -175,7 +177,7 @@ def install(stages: Stages, strict: bool) -> None:
 
     vector, integrate = vectorquad._gk15_vector, target(numerics, "integrate")
     scalar = getattr(numerics, "_gk15", None)  # an older tree's scalar kernel
-    lone = [0]  # numerics.integrate calls in progress
+    lone = [0]  # numerics.integrate calls of a scalar integrand in progress
 
     def counting_vector(f, n, lo, hi):
         if lone[0]:
@@ -185,11 +187,12 @@ def install(stages: Stages, strict: bool) -> None:
         return vector(f, n, lo, hi)
 
     def counting_integrate(*args, **kwargs):
-        lone[0] += 1
+        one = kwargs.get("n") is None  # with n, a row of n: an identity suite
+        lone[0] += one
         try:
             return integrate(*args, **kwargs)
         finally:
-            lone[0] -= 1
+            lone[0] -= one
 
     vectorquad._gk15_vector = counting_vector
     _rebind("integrate", integrate, counting_integrate)

@@ -50,7 +50,7 @@ from .families import (
     polynomial,
     product,
 )
-from .numerics import Interval, NumericsError, QuadResult
+from .numerics import Interval, NumericsError, QuadResult, integrate
 from .operators import (
     BoundaryViolation,
     Laws,
@@ -59,7 +59,6 @@ from .operators import (
     require_score,
 )
 from .roles import BaseTerms
-from .vectorquad import integrate_vector
 
 CONTINUOUS_IDENTITY_TOL = 1e-8
 DISCRETE_IDENTITY_TOL = 1e-9
@@ -125,7 +124,7 @@ def _rows(f0s: Sequence[TestFunction]) -> Rows:
 def operator_integrals(
     fam: ContinuousFamily, law: ContinuousFamily | None, rows: Rows, n: int, radius: float = math.inf,
     tol: float = config.QUAD.request_tol,
-) -> list[QuadResult]:
+) -> Sequence[QuadResult]:
     """The integrals of T(f0) g_law for the n test functions of ``rows``,
     with T the continuous family's operator, in one vector quadrature over
     the base coordinate y:
@@ -168,12 +167,11 @@ def operator_integrals(
         if lo < cut < hi:
             lo = cut
     if lo == -radius or hi == math.inf:
-        return integrate_vector(integrand, n, Interval(lo, hi), tol)
+        return integrate(integrand, Interval(lo, hi), tol, n=n)
     # Graded toward the support edge lo, y = lo + width s^2: an edge factor
     # (y - lo)^alpha becomes s^(2 alpha + 1).
     width = hi - lo
-    return integrate_vector(lambda s: integrand(lo + width * (s * s), 2.0 * width * s), n,
-                            Interval(0.0, 1.0), tol)
+    return integrate(lambda s: integrand(lo + width * (s * s), 2.0 * width * s), Interval(0.0, 1.0), tol, n=n)
 
 
 def operator_sums(fam: DiscreteFamily, law: DiscreteFamily | None, bank: Bank, n: int,

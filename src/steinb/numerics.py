@@ -2,9 +2,9 @@
 
 Everything here takes plain Python callables ``float -> float``; the one
 GK15 kernel, which evaluates an integrand that returns a row of floats, and
-the changes of variable live in ``vectorquad``, and ``integrate`` runs a
-scalar integrand as a row of one.  Improper integrals are reduced to finite
-ones by smooth changes of variable:
+the changes of variable live in ``vectorquad``.  ``integrate`` runs a
+scalar integrand as a row of one, or a row of n.  Improper integrals are
+reduced to finite ones by smooth changes of variable:
 
     (-inf, inf)  :  x = t / (1 - t^2),  t in (-1, 1)
     [a, inf)     :  x = a + u^2,        u = t / (1 - t),  t in [0, 1)
@@ -17,8 +17,8 @@ factors of the gamma and exponential laws, y^(a-1) and x^(-1/2) among them,
 are smooth or milder in t.  The transformed integrand is then handled by a
 globally adaptive 15-point Gauss-Kronrod rule (worst-interval-first
 bisection) in ``_adapt``, the one adaptive loop, which ``integrate`` and
-``vectorquad.integrate_vector`` share.  Kronrod nodes are interior points,
-so integrable endpoint singularities are never sampled directly; those the
+``vectorquad.integrate_vector_or_eject`` share.  Kronrod nodes are
+interior points, so integrable endpoint singularities are never sampled directly; those the
 grading leaves singular (bounded intervals are not graded here) cost extra
 bisections near the offending endpoint.  A non-integrable one would cost
 the whole subdivision budget, so ``_adapt`` counts a run's splits in a row
@@ -439,23 +439,25 @@ def _adapt(
             for v, e, r in slots]
 
 
-def integrate(
-    f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol, *, _probe: bool = False
-) -> QuadResult:
-    """Adaptively integrate f over iv to absolute tolerance tol: _adapt on
-    the one-component row (f(y),), through vectorquad's kernel and change of
-    variable, which multiplies each value f(y) by the Jacobian.  ``_probe``
-    is integrate_detecting_divergence's: _adapt's end hook is then the
-    probe, on the run's own cell."""
-    from .vectorquad import _gk15_vector, _transformed_vector  # vectorquad imports this module
+def integrate(f: Callable, iv: Interval, tol: float = config.QUAD.request_tol, *, n: int | None = None,
+              _probe: bool = False) -> QuadResult | Sequence[QuadResult]:
+    """Adaptively integrate f over iv to absolute tolerance tol: _adapt
+    through vectorquad's kernel and change of variable, which multiplies
+    each value by the Jacobian after f.  f returns a float (n None: one
+    QuadResult, run as the row (f(y),)) or a row of n floats (a
+    ``vectorquad.QuadRow``).  ``_probe`` is integrate_detecting_divergence's:
+    _adapt's end hook is then the probe, on the run's own cell."""
+    from .vectorquad import QuadRow, _gk15_vector, _transformed_vector  # vectorquad imports this module
 
-    g, t_lo, t_hi = _transformed_vector(lambda y: (f(y),), iv)
-    cell = functools.partial(_gk15_vector, g, 1)
+    m = 1 if n is None else n
+    g, t_lo, t_hi = _transformed_vector((lambda y: (f(y),)) if n is None else f, iv)
+    cell = functools.partial(_gk15_vector, g, m)
 
     def probe(side: float, entry: tuple, entries: list) -> tuple[float | None, int]:
         return _probe_endpoint(cell, entry[2] if side > 0 else entry[3], side, entry[3] - entry[2])
 
-    return _adapt(cell, 1, t_lo, t_hi, tol, (_PROBE_AFTER, probe) if _probe else None)[0]
+    results = _adapt(cell, m, t_lo, t_hi, tol, (_PROBE_AFTER, probe) if _probe else None)
+    return results[0] if n is None else QuadRow(results)
 
 
 def integrate_detecting_divergence(f: RealFn, iv: Interval, tol: float = config.QUAD.request_tol) -> float:

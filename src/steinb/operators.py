@@ -194,7 +194,9 @@ def _skew_fisher(s: float) -> float:
 
 
 # The Fisher information E[phi^2] of each catalogue (family id, role kind) in
-# closed form, with theta0 the role's value (a rate under scale).
+# closed form, with theta0 the role's value (a rate under scale).  The key is
+# the id alone: a family built by hand under a catalogue id must have that
+# law's density and score; one under an id of its own takes "phi2".
 FISHER: dict[tuple[str, str], Callable[[Family], float]] = {
     ("gaussian", "location"): lambda fam: 1.0 / fam.structural_value("sigma") ** 2,
     ("gaussian", "scale"): lambda fam: 2.0 / fam.role.sigma0 ** 2,

@@ -1,11 +1,11 @@
 """The GK15 kernel, for an integrand that returns n floats per point.
 
-``integrate_vector`` hands it to ``numerics._adapt``, the one adaptive
+``numerics.integrate`` hands it to ``numerics._adapt``, the one adaptive
 loop, so n integrals share one mesh and every node is evaluated once for
 all of them, the design of DCUHRE (Berntsen, Espelid and Genz 1991) in one
-dimension; ``numerics.integrate`` runs a scalar integrand as a row of one.
-The identity checks run a whole suite of test functions through it, and a
-bound report all its expectations through ``integrate_vector_or_eject``,
+dimension; a scalar integrand runs as a row of one.  The identity checks
+run a whole suite of test functions through it, and a bound report all
+its expectations through ``integrate_vector_or_eject``,
 which lets a component that does not converge with the others leave the
 run (``_adapt``'s end streak calls its hook ``_eject``).  Its changes of
 variable are the maps of ``numerics``' docstring, graded half-line maps
@@ -17,7 +17,6 @@ inside ``numerics.py`` raises the peak memory of every import.)
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, NoReturn, Sequence
 
@@ -120,14 +119,15 @@ def _transformed_vector(f: Callable, iv: Interval, scaling: bool = False) -> tup
     return g, -1.0, 1.0
 
 
-def integrate_vector(
-    f: VectorFn, n: int, iv: Interval, tol: float = config.QUAD.request_tol
-) -> list[QuadResult]:
-    """Integrate each of the n components of f over iv to absolute tolerance
-    tol: numerics._adapt with the row kernel, after _transformed_vector's
-    change of variable.  Stops, raises and reports as there."""
-    g, t_lo, t_hi = _transformed_vector(f, iv)
-    return _adapt(functools.partial(_gk15_vector, g, n), n, t_lo, t_hi, tol, None)
+class QuadRow(tuple):
+    """The results of numerics.integrate on a row of n, which share one mesh
+    and so its ``evaluations``."""
+
+    __slots__ = ()
+
+    @property
+    def evaluations(self) -> int:
+        return self[0].evaluations
 
 
 class _Ejected(Exception):
@@ -143,7 +143,7 @@ def _eject(side: float, entry: tuple, entries: list) -> NoReturn:
 def integrate_vector_or_eject(
     rows: Callable[[tuple[int, ...]], Callable], n: int, iv: Interval, tol: float = config.QUAD.request_tol
 ) -> list[QuadResult | None]:
-    """integrate_vector of the n components of rows(range(n)), except that a
+    """numerics.integrate of the n components of rows(range(n)), except that a
     component that does not converge with the others leaves the run
     cheaply, with None for its result, for the caller to integrate it
     alone.  rows(live) is the integrand of the components live, in order;

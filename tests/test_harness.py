@@ -49,9 +49,8 @@ from steinb.harness import (
     result_to_dict,
     run_scenario,
 )
-from steinb.numerics import NonConvergence, sum_series
+from steinb.numerics import NonConvergence, integrate, sum_series
 from steinb.operators import make_operator
-from steinb.vectorquad import integrate_vector
 from x_space_reference import x_space_score
 
 REPO = Path(__file__).resolve().parent.parent
@@ -162,7 +161,7 @@ def _x_space_operator_integrals(fam, law, f0s):
         y, dy, phi = t
         return [(f0.h_prime(y) * dy + f0.h(y) * phi) * w for f0 in f0s]
 
-    return integrate_vector(integrand, n, law.support)
+    return integrate(integrand, law.support, n=n)
 
 
 def _law_runs(scenario, fam):

@@ -27,7 +27,7 @@ from steinb.numerics import (
     scan_grid,
     sum_series,
 )
-from steinb.vectorquad import integrate_vector, integrate_vector_or_eject
+from steinb.vectorquad import integrate_vector_or_eject
 
 SQRT_PI = 1.7724538509055159  # oracle: math.sqrt(math.pi)
 
@@ -410,7 +410,7 @@ class TestRunningTotals:
 
 
 def _one_component(f, iv, tol):
-    return integrate_vector(lambda x: [f(x)], 1, iv, tol)[0]
+    return integrate(lambda x: [f(x)], iv, tol, n=1)[0]
 
 
 class TestVectorKernel:
@@ -426,7 +426,7 @@ class TestVectorKernel:
         # Two components on the row kernel: f and cos(x) f.
         _assert_totals_are_leaf_fsums(
             monkeypatch, vectorquad, "_gk15_vector",
-            lambda: integrate_vector(lambda x: [f(x), math.cos(x) * f(x)], 2, iv, tol))
+            lambda: integrate(lambda x: [f(x), math.cos(x) * f(x)], iv, tol, n=2))
 
     @pytest.mark.parametrize("iv", [Interval.real_line(), Interval.half_line(0.5),
                                     Interval(-math.inf, 2.0), Interval(0.0, 1.0)],
@@ -438,9 +438,9 @@ class TestVectorKernel:
             lambda x: math.sin(50 * x) * math.exp(-abs(x)),
             lambda x: math.exp(-abs(x)) / (1.0 + x * x),
         ]
-        shared = integrate_vector(lambda x: [f(x) for f in fs], len(fs), iv)
+        shared = integrate(lambda x: [f(x) for f in fs], iv, n=len(fs))
         alone = [integrate(f, iv) for f in fs]
-        assert {r.evaluations for r in shared} == {shared[0].evaluations}
+        assert {r.evaluations for r in shared} == {shared.evaluations}
         assert shared[0].evaluations <= sum(r.evaluations for r in alone)
         for a, b in zip(shared, alone):
             targets = sum(max(1e-12, 100 * numerics._EPS * r.mass) for r in (a, b))
@@ -449,20 +449,20 @@ class TestVectorKernel:
 
     def test_finite_components_keep_their_node_values(self):
         # The center node of the initial cell [0, 0.25] of [-1, 1] is 0.125.
-        plain = integrate_vector(lambda x: [x * x, 1.0], 2, Interval(-1.0, 1.0))
-        nudged = integrate_vector(lambda x: [x * x, math.inf if x == 0.125 else 1.0], 2, Interval(-1.0, 1.0))
+        plain = integrate(lambda x: [x * x, 1.0], Interval(-1.0, 1.0), n=2)
+        nudged = integrate(lambda x: [x * x, math.inf if x == 0.125 else 1.0], Interval(-1.0, 1.0), n=2)
         assert nudged[0] == plain[0]
         assert nudged[1].value == pytest.approx(2.0, abs=1e-14)
 
     def test_a_component_that_stays_non_finite_raises(self):
         with pytest.raises(NonFinite) as info:
-            integrate_vector(lambda x: [1.0, math.nan], 2, Interval(0.0, 1.0))
+            integrate(lambda x: [1.0, math.nan], Interval(0.0, 1.0), n=2)
         assert math.isnan(info.value.observed)
 
     def test_nonconvergence_names_the_first_unmet_component(self, monkeypatch):
         _set_budget(monkeypatch, 20)
         with pytest.raises(NonConvergence) as info:
-            integrate_vector(lambda x: [1.0, 1.0 / x, 1.0 / x], 3, Interval(0.0, 1.0))
+            integrate(lambda x: [1.0, 1.0 / x, 1.0 / x], Interval(0.0, 1.0), n=3)
         with pytest.raises(NonConvergence) as alone:
             integrate(lambda x: 1.0 / x, Interval(0.0, 1.0))
         assert str(info.value) == str(alone.value)
@@ -474,7 +474,7 @@ class TestVectorKernel:
         # meets its (infinite) target; the second, 1/sqrt(x), keeps the run
         # going, so the run raises on the first total that is not finite.
         with pytest.raises(NonConvergence, match="partial integral overflowed") as info:
-            integrate_vector(lambda x: [1.5e308, 1.0 / math.sqrt(x)], 2, Interval(0.0, 1.0))
+            integrate(lambda x: [1.5e308, 1.0 / math.sqrt(x)], Interval(0.0, 1.0), n=2)
         assert math.isinf(info.value.value)
         # integrate_vector_or_eject leaves both to be integrated alone.
         def rows(live):
@@ -491,7 +491,7 @@ class TestVectorKernel:
             return 1e6 if x > 1.0 + 2e-14 else 0.0
 
         with pytest.raises(NonConvergence, match="interval exhausted below resolution") as shared:
-            integrate_vector(lambda x: [1.0, jump(x)], 2, iv)
+            integrate(lambda x: [1.0, jump(x)], iv, n=2)
         with pytest.raises(NonConvergence, match="interval exhausted below resolution") as alone:
             integrate(jump, iv)
         assert str(shared.value) == str(alone.value)
@@ -500,9 +500,9 @@ class TestVectorKernel:
 
     def test_arguments_are_checked(self):
         with pytest.raises(ValueError):
-            integrate_vector(lambda x: [1.0], 1, Interval(0.0, 1.0), tol=0.0)
+            integrate(lambda x: [1.0], Interval(0.0, 1.0), tol=0.0, n=1)
         with pytest.raises(ValueError):
-            integrate_vector(lambda x: [], 0, Interval(0.0, 1.0))
+            integrate(lambda x: [], Interval(0.0, 1.0), n=0)
 
 
 def _ladder(f, iv, tol=config.QUAD.request_tol):

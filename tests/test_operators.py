@@ -410,17 +410,21 @@ class TestScoreProfile:
                 assert abs(fisher - expected) <= 1e-12 * expected
 
     def test_fisher_stable_under_tolerance_halving(self):
+        # The "phi2" quadrature, which a law without a FISHER entry takes
+        # (as score_profile does for quartic location).
         for fam in (gaussian(Scale(1.0)), gamma(Location(0.0), shape=3.0), sas_gaussian(0.0)):
-            coarse = score_profile(fam, tol=1e-10).fisher
-            fine = score_profile(fam, tol=5e-11).fisher
+            coarse, fine = _phi2(fam, 1e-10), _phi2(fam, 5e-11)
             assert coarse > 0.0
             assert fine == pytest.approx(coarse, rel=1e-6)
+        coarse = score_profile(quartic(0.3), tol=1e-10).fisher
+        assert coarse > 0.0
+        assert score_profile(quartic(0.3), tol=5e-11).fisher == pytest.approx(coarse, rel=1e-6)
 
 
 
-def _phi2(fam):
+def _phi2(fam, tol=1e-12):
     """The Fisher information integrated (or summed) as the moment "phi2"."""
-    return families._expectations(fam, ONE, {"phi2": True}, 1e-12)("phi2")
+    return families._expectations(fam, ONE, {"phi2": True}, tol)("phi2")
 
 
 # Laws of every FISHER entry, over the parameter ranges of perfbench/sweep.py
@@ -469,6 +473,15 @@ class TestFisherClosedForms:
         fisher = score_profile(fam).fisher
         assert count_cells() > 0
         assert fisher == pytest.approx(2.0279347202018543, rel=1e-13)
+
+    def test_a_law_built_by_hand_under_its_own_id_integrates_phi2(self, count_cells):
+        # FISHER is keyed by the family id: the same law under another id
+        # takes the quadrature.
+        base = gamma(Scale(2.0), shape=3.0)
+        fam = type(base)(**dict(zip(base._fields, base._values()), name="gamma-by-hand"))
+        fisher = score_profile(fam).fisher
+        assert count_cells() > 0
+        assert fisher == pytest.approx(0.75, rel=1e-13)
 
     def test_a_law_with_an_entry_runs_no_quadrature(self, count_cells):
         assert score_profile(gamma(Scale(2.0), shape=3.0)).fisher == 0.75
